@@ -7,6 +7,11 @@ into an antisymmetric real matrix.  :func:`split` and :func:`merge`
 implement that generator correspondence in closed form with purely real
 arithmetic; the 3-vector pair they exchange is the self-dual plus
 anti-self-dual decomposition of the antisymmetric matrix.
+
+At the group level ``R^dag (U (x) V) R = sum_ij p_i q_j E_ij`` is bilinear in
+the unit quaternions ``p``, ``q`` of the factors (the isoclinic factors of
+the rotation), with sixteen fixed signed permutation matrices ``E_ij`` built
+once from :func:`magic_matrix`; the frame changes stay off the hot path.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import coeffs_from_so4, frobenius_norm, is_special_unitary, tensor_product, _as_vec3
+from .algebra import coeffs_from_so4, frobenius_norm, is_special_unitary, pauli, tensor_product, _as_vec3
 from .errors import DomainError, InternalConsistencyError, ShapeError
+from .su2 import _quaternion_of
 
 __all__ = [
     "BellBasis",
@@ -43,8 +49,6 @@ _MAGIC = _INV_SQRT2 * np.array(
     ]
 )
 _MAGIC_DAG = _MAGIC.conj().T
-
-_IMAG_RESIDUE_TOL = 1e-10
 
 
 class BellBasis(NamedTuple):
@@ -142,20 +146,14 @@ def merge(pair) -> np.ndarray:
 def su2su2_to_so4(u, v) -> np.ndarray:
     """Map a pair of special unitaries to the rotation ``R^dag (u (x) v) R``.
 
-    The conjugated matrix is real up to rounding; the imaginary residue is
-    checked and discarded.  Both inputs of a pair ``(u, v)`` and ``(-u, -v)``
-    land on the same rotation.
+    Both factors are read as unit quaternions and mapped through the fixed
+    isoclinic table, so the result is real by construction.  Both inputs of
+    a pair ``(u, v)`` and ``(-u, -v)`` land on the same rotation.
     """
-    for m in (u, v):
-        if not is_special_unitary(np.asarray(m, dtype=complex), tol=1e-10):
-            raise DomainError("factors must be special unitary 2x2 matrices")
-    w = to_orthogonal_frame(tensor_product(u, v))
-    residue = float(np.abs(w.imag).max())
-    if residue > _IMAG_RESIDUE_TOL:
-        raise InternalConsistencyError(
-            f"conjugated tensor product has imaginary residue {residue:.3e}"
-        )
-    return np.ascontiguousarray(w.real)
+    factors = [np.asarray(m, dtype=complex) for m in (u, v)]
+    if not all(is_special_unitary(m, tol=1e-10) for m in factors):
+        raise DomainError("factors must be special unitary 2x2 matrices")
+    return _rotation_from_quaternions(*(_quaternion_of(m) for m in factors))
 
 
 def _as_4x4_complex(m) -> np.ndarray:
@@ -163,3 +161,33 @@ def _as_4x4_complex(m) -> np.ndarray:
     if m.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
+
+
+# quaternion units s_0 = I, s_k = i sigma_k: a unit quaternion p stands for sum_k p_k s_k
+_UNITS = [np.eye(2, dtype=complex)] + [1j * pauli(k) for k in (1, 2, 3)]
+# row 4 i + j is E_ij = Re R^dag (s_i (x) s_j) R, flattened; every E_ij is a
+# signed permutation matrix, so rounding drops only the conjugation roundoff
+_ISOCLINIC = np.rint(
+    [to_orthogonal_frame(tensor_product(a, b)).real.ravel() for a in _UNITS for b in _UNITS]
+)
+
+
+def _rotation_from_quaternions(p, q) -> np.ndarray:
+    """The rotation ``sum_ij p_i q_j E_ij`` of a pair of unit quaternions."""
+    return (np.multiply.outer(p, q).ravel() @ _ISOCLINIC).reshape(4, 4)
+
+
+def _quaternions_from_rotation(o):
+    # the E_ij are orthogonal with squared norm 4, so p_i q_j = <E_ij, o> / 4;
+    # factor that through the column and row of its largest entry, q taking
+    # the entry's sign; (-p, -q) is the other lift, left to the caller
+    m = 0.25 * (_ISOCLINIC @ o.ravel()).reshape(4, 4)
+    i, j = divmod(int(np.argmax(np.abs(m))), 4)
+    p = m[:, j] / np.linalg.norm(m[:, j])
+    q = m[i, :] / math.copysign(np.linalg.norm(m[i, :]), m[i, j])
+    residue = frobenius_norm(np.multiply.outer(p, q) - m)
+    if residue > 1e-8:
+        raise InternalConsistencyError(
+            f"isoclinic factorization failed to reproduce the input, residue {residue:.3e}"
+        )
+    return p, q

@@ -3,21 +3,24 @@
 Every operation here reduces to the 2x2 machinery: an antisymmetric matrix
 splits into two commuting 3-vector channels, each channel is handled by the
 closed-form routines in :mod:`magicbch.su2`, and the halves are merged back.
-Two independent evaluation paths are provided for the composition law: the
-channel path (:func:`bch_so4`) and a direct transcription of the six
-expanded matrix entries (:func:`bch_so4_entries`) used to cross-check it.
+Exponential and logarithm carry each channel as a real unit quaternion, so
+no complex 4x4 conjugation is involved.  Two independent evaluation paths
+are provided for the composition law: the channel path (:func:`bch_so4`)
+and a direct transcription of the six expanded matrix entries
+(:func:`bch_so4_entries`) used to cross-check it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import So4Coeffs, frobenius_norm, is_special_orthogonal
-from .errors import AntipodalSingularityError, DomainError, InternalConsistencyError, ShapeError
-from .magic import SplitPair, merge, split, su2su2_to_so4, to_tensor_frame
-from .su2 import BchCoefficients, BranchMode, bch_coefficients, su2_exp, su2_log
+from .algebra import So4Coeffs, is_special_orthogonal, _as_real_4x4
+from .errors import AntipodalSingularityError, DomainError
+from .magic import SplitPair, merge, split, _quaternions_from_rotation, _rotation_from_quaternions
+from .su2 import BchCoefficients, BranchMode, bch_coefficients, _bch_vector, _quaternion, _quaternion_log
 
 __all__ = [
     "So4BchResult",
@@ -47,38 +50,29 @@ def so4_exp(a) -> np.ndarray:
     """Exponential of an antisymmetric real 4x4 matrix, a rotation.
 
     Evaluated channel-wise: both halves of :func:`~magicbch.magic.split` are
-    exponentiated in closed form and conjugated back, so no matrix series
-    is summed.
+    exponentiated in closed form as unit quaternions and mapped to the
+    rotation bilinearly, so no matrix series is summed.
     """
-    pair = split(a)
-    return su2su2_to_so4(su2_exp(pair.self_dual), su2_exp(pair.anti_self_dual))
+    return _rotation_from_quaternions(*(_quaternion(half) for half in split(a)))
 
 
 def so4_log(o) -> np.ndarray:
     """Invert :func:`so4_exp` on a special orthogonal 4x4 matrix.
 
-    The conjugated rotation is factored into its two 2x2 tensor factors,
-    the sign ambiguity of the factorization is resolved by a fixed lift
-    rule (non-negative real trace, falling back to the first structurally
-    nonzero entry of the first factor), and each factor is logged on the
-    principal branch.  Rotations with a factor at the antipode have no
-    recoverable direction and raise
+    The rotation is factored into the unit quaternions of its two 2x2
+    tensor factors, the sign ambiguity of the factorization is resolved by
+    a fixed lift rule (non-negative real trace, falling back to the first
+    structurally nonzero entry of the first factor), and each factor is
+    logged on the principal branch.  Rotations with a factor at the
+    antipode have no recoverable direction and raise
     :class:`~magicbch.errors.AntipodalSingularityError`.
     """
-    o = np.asarray(o)
-    if np.iscomplexobj(o):
-        raise ShapeError("expected a real 4x4 matrix, got complex entries")
-    o = o.astype(float)
-    if o.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got shape {o.shape}")
+    o = _as_real_4x4(o)
     if not is_special_orthogonal(o, tol=1e-10):
         raise DomainError("input is not special orthogonal to tolerance")
-    w = to_tensor_frame(o)
-    u, v = _factor_tensor_product(w)
-    u, v = _canonical_lift(u, v)
-    va = _channel_log(u, "self-dual")
-    vb = _channel_log(v, "anti-self-dual")
-    return merge(SplitPair(va, vb))
+    p, q = _canonical_lift(*_quaternions_from_rotation(o))
+    va = _in_channel("self-dual", _quaternion_log, p)
+    return merge(SplitPair(va, _in_channel("anti-self-dual", _quaternion_log, q)))
 
 
 def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResult:
@@ -91,14 +85,10 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     """
     pa = split(a)
     pb = split(b)
-    c1 = _channel_coefficients(pa.self_dual, pb.self_dual, mode, "self-dual")
-    c2 = _channel_coefficients(pa.anti_self_dual, pb.anti_self_dual, mode, "anti-self-dual")
-    z1 = c1.alpha * pa.self_dual + c1.beta * pb.self_dual - c1.gamma * np.cross(pa.self_dual, pb.self_dual)
-    z2 = (
-        c2.alpha * pa.anti_self_dual
-        + c2.beta * pb.anti_self_dual
-        - c2.gamma * np.cross(pa.anti_self_dual, pb.anti_self_dual)
-    )
+    c1 = _in_channel("self-dual", bch_coefficients, pa.self_dual, pb.self_dual, mode)
+    c2 = _in_channel("anti-self-dual", bch_coefficients, pa.anti_self_dual, pb.anti_self_dual, mode)
+    z1 = _bch_vector(c1, pa.self_dual, pb.self_dual)
+    z2 = _bch_vector(c2, pa.anti_self_dual, pb.anti_self_dual)
     return So4BchResult(result=merge(SplitPair(z1, z2)), coeffs1=c1, coeffs2=c2, mode=mode)
 
 
@@ -119,11 +109,11 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     gp1, gp2, gp3 = 0.5 * (g.f12 + g.f34), 0.5 * (g.f13 - g.f24), 0.5 * (g.f14 + g.f23)
     gm1, gm2, gm3 = 0.5 * (g.f12 - g.f34), 0.5 * (g.f13 + g.f24), 0.5 * (g.f14 - g.f23)
 
-    c1 = _channel_coefficients(
-        np.array([fp1, fp2, fp3]), np.array([gp1, gp2, gp3]), mode, "self-dual"
+    c1 = _in_channel(
+        "self-dual", bch_coefficients, np.array([fp1, fp2, fp3]), np.array([gp1, gp2, gp3]), mode
     )
-    c2 = _channel_coefficients(
-        np.array([fm1, -fm2, fm3]), np.array([gm1, -gm2, gm3]), mode, "anti-self-dual"
+    c2 = _in_channel(
+        "anti-self-dual", bch_coefficients, np.array([fm1, -fm2, fm3]), np.array([gm1, -gm2, gm3]), mode
     )
     a1, b1, g1 = c1.alpha, c1.beta, c1.gamma
     a2, b2, g2 = c2.alpha, c2.beta, c2.gamma
@@ -155,53 +145,23 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     return So4Coeffs(e12, e13, e14, e23, e24, e34)
 
 
-def _channel_coefficients(x, y, mode, channel):
+def _in_channel(channel, fn, *args):
+    # name the channel in an antipodal singularity raised by fn
     try:
-        return bch_coefficients(x, y, mode)
+        return fn(*args)
     except AntipodalSingularityError as exc:
         raise AntipodalSingularityError(f"{channel} channel: {exc}") from exc
 
 
-def _channel_log(u, channel):
-    try:
-        # the factors come from a validated rotation, so the unitarity gate
-        # only needs to absorb factorization roundoff
-        return su2_log(u, unitary_tol=1e-8)
-    except AntipodalSingularityError as exc:
-        raise AntipodalSingularityError(f"{channel} channel: {exc}") from exc
-
-
-def _factor_tensor_product(w):
-    # w is numerically u (x) v with 2x2 unitary factors; recover them up to
-    # a joint sign by pivoting on the largest entry
-    p, q = np.unravel_index(int(np.argmax(np.abs(w))), (4, 4))
-    i0, k0 = divmod(int(p), 2)
-    j0, l0 = divmod(int(q), 2)
-    outer = w[k0::2, l0::2].copy()
-    inner = w[2 * i0 : 2 * i0 + 2, 2 * j0 : 2 * j0 + 2].copy()
-    u = outer / np.sqrt(np.linalg.det(outer))
-    v = inner / np.sqrt(np.linalg.det(inner))
-    if (np.kron(u, v)[p, q] * np.conj(w[p, q])).real < 0.0:
-        u = -u
-    residue = frobenius_norm(np.kron(u, v) - w)
-    if residue > 1e-8:
-        raise InternalConsistencyError(
-            f"tensor factorization failed to reproduce the input, residue {residue:.3e}"
-        )
-    return u, v
-
-
-def _canonical_lift(u, v):
-    # of the two lifts (u, v) and (-u, -v), pick the one whose first factor
-    # has non-negative real trace; on a traceless factor fall back to the
-    # first structurally nonzero entry in row-major order
-    t = float(np.trace(u).real)
-    if abs(t) > 1e-12:
-        flip = t < 0.0
+def _canonical_lift(p, q):
+    # of the two lifts (p, q) and (-p, -q), pick the one whose self-dual
+    # factor u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has
+    # non-negative real trace 2 p0; on a traceless factor fall back to the
+    # first entry of u, in row-major order, whose magnitude exceeds 1e-12
+    p0, p1, p2, p3 = p.tolist()
+    if abs(2.0 * p0) > 1e-12:
+        flip = p0 < 0.0
     else:
-        flat = u.ravel()
-        first = flat[int(np.argmax(np.abs(flat) > 1e-12))]
-        flip = first.real < 0.0
-    if flip:
-        return -u, -v
-    return u, v
+        entries = ((p0, p3), (p2, p1), (-p2, p1), (p0, -p3))
+        flip = next((re < 0.0 for re, im in entries if math.hypot(re, im) > 1e-12), p0 < 0.0)
+    return (-p, -q) if flip else (p, q)

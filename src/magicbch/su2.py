@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import frobenius_norm, hermitian_from_vec, is_special_unitary, vec_from_hermitian, _as_vec3
+from .algebra import hermitian_from_vec, is_special_unitary, _as_vec3
 from .errors import (
     AntipodalSingularityError,
     DomainError,
@@ -120,16 +120,33 @@ def su2_log(u, unitary_tol: float = _UNITARY_TOL) -> np.ndarray:
         raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not is_special_unitary(u, unitary_tol):
         raise DomainError("input is not special unitary to tolerance")
-    if frobenius_norm(u + np.eye(2)) < _ANTIPODAL_TOL:
-        raise AntipodalSingularityError(
-            "matrix is numerically -I; the log direction is undefined"
-        )
-    w = vec_from_hermitian((u - u.conj().T) / 2j)
-    s = float(np.linalg.norm(w))
-    t = float(np.trace(u).real) / 2.0
+    return _quaternion_log(_quaternion_of(u))
+
+
+def _quaternion(v) -> np.ndarray:
+    # su2_exp(v) = sum_k p_k s_k with s_0 = I, s_k = i sigma_k: p = (cos r, sinc(r) v)
+    v1, v2, v3 = v.tolist()
+    r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    k = _sinc(r)
+    return np.array([math.cos(r), k * v1, k * v2, k * v3])
+
+
+def _quaternion_of(u) -> np.ndarray:
+    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]; each component is
+    # read from both entries that carry it
+    (a, b), (c, d) = u.tolist()
+    return 0.5 * np.array([a.real + d.real, b.imag + c.imag, b.real - c.real, a.imag - d.imag])
+
+
+def _quaternion_log(p) -> np.ndarray:
+    # principal log of the unit quaternion p; ||u + I|| = sqrt(2) |p + (1, 0, 0, 0)|
+    t, w1, w2, w3 = p.tolist()
+    s = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    if math.sqrt(2.0 * ((t + 1.0) ** 2 + s * s)) < _ANTIPODAL_TOL:
+        raise AntipodalSingularityError("matrix is numerically -I; the log direction is undefined")
     if s < _SERIES_CUTOFF and t > 0.0:
-        return w * _asinc(s)
-    return w * (math.atan2(s, t) / s)
+        return p[1:] * _asinc(s)
+    return p[1:] * (math.atan2(s, t) / s)
 
 
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:
@@ -193,5 +210,19 @@ def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
     """
     x = _as_vec3(x)
     y = _as_vec3(y)
-    co = bch_coefficients(x, y, mode)
-    return co.alpha * x + co.beta * y - co.gamma * np.cross(x, y)
+    return _bch_vector(bch_coefficients(x, y, mode), x, y)
+
+
+def _bch_vector(co: BchCoefficients, x, y) -> np.ndarray:
+    # alpha x + beta y - gamma (x cross y) in scalars; np.cross costs more
+    # than the rest of the composition on 3-vectors
+    x1, x2, x3 = x.tolist()
+    y1, y2, y3 = y.tolist()
+    a, b, g = co.alpha, co.beta, co.gamma
+    return np.array(
+        [
+            a * x1 + b * y1 - g * (x2 * y3 - x3 * y2),
+            a * x2 + b * y2 - g * (x3 * y1 - x1 * y3),
+            a * x3 + b * y3 - g * (x1 * y2 - x2 * y1),
+        ]
+    )

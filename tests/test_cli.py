@@ -334,6 +334,17 @@ def test_bench_smoke(capsys):
     assert report["max_error"] < 1e-11
 
 
+def test_bench_skips_pairs_past_the_principal_log(capsys):
+    # at this bound some compositions reach theta1 + theta2 >= pi, where the
+    # oracle's principal log lies on another branch; those pairs are skipped
+    code, out, _ = run_cli(capsys, "bench", "--trials", "40", "--seed", "3", "--bound", "1.5")
+    assert code == 0
+    report = read_json(out)
+    assert report["branch_cut_skips"] > 0
+    assert report["evaluated"] + report["branch_cut_skips"] == 40
+    assert report["max_error"] < 1e-11
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "magicbch", "verify", "--trials", "5", "--seed", "4"],

@@ -5,6 +5,7 @@ import pytest
 
 from magicbch import (
     DomainError,
+    InternalConsistencyError,
     ShapeError,
     SplitPair,
     bell_basis,
@@ -22,6 +23,7 @@ from magicbch import (
     to_orthogonal_frame,
     to_tensor_frame,
 )
+from magicbch.magic import _ISOCLINIC, _quaternions_from_rotation
 
 
 def random_su2(rng):
@@ -219,3 +221,35 @@ def test_su2su2_double_cover():
 def test_su2su2_rejects_non_unitary():
     with pytest.raises(DomainError):
         su2su2_to_so4(np.array([[1.0, 0.2], [0.0, 1.0]]), np.eye(2))
+
+
+def test_isoclinic_table_is_the_conjugated_quaternion_basis():
+    r = magic_matrix()
+    units = [np.eye(2, dtype=complex)] + [1j * pauli(k) for k in (1, 2, 3)]
+    for i, si in enumerate(units):
+        for j, sj in enumerate(units):
+            conj = r.conj().T @ np.kron(si, sj) @ r
+            e = _ISOCLINIC[4 * i + j].reshape(4, 4)
+            assert float(np.abs(e - conj.real).max()) < 1e-15
+            assert float(np.abs(conj.imag).max()) < 1e-15
+            # a signed permutation: entries in {0, +-1}, one nonzero per row and column
+            assert set(np.unique(e)) <= {-1.0, 0.0, 1.0}
+            np.testing.assert_array_equal(np.abs(e).sum(axis=0), np.ones(4))
+            np.testing.assert_array_equal(np.abs(e).sum(axis=1), np.ones(4))
+    np.testing.assert_array_equal(_ISOCLINIC @ _ISOCLINIC.T, 4.0 * np.eye(16))
+
+
+def test_su2su2_matches_conjugation_path():
+    rng = np.random.default_rng(49)
+    worst = 0.0
+    for _ in range(300):
+        u, v = random_su2(rng), random_su2(rng)
+        w = to_orthogonal_frame(tensor_product(u, v))
+        worst = max(worst, float(np.abs(su2su2_to_so4(u, v) - w.real).max()))
+    assert worst < 1e-15
+
+
+def test_isoclinic_factors_reject_an_improper_rotation():
+    # det -1: no pair of unit quaternions maps onto it
+    with pytest.raises(InternalConsistencyError):
+        _quaternions_from_rotation(np.diag([1.0, 1.0, 1.0, -1.0]))

@@ -21,6 +21,9 @@ from magicbch import (
     so4_from_coeffs,
     so4_log,
     split,
+    su2_exp,
+    tensor_product,
+    to_orthogonal_frame,
 )
 from magicbch.magic import SplitPair
 
@@ -50,6 +53,17 @@ def test_exp_matches_taylor_oracle():
         a = so4_from_coeffs(rng.uniform(-1.0, 1.0, size=6))
         worst = max(worst, frobenius_norm(so4_exp(a) - mat_exp_taylor(a)))
     assert worst < 1e-12
+
+
+def test_exp_matches_conjugation_path():
+    # the quaternion map against R^dag (u (x) v) R with the factors from su2_exp
+    rng = np.random.default_rng(63)
+    worst = 0.0
+    for _ in range(300):
+        x, y = rng.uniform(-2.0, 2.0, size=3), rng.uniform(-2.0, 2.0, size=3)
+        w = to_orthogonal_frame(tensor_product(su2_exp(x), su2_exp(y)))
+        worst = max(worst, float(np.abs(so4_exp(merge(SplitPair(x, y))) - w.real).max()))
+    assert worst < 1e-14
 
 
 def test_exp_output_is_rotation():
@@ -259,3 +273,40 @@ def test_split_of_bch_matches_channel_composition():
     np.testing.assert_allclose(
         got.anti_self_dual, bch_su2(pa.anti_self_dual, pb.anti_self_dual), atol=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "z1, z2",
+    [
+        ([1.5, -1.0, 0.6], [0.4, 0.2, -0.7]),
+        ([-0.3, 2.1, 1.2], [1.1, -1.4, 0.9]),
+        ([0.0, 0.0, 3.0], [-0.05, 0.0, 0.02]),
+    ],
+)
+def test_log_lift_flips_both_channels_past_half_pi(z1, z2):
+    # the self-dual factor has negative trace, so the log takes the other
+    # lift (-u, -v), which maps each generator z to z (1 - pi/|z|)
+    z1, z2 = np.array(z1), np.array(z2)
+    assert math.pi / 2 < np.linalg.norm(z1) < math.pi
+    got = so4_log(so4_exp(merge(SplitPair(z1, z2))))
+    flipped = SplitPair(
+        z1 * (1.0 - math.pi / np.linalg.norm(z1)), z2 * (1.0 - math.pi / np.linalg.norm(z2))
+    )
+    assert frobenius_norm(got - merge(flipped)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sign, expected1, expected2",
+    [
+        (-1.0, [0.0, math.pi / 2, 0.0], [0.3 - math.pi, 0.0, 0.0]),
+        (1.0, [0.0, math.pi / 2, 0.0], [0.3, 0.0, 0.0]),
+    ],
+)
+def test_log_lift_traceless_fallback(sign, expected1, expected2):
+    # |z1| = pi/2 makes the self-dual factor traceless; the first entry of
+    # u = [[p0 + i p3, p2 + i p1], ...] above 1e-12 is p2 + i p1 = sign, so
+    # only the negative sign flips to the other lift
+    a = merge(SplitPair(np.array([0.0, sign * math.pi / 2, 0.0]), np.array([0.3, 0.0, 0.0])))
+    got = so4_log(so4_exp(a))
+    expected = merge(SplitPair(np.array(expected1), np.array(expected2)))
+    assert frobenius_norm(got - expected) < 1e-12
