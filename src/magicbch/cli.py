@@ -367,8 +367,6 @@ def _cmd_verify(args) -> int:
     mode = _MODES[args.mode]
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
-    # --parallel is accepted and ignored: under the interpreter lock a thread
-    # pool ran the sweep two to three times slower than one thread
     start = time.perf_counter_ns()
     errors = []
     for a, b in pairs:
@@ -507,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"pass threshold on the max error (default {_DEFAULT_TOL:g}, env {_TOL_ENV_VAR})",
     )
-    p.add_argument("--parallel", action="store_true", help="accepted and ignored; trials run serially")
     _add_output_flag(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -516,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_unsigned_int, default=0)
     p.add_argument("--bound", type=float, default=0.3, help="entry bound for sampled generators")
     _add_mode_flag(p)
-    p.add_argument("--parallel", action="store_true", help="accepted and ignored; timing runs serially")
     _add_output_flag(p)
     p.set_defaults(func=_cmd_bench)
 

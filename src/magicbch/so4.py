@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import So4Coeffs, is_special_orthogonal, _as_real_4x4
 from .errors import AntipodalSingularityError, DomainError
 from .magic import SplitPair, merge, split, _quaternions_from_rotation, _rotation_from_quaternions
-from .su2 import BchCoefficients, BranchMode, bch_coefficients, _bch_vector, _quaternion, _quaternion_log
+from .su2 import BchCoefficients, BranchMode, bch_coefficients, _compose, _quaternion, _quaternion_log
 
 __all__ = [
     "So4BchResult",
@@ -85,10 +85,8 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     """
     pa = split(a)
     pb = split(b)
-    c1 = _in_channel("self-dual", bch_coefficients, pa.self_dual, pb.self_dual, mode)
-    c2 = _in_channel("anti-self-dual", bch_coefficients, pa.anti_self_dual, pb.anti_self_dual, mode)
-    z1 = _bch_vector(c1, pa.self_dual, pb.self_dual)
-    z2 = _bch_vector(c2, pa.anti_self_dual, pb.anti_self_dual)
+    c1, z1 = _in_channel("self-dual", _compose, pa.self_dual, pb.self_dual, mode)
+    c2, z2 = _in_channel("anti-self-dual", _compose, pa.anti_self_dual, pb.anti_self_dual, mode)
     return So4BchResult(result=merge(SplitPair(z1, z2)), coeffs1=c1, coeffs2=c2, mode=mode)
 
 
@@ -157,11 +155,14 @@ def _canonical_lift(p, q):
     # of the two lifts (p, q) and (-p, -q), pick the one whose self-dual
     # factor u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has
     # non-negative real trace 2 p0; on a traceless factor fall back to the
-    # first entry of u, in row-major order, whose magnitude exceeds 1e-12
+    # first entry of u, in row-major order, whose magnitude exceeds 1e-12 (p
+    # is a unit quaternion, so one does): the sign of its real part decides,
+    # or of its imaginary part where the real part is rounding noise
     p0, p1, p2, p3 = p.tolist()
     if abs(2.0 * p0) > 1e-12:
         flip = p0 < 0.0
     else:
         entries = ((p0, p3), (p2, p1), (-p2, p1), (p0, -p3))
-        flip = next((re < 0.0 for re, im in entries if math.hypot(re, im) > 1e-12), p0 < 0.0)
+        re, im = next(e for e in entries if math.hypot(*e) > 1e-12)
+        flip = (re if abs(re) > 1e-12 else im) < 0.0
     return (-p, -q) if flip else (p, q)

@@ -17,6 +17,10 @@ combined half-angle theta, with ``sin(theta) = rho``:
     beta  = pre * cos|x| sin|y| / |y|
     gamma = pre * sin|x| sin|y| / (|x| |y|)
 
+Without the prefactor they give ``w``, the vector part of the quaternion
+product of the two factors, and ``rho = |w|``; unlike an expanded
+``rho^2``, the norm does not cancel near the cut.
+
 Two prefactor conventions are provided.  ``PAPER_FAITHFUL`` uses
 ``asin(rho)/rho``, which is correct only while theta <= pi/2 because the
 arcsine folds larger angles back into the principal branch.
@@ -34,13 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import hermitian_from_vec, is_special_unitary, _as_vec3
-from .errors import (
-    AntipodalSingularityError,
-    DomainError,
-    InternalConsistencyError,
-    ShapeError,
-)
+from .algebra import is_special_unitary, _as_vec3
+from .errors import AntipodalSingularityError, DomainError, ShapeError
 
 __all__ = [
     "BchCoefficients",
@@ -53,8 +52,6 @@ __all__ = [
 
 # Below this argument size the sin(t)/t style ratios switch to 4-term series.
 _SERIES_CUTOFF = 1e-4
-# Slack allowed on rho^2 beyond [0, 1] before it is treated as a real defect.
-_RHO_SLACK = 1e-12
 # Distance from the branch point at which direction recovery is refused.
 _ANTIPODAL_TOL = 1e-8
 _UNITARY_TOL = 1e-10
@@ -72,8 +69,8 @@ class BchCoefficients:
     """Scalar data of one closed composition.
 
     ``theta`` is the combined rotation half-angle in [0, pi] and ``rho`` its
-    sine; both are kept so callers can see how close a result sits to the
-    branch cut.
+    sine, the norm of the vector part of the quaternion product; both are
+    kept so callers can see how close a result sits to the branch cut.
     """
 
     alpha: float
@@ -101,9 +98,8 @@ def _asinc(r: float) -> float:
 
 def su2_exp(v) -> np.ndarray:
     """Exponential ``exp(i v . sigma)`` of a real 3-vector, a 2x2 unitary."""
-    v = _as_vec3(v)
-    r = float(np.linalg.norm(v))
-    return math.cos(r) * np.eye(2, dtype=complex) + 1j * _sinc(r) * hermitian_from_vec(v)
+    p0, p1, p2, p3 = _quaternion(_as_vec3(v)).tolist()
+    return np.array([[complex(p0, p3), complex(p2, p1)], [complex(-p2, p1), complex(p0, -p3)]])
 
 
 def su2_log(u, unitary_tol: float = _UNITARY_TOL) -> np.ndarray:
@@ -126,9 +122,17 @@ def su2_log(u, unitary_tol: float = _UNITARY_TOL) -> np.ndarray:
 def _quaternion(v) -> np.ndarray:
     # su2_exp(v) = sum_k p_k s_k with s_0 = I, s_k = i sigma_k: p = (cos r, sinc(r) v)
     v1, v2, v3 = v.tolist()
-    r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    r = _norm(v1, v2, v3)
     k = _sinc(r)
     return np.array([math.cos(r), k * v1, k * v2, k * v3])
+
+
+def _norm(v1: float, v2: float, v3: float) -> float:
+    # the entries are finite, so an infinite norm means the squares overflowed
+    r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    if r == math.inf:
+        raise DomainError(f"generator norm overflows a float: {[v1, v2, v3]!r}")
+    return r
 
 
 def _quaternion_of(u) -> np.ndarray:
@@ -152,54 +156,12 @@ def _quaternion_log(p) -> np.ndarray:
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:
     """Scalar coefficients of the closed composition law for ``x`` then ``y``.
 
-    Raises :class:`~magicbch.errors.AntipodalSingularityError` once theta
-    comes within ``1e-8`` of pi, in either mode, and
-    :class:`~magicbch.errors.InternalConsistencyError` if rho^2 leaves
-    [0, 1] by more than rounding slack.
+    ``rho`` is the norm of the vector part ``w`` of the quaternion product
+    of ``su2_exp(x)`` and ``su2_exp(y)``, and theta its ``atan2`` against
+    the scalar part.  Raises :class:`~magicbch.errors.AntipodalSingularityError`
+    once theta comes within ``1e-8`` of pi, in either mode.
     """
-    if not isinstance(mode, BranchMode):
-        raise ShapeError(f"mode must be a BranchMode, got {mode!r}")
-    x = _as_vec3(x)
-    y = _as_vec3(y)
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    dot = float(x @ y)
-
-    cx, sx, six = math.cos(nx), math.sin(nx), _sinc(nx)
-    cy, sy, siy = math.cos(ny), math.sin(ny), _sinc(ny)
-
-    rho2 = (
-        sx * sx * cy * cy
-        + sy * sy
-        - (six * siy * dot) ** 2
-        + 2.0 * six * cx * siy * cy * dot
-    )
-    if rho2 > 1.0 + _RHO_SLACK or rho2 < -_RHO_SLACK:
-        raise InternalConsistencyError(
-            f"squared sine of the combined half-angle left [0, 1]: {rho2!r}"
-        )
-    rho = math.sqrt(min(max(rho2, 0.0), 1.0))
-    cos_theta = cx * cy - six * siy * dot
-    theta = math.atan2(rho, cos_theta)
-    if theta > math.pi - _ANTIPODAL_TOL:
-        raise AntipodalSingularityError(
-            "combined rotation is numerically antipodal; no branch assigns it a direction"
-        )
-
-    if rho < _SERIES_CUTOFF and cos_theta > 0.0:
-        prefactor = _asinc(rho)
-    elif mode is BranchMode.PAPER_FAITHFUL:
-        prefactor = math.asin(rho) / rho
-    else:
-        prefactor = theta / rho
-
-    return BchCoefficients(
-        alpha=prefactor * six * cy,
-        beta=prefactor * cx * siy,
-        gamma=prefactor * six * siy,
-        rho=rho,
-        theta=theta,
-    )
+    return _compose(x, y, mode)[0]
 
 
 def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
@@ -208,21 +170,43 @@ def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
     In ``PAPER_FAITHFUL`` mode this identity holds on the principal domain
     theta <= pi/2 only; ``BRANCH_CORRECTED`` extends it to theta < pi.
     """
-    x = _as_vec3(x)
-    y = _as_vec3(y)
-    return _bch_vector(bch_coefficients(x, y, mode), x, y)
+    return _compose(x, y, mode)[1]
 
 
-def _bch_vector(co: BchCoefficients, x, y) -> np.ndarray:
-    # alpha x + beta y - gamma (x cross y) in scalars; np.cross costs more
-    # than the rest of the composition on 3-vectors
-    x1, x2, x3 = x.tolist()
-    y1, y2, y3 = y.tolist()
-    a, b, g = co.alpha, co.beta, co.gamma
-    return np.array(
-        [
-            a * x1 + b * y1 - g * (x2 * y3 - x3 * y2),
-            a * x2 + b * y2 - g * (x3 * y1 - x1 * y3),
-            a * x3 + b * y3 - g * (x1 * y2 - x2 * y1),
-        ]
+def _compose(x, y, mode: BranchMode):
+    # exp(x) exp(y) as the quaternion product (c, w) in scalars, then
+    # z = prefactor * w; np.cross and np.linalg.norm cost more than the rest
+    # of the composition on 3-vectors
+    if not isinstance(mode, BranchMode):
+        raise ShapeError(f"mode must be a BranchMode, got {mode!r}")
+    x1, x2, x3 = _as_vec3(x).tolist()
+    y1, y2, y3 = _as_vec3(y).tolist()
+    nx = _norm(x1, x2, x3)
+    ny = _norm(y1, y2, y3)
+    cx, six = math.cos(nx), _sinc(nx)
+    cy, siy = math.cos(ny), _sinc(ny)
+
+    a, b, g = six * cy, cx * siy, six * siy
+    c = cx * cy - g * (x1 * y1 + x2 * y2 + x3 * y3)
+    w1 = a * x1 + b * y1 - g * (x2 * y3 - x3 * y2)
+    w2 = a * x2 + b * y2 - g * (x3 * y1 - x1 * y3)
+    w3 = a * x3 + b * y3 - g * (x1 * y2 - x2 * y1)
+    rho = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    theta = math.atan2(rho, c)
+    if theta > math.pi - _ANTIPODAL_TOL:
+        raise AntipodalSingularityError(
+            "combined rotation is numerically antipodal; no branch assigns it a direction"
+        )
+
+    if rho < _SERIES_CUTOFF and c > 0.0:
+        prefactor = _asinc(rho)
+    elif mode is BranchMode.PAPER_FAITHFUL:
+        # |w| may round just above 1 at theta = pi/2
+        prefactor = math.asin(min(rho, 1.0)) / rho
+    else:
+        prefactor = theta / rho
+
+    co = BchCoefficients(
+        alpha=prefactor * a, beta=prefactor * b, gamma=prefactor * g, rho=rho, theta=theta
     )
+    return co, np.array([prefactor * w1, prefactor * w2, prefactor * w3])

@@ -276,18 +276,6 @@ def test_verify_deterministic_ignoring_timings(capsys):
     assert canonical(first) == canonical(second)
 
 
-def test_verify_parallel_matches_serial(capsys):
-    def canonical(text):
-        report = read_json(text)
-        report.pop("timings")
-        return json.dumps(report, sort_keys=True)
-
-    base = ("verify", "--trials", "60", "--seed", "10", "--bound", "0.6")
-    _, serial, _ = run_cli(capsys, *base)
-    _, parallel, _ = run_cli(capsys, *base, "--parallel")
-    assert canonical(serial) == canonical(parallel)
-
-
 def test_verify_counts_branch_cut_skips(capsys):
     # wide bound under --mode paper forces some channels past pi/2
     code, out, _ = run_cli(

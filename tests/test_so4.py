@@ -310,3 +310,20 @@ def test_log_lift_traceless_fallback(sign, expected1, expected2):
     got = so4_log(so4_exp(a))
     expected = merge(SplitPair(np.array(expected1), np.array(expected2)))
     assert frobenius_norm(got - expected) < 1e-12
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_log_lift_traceless_fallback_ignores_rounding_noise(axis, sign):
+    # on axes 1 and 3 the deciding entry of u is purely imaginary, so its
+    # real part is rounding noise and the imaginary part must decide: two
+    # roundings of the same rotation get the same log
+    rng = np.random.default_rng([44, axis, int(sign > 0)])
+    z1 = np.zeros(3)
+    z1[axis] = sign * math.pi / 2
+    for _ in range(10):
+        a = merge(SplitPair(z1, rng.uniform(-1.0, 1.0, size=3)))
+        direct = so4_log(so4_exp(a))
+        for k in (2, 3, 5):
+            powered = so4_log(np.linalg.matrix_power(so4_exp(a / k), k))
+            assert frobenius_norm(direct - powered) < 1e-10

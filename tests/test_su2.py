@@ -9,21 +9,35 @@ from magicbch import (
     DomainError,
     ShapeError,
     bch_coefficients,
+    bch_so4,
     bch_su2,
     bch_trunc3,
     frobenius_norm,
     hermitian_from_vec,
     mat_exp_taylor,
+    merge,
     pauli,
+    so4_exp,
+    so4_from_coeffs,
     su2_exp,
     su2_log,
     vec_from_hermitian,
 )
+from magicbch.magic import SplitPair
 
 
 def sample_ball(rng, radius):
     # cube sample scaled so the norm stays within the radius
     return rng.uniform(-radius / math.sqrt(3.0), radius / math.sqrt(3.0), size=3)
+
+
+def pair_at_angle(rng, theta):
+    # (x, y) whose product su2_exp(x) @ su2_exp(y) has half-angle theta
+    x = rng.normal(size=3)
+    x *= rng.uniform(0.1, 3.0) / np.linalg.norm(x)
+    z = rng.normal(size=3)
+    z *= theta / np.linalg.norm(z)
+    return x, su2_log(su2_exp(-x) @ su2_exp(z))
 
 
 def test_exp_identity():
@@ -242,3 +256,73 @@ def test_order3_consistency_slope():
         errs.append(float(np.linalg.norm(z_closed - z3)))
     slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
     assert slope >= 3.8
+
+
+NEAR_CUT_DISTANCES = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
+
+
+@pytest.mark.parametrize("distance", NEAR_CUT_DISTANCES)
+def test_group_law_near_cut(distance):
+    # rho = |w| does not cancel as theta nears pi, so the composition keeps
+    # full precision and reports the distance to the cut accurately
+    rng = np.random.default_rng([41, round(-math.log10(distance))])
+    for _ in range(50):
+        x, y = pair_at_angle(rng, math.pi - distance)
+        co = bch_coefficients(x, y)
+        assert math.pi - co.theta == pytest.approx(distance, rel=1e-6)
+        z = bch_su2(x, y)
+        assert frobenius_norm(su2_exp(z) - su2_exp(x) @ su2_exp(y)) <= 1e-13
+
+
+@pytest.mark.parametrize("distance", NEAR_CUT_DISTANCES)
+def test_so4_group_law_with_one_channel_near_cut(distance):
+    rng = np.random.default_rng([42, round(-math.log10(distance))])
+    for _ in range(20):
+        x, y = pair_at_angle(rng, math.pi - distance)
+        a = merge(SplitPair(x, rng.uniform(-0.3, 0.3, size=3)))
+        b = merge(SplitPair(y, rng.uniform(-0.3, 0.3, size=3)))
+        r = bch_so4(a, b)
+        assert math.pi - r.coeffs1.theta == pytest.approx(distance, rel=1e-6)
+        assert frobenius_norm(so4_exp(r.result) - so4_exp(a) @ so4_exp(b)) <= 1e-13
+
+
+def test_paper_faithful_at_quarter_turn():
+    # at theta = pi/2 the norm |w| may round just above 1; the arcsine must
+    # still see a sine in [0, 1], and its infinite slope there costs up to
+    # about sqrt(machine epsilon) in the group law
+    rng = np.random.default_rng(43)
+    for _ in range(1000):
+        x, y = pair_at_angle(rng, math.pi / 2)
+        co = bch_coefficients(x, y, BranchMode.PAPER_FAITHFUL)
+        assert co.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        z = bch_su2(x, y, BranchMode.PAPER_FAITHFUL)
+        assert frobenius_norm(su2_exp(z) - su2_exp(x) @ su2_exp(y)) < 1e-7
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    v = np.array([0.1, bad, 0.2])
+    ok = np.array([0.1, 0.0, 0.2])
+    for call in (
+        lambda: su2_exp(v),
+        lambda: bch_coefficients(v, ok),
+        lambda: bch_su2(ok, v),
+        lambda: merge(SplitPair(ok, v)),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+
+
+def test_overflowing_norm_is_a_domain_error():
+    v = np.array([1e200, 0.0, 0.0])
+    ok = np.array([0.1, 0.0, 0.2])
+    a = so4_from_coeffs([1e200, 0.0, 0.0, 0.0, 0.0, 0.0])
+    for call in (
+        lambda: su2_exp(v),
+        lambda: bch_coefficients(ok, v),
+        lambda: bch_su2(v, ok),
+        lambda: bch_so4(a, so4_from_coeffs(np.zeros(6))),
+        lambda: so4_exp(a),
+    ):
+        with pytest.raises(DomainError):
+            call()
