@@ -187,4 +187,6 @@ def _as_real_4x4(m) -> np.ndarray:
     m = m.astype(float)
     if m.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not all(map(math.isfinite, m.ravel().tolist())):
+        raise ShapeError(f"expected finite entries, got {m.tolist()!r}")
     return m

@@ -1,10 +1,12 @@
 """JSON command-line front end.
 
-Single matrices travel as one JSON object per file with a ``kind`` tag
-(``su2_vec``, ``su2_matrix``, ``so4_coeffs``, ``so4_matrix``) and a ``data``
-payload; complex entries are written as ``[re, im]`` pairs and non-finite
-numbers are rejected on input and never emitted.  Subcommands: ``exp``,
-``log``, ``bch``, ``split``, ``merge``, ``verify``, ``bench``.
+Single matrices travel as one JSON object per file with a ``kind`` tag and a
+``data`` payload of a fixed shape: ``su2_vec`` (3 reals), ``su2_matrix``
+(2x2 complex entries as ``[re, im]`` pairs), ``so4_coeffs`` (6 reals) and
+``so4_matrix`` (4x4 reals, antisymmetric unless marked ``orthogonal``).  Each
+input is decoded and validated once into a ``(kind, float array)`` pair;
+non-finite numbers are rejected on input and never emitted.  Subcommands:
+``exp``, ``log``, ``bch``, ``split``, ``merge``, ``verify``, ``bench``.
 
 Exit codes: 0 success, 1 failed verification, 2 input or schema error,
 3 math-domain error, 4 internal-consistency error.
@@ -13,9 +15,9 @@ Exit codes: 0 success, 1 failed verification, 2 input or schema error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
@@ -30,11 +32,17 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-DOCUMENT_KINDS = ("so4_coeffs", "so4_matrix", "su2_vec", "su2_matrix")
+_SHAPES = {
+    "so4_coeffs": (6,),
+    "so4_matrix": (4, 4),
+    "su2_vec": (3,),
+    "su2_matrix": (2, 2, 2),
+}
+DOCUMENT_KINDS = tuple(_SHAPES)
+_SO4_GENERATORS = ("so4_coeffs", "so4_matrix")
 RNG_ALGORITHM = "numpy-pcg64"
 
 _DEFAULT_TOL = 1e-10
-_TOL_ENV_VAR = "MAGICBCH_TOL"
 _INGEST_TOL = 1e-10
 
 _MODES = {
@@ -57,14 +65,23 @@ def _reject_nonfinite(token):
     raise ShapeError(f"non-finite number {token!r} is not allowed in documents")
 
 
-def load_document(path: str) -> dict:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_constant=_reject_nonfinite)
-    return validate_document(doc, source=path)
+        return json.load(fh, parse_constant=_reject_nonfinite)
+
+
+def load_document(path: str) -> tuple[str, np.ndarray]:
+    """Read and validate one document, returning its kind and float payload."""
+    return _payload(_read_json(path), source=path)
 
 
 def validate_document(doc, source: str = "<document>") -> dict:
     """Check the kind tag and payload shape, returning the document unchanged."""
+    _payload(doc, source)
+    return doc
+
+
+def _payload(doc, source: str) -> tuple[str, np.ndarray]:
     if not isinstance(doc, dict):
         raise ShapeError(f"{source}: expected a JSON object")
     kind = doc.get("kind")
@@ -72,80 +89,33 @@ def validate_document(doc, source: str = "<document>") -> dict:
         raise ShapeError(
             f"{source}: unknown kind {kind!r}, expected one of {', '.join(DOCUMENT_KINDS)}"
         )
-    data = doc.get("data")
-    if kind == "su2_vec":
-        _require_real_array(data, (3,), source)
-    elif kind == "so4_coeffs":
-        _require_real_array(data, (6,), source)
-    elif kind == "so4_matrix":
-        m = _require_real_array(data, (4, 4), source)
-        if not doc.get("orthogonal", False) and not algebra.is_antisymmetric(m, _INGEST_TOL):
+    try:
+        data = np.asarray(doc.get("data"), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"{source}: data payload is not numeric: {exc}") from exc
+    if data.shape != _SHAPES[kind]:
+        raise ShapeError(f"{source}: data payload has shape {data.shape}, expected {_SHAPES[kind]}")
+    if not np.all(np.isfinite(data)):
+        raise ShapeError(f"{source}: data payload contains non-finite entries")
+    if kind == "so4_matrix" and not doc.get("orthogonal", False):
+        if not algebra.is_antisymmetric(data, _INGEST_TOL):
             raise ShapeError(
                 f"{source}: so4_matrix payload must be antisymmetric "
                 "unless the document is marked orthogonal"
             )
-    else:
-        _require_real_array(data, (2, 2, 2), source)
-    return doc
+    return kind, data
 
 
-def _require_real_array(data, shape, source) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{source}: data payload is not numeric: {exc}") from exc
-    if arr.shape != shape:
-        raise ShapeError(f"{source}: data payload has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{source}: data payload contains non-finite entries")
-    return arr
-
-
-def as_su2_vec(doc) -> np.ndarray:
-    return np.asarray(doc["data"], dtype=float)
-
-
-def as_su2_matrix(doc) -> np.ndarray:
-    pairs = np.asarray(doc["data"], dtype=float)
-    return pairs[..., 0] + 1j * pairs[..., 1]
-
-
-def as_so4_coeffs(doc) -> algebra.So4Coeffs:
-    if doc["kind"] == "so4_coeffs":
-        return algebra.So4Coeffs(*(float(t) for t in doc["data"]))
+def _generator(kind: str, data: np.ndarray) -> np.ndarray:
     # generator matrices are canonicalized through their upper triangle so
     # every downstream path sees identical numbers
-    return algebra.coeffs_from_so4(np.asarray(doc["data"], dtype=float), tol=_INGEST_TOL)
+    if kind == "so4_matrix":
+        data = algebra.coeffs_from_so4(data, tol=_INGEST_TOL)
+    return algebra.so4_from_coeffs(data)
 
 
-def as_so4_generator(doc) -> np.ndarray:
-    return algebra.so4_from_coeffs(as_so4_coeffs(doc))
-
-
-def as_so4_rotation(doc) -> np.ndarray:
-    return np.asarray(doc["data"], dtype=float)
-
-
-def su2_vec_document(v) -> dict:
-    return {"kind": "su2_vec", "data": [float(t) for t in v]}
-
-
-def su2_matrix_document(u) -> dict:
-    u = np.asarray(u, dtype=complex)
-    data = [[[float(u[i, j].real), float(u[i, j].imag)] for j in range(2)] for i in range(2)]
-    return {"kind": "su2_matrix", "data": data}
-
-
-def so4_coeffs_document(c) -> dict:
-    return {"kind": "so4_coeffs", "data": [float(t) for t in c]}
-
-
-def so4_matrix_document(m, orthogonal: bool = False) -> dict:
-    m = np.asarray(m, dtype=float)
-    doc = {"kind": "so4_matrix", "data": [[float(t) for t in row] for row in m]}
-    if orthogonal:
-        doc["orthogonal"] = True
-    return doc
+def _document(kind: str, data, **extra) -> dict:
+    return {"kind": kind, "data": np.asarray(data, dtype=float).tolist(), **extra}
 
 
 def emit(doc: dict, path) -> None:
@@ -157,34 +127,22 @@ def emit(doc: dict, path) -> None:
             fh.write(text)
 
 
-def _coefficients_block(co: su2.BchCoefficients) -> dict:
-    return {
-        "alpha": co.alpha,
-        "beta": co.beta,
-        "gamma": co.gamma,
-        "rho": co.rho,
-        "theta": co.theta,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_exp(args) -> int:
-    doc = load_document(args.input)
-    kind = doc["kind"]
+    kind, data = load_document(args.input)
     if kind == "su2_vec":
-        v = as_su2_vec(doc)
         if args.oracle:
-            u = oracle.mat_exp_taylor(1j * algebra.hermitian_from_vec(v))
+            u = oracle.mat_exp_taylor(1j * algebra.hermitian_from_vec(data))
         else:
-            u = su2.su2_exp(v)
-        out = su2_matrix_document(u)
-    elif kind in ("so4_coeffs", "so4_matrix"):
-        a = as_so4_generator(doc)
+            u = su2.su2_exp(data)
+        out = _document("su2_matrix", np.stack([u.real, u.imag], axis=-1))
+    elif kind in _SO4_GENERATORS:
+        a = _generator(kind, data)
         o = oracle.mat_exp_taylor(a) if args.oracle else so4.so4_exp(a)
-        out = so4_matrix_document(o, orthogonal=True)
+        out = _document("so4_matrix", o, orthogonal=True)
     else:
         raise ShapeError("exp expects a su2_vec, so4_coeffs, or antisymmetric so4_matrix input")
     emit(out, args.output)
@@ -192,27 +150,25 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_log(args) -> int:
-    doc = load_document(args.input)
-    kind = doc["kind"]
+    kind, data = load_document(args.input)
     if kind == "su2_matrix":
-        u = as_su2_matrix(doc)
+        u = data[..., 0] + 1j * data[..., 1]
         if args.oracle:
             if not algebra.is_special_unitary(u, tol=1e-10):
                 raise DomainError("input is not special unitary to tolerance")
             v = algebra.vec_from_hermitian(oracle.mat_log_near_identity(u) / 1j)
         else:
             v = su2.su2_log(u)
-        out = su2_vec_document(v)
+        out = _document("su2_vec", v)
     elif kind == "so4_matrix":
-        o = as_so4_rotation(doc)
         if args.oracle:
-            if not algebra.is_special_orthogonal(o, tol=1e-10):
+            if not algebra.is_special_orthogonal(data, tol=1e-10):
                 raise DomainError("input is not special orthogonal to tolerance")
-            ell = oracle.mat_log_near_identity(o)
+            ell = oracle.mat_log_near_identity(data)
             a = 0.5 * (ell - ell.T)
         else:
-            a = so4.so4_log(o)
-        out = so4_coeffs_document(algebra.coeffs_from_so4(a, tol=1e-10))
+            a = so4.so4_log(data)
+        out = _document("so4_coeffs", algebra.coeffs_from_so4(a, tol=1e-10))
     else:
         raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")
     emit(out, args.output)
@@ -220,106 +176,78 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_bch(args) -> int:
-    da = load_document(args.a)
-    db = load_document(args.b)
-    su2_kinds = {"su2_vec"}
-    so4_kinds = {"so4_coeffs", "so4_matrix"}
+    (ka, a), (kb, b) = load_document(args.a), load_document(args.b)
     mode = _MODES[args.mode]
 
-    if da["kind"] in su2_kinds and db["kind"] in su2_kinds:
+    if ka == kb == "su2_vec":
         if args.entries_path:
             raise ShapeError("--entries-path applies only to so4 inputs")
-        x = as_su2_vec(da)
-        y = as_su2_vec(db)
         if args.oracle:
-            prod = su2.su2_exp(x) @ su2.su2_exp(y)
-            z = algebra.vec_from_hermitian(oracle.mat_log_near_identity(prod) / 1j)
-            out = su2_vec_document(z)
+            ell = oracle.mat_log_near_identity(su2.su2_exp(a) @ su2.su2_exp(b))
+            out = _document("su2_vec", algebra.vec_from_hermitian(ell / 1j))
         else:
-            co = su2.bch_coefficients(x, y, mode)
-            out = su2_vec_document(su2.bch_su2(x, y, mode))
-            out["coefficients"] = _coefficients_block(co)
-        out["mode"] = args.mode
-    elif da["kind"] in so4_kinds and db["kind"] in so4_kinds:
-        a = as_so4_generator(da)
-        b = as_so4_generator(db)
+            co, z = su2._compose(a, b, mode)
+            out = _document("su2_vec", z, coefficients=dataclasses.asdict(co))
+    elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
+        a, b = _generator(ka, a), _generator(kb, b)
         if args.oracle:
             ell = oracle.mat_log_near_identity(so4.so4_exp(a) @ so4.so4_exp(b))
-            out = so4_coeffs_document(algebra.coeffs_from_so4(0.5 * (ell - ell.T), tol=1e-10))
+            out = _document("so4_coeffs", algebra.coeffs_from_so4(0.5 * (ell - ell.T), tol=1e-10))
         else:
             r = so4.bch_so4(a, b, mode)
             if args.entries_path:
-                data = so4.bch_so4_entries(as_so4_coeffs(da), as_so4_coeffs(db), mode)
+                fa, fb = algebra.coeffs_from_so4(a), algebra.coeffs_from_so4(b)
+                data = so4.bch_so4_entries(fa, fb, mode)
             else:
                 data = algebra.coeffs_from_so4(r.result)
-            out = so4_coeffs_document(data)
-            out["coefficients"] = {
-                "self_dual": _coefficients_block(r.coeffs1),
-                "anti_self_dual": _coefficients_block(r.coeffs2),
+            coefficients = {
+                "self_dual": dataclasses.asdict(r.coeffs1),
+                "anti_self_dual": dataclasses.asdict(r.coeffs2),
             }
-        out["mode"] = args.mode
+            out = _document("so4_coeffs", data, coefficients=coefficients)
     else:
-        raise ShapeError(
-            f"bch expects two documents of one kind family, got {da['kind']!r} and {db['kind']!r}"
-        )
+        raise ShapeError(f"bch expects two documents of one kind family, got {ka!r} and {kb!r}")
+    out["mode"] = args.mode
     emit(out, args.output)
     return EXIT_OK
 
 
 def _cmd_split(args) -> int:
-    doc = load_document(args.input)
-    if doc["kind"] not in ("so4_coeffs", "so4_matrix"):
+    kind, data = load_document(args.input)
+    if kind not in _SO4_GENERATORS:
         raise ShapeError("split expects a so4_coeffs or antisymmetric so4_matrix input")
-    pair = magic.split(as_so4_generator(doc))
-    out = {
-        "self_dual": su2_vec_document(pair.self_dual),
-        "anti_self_dual": su2_vec_document(pair.anti_self_dual),
-    }
-    emit(out, args.output)
+    pair = magic.split(_generator(kind, data))
+    emit({key: _document("su2_vec", v) for key, v in pair._asdict().items()}, args.output)
     return EXIT_OK
 
 
 def _cmd_merge(args) -> int:
     if len(args.inputs) == 1:
-        with open(args.inputs[0], encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_nonfinite)
+        path = args.inputs[0]
+        doc = _read_json(path)
         if not isinstance(doc, dict) or "self_dual" not in doc or "anti_self_dual" not in doc:
             raise ShapeError(
-                f"{args.inputs[0]}: merge expects a pair document with "
-                "self_dual and anti_self_dual entries"
+                f"{path}: merge expects a pair document with self_dual and anti_self_dual entries"
             )
         halves = []
-        for key in ("self_dual", "anti_self_dual"):
-            half = validate_document(doc[key], source=f"{args.inputs[0]}:{key}")
-            if half["kind"] != "su2_vec":
-                raise ShapeError(f"{args.inputs[0]}:{key}: expected a su2_vec document")
-            halves.append(as_su2_vec(half))
-        a, b = halves
+        for key in magic.SplitPair._fields:
+            kind, v = _payload(doc[key], source=f"{path}:{key}")
+            if kind != "su2_vec":
+                raise ShapeError(f"{path}:{key}: expected a su2_vec document")
+            halves.append(v)
     elif len(args.inputs) == 2:
         docs = [load_document(p) for p in args.inputs]
-        if any(d["kind"] != "su2_vec" for d in docs):
+        if any(kind != "su2_vec" for kind, _ in docs):
             raise ShapeError("merge expects su2_vec documents")
-        a, b = (as_su2_vec(d) for d in docs)
+        halves = [v for _, v in docs]
     else:
         raise ShapeError("merge takes one pair document or two su2_vec documents")
-    emit(so4_matrix_document(magic.merge(magic.SplitPair(a, b))), args.output)
+    emit(_document("so4_matrix", magic.merge(magic.SplitPair(*halves))), args.output)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(_TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ShapeError(f"{_TOL_ENV_VAR} is not a number: {env!r}") from exc
-    return _DEFAULT_TOL
 
 
 def _sample_generator_pairs(trials: int, seed: int, bound: float):
@@ -363,7 +291,6 @@ def _sweep_report(args, operation: str, errors, timings: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    tol = _resolve_tol(args)
     mode = _MODES[args.mode]
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
@@ -379,8 +306,8 @@ def _cmd_verify(args) -> int:
 
     timings = {"wall_time_ns": wall, "ns_per_trial": wall // max(args.trials, 1)}
     report = _sweep_report(args, "verify", errors, timings)
-    report["tolerance"] = tol
-    report["passed"] = passed = report["max_error"] < tol
+    report["tolerance"] = args.tol
+    report["passed"] = passed = report["max_error"] < args.tol
     emit(report, args.output)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
@@ -502,8 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help=f"pass threshold on the max error (default {_DEFAULT_TOL:g}, env {_TOL_ENV_VAR})",
+        default=_DEFAULT_TOL,
+        help=f"pass threshold on the max error (default {_DEFAULT_TOL:g})",
     )
     _add_output_flag(p)
     p.set_defaults(func=_cmd_verify)

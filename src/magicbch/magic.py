@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import coeffs_from_so4, frobenius_norm, is_special_unitary, pauli, tensor_product, _as_vec3
+from .algebra import coeffs_from_so4, frobenius_norm, is_special_unitary, pauli, so4_from_coeffs, tensor_product, _as_vec3
 from .errors import DomainError, InternalConsistencyError, ShapeError
 from .su2 import _quaternion_of
 
@@ -123,24 +123,9 @@ def merge(pair) -> np.ndarray:
     The result satisfies ``m + m.T == 0`` exactly because each lower-triangle
     entry is the negation of the float computed for the upper triangle.
     """
-    a = _as_vec3(pair[0])
-    b = _as_vec3(pair[1])
-    a1, a2, a3 = (float(t) for t in a)
-    b1, b2, b3 = (float(t) for t in b)
-    f12 = a1 + b1
-    f13 = a2 - b2
-    f14 = a3 + b3
-    f23 = a3 - b3
-    f24 = -(a2 + b2)
-    f34 = a1 - b1
-    return np.array(
-        [
-            [0.0, f12, f13, f14],
-            [-f12, 0.0, f23, f24],
-            [-f13, -f23, 0.0, f34],
-            [-f14, -f24, -f34, 0.0],
-        ]
-    )
+    a1, a2, a3 = _as_vec3(pair[0]).tolist()
+    b1, b2, b3 = _as_vec3(pair[1]).tolist()
+    return so4_from_coeffs((a1 + b1, a2 - b2, a3 + b3, a3 - b3, -(a2 + b2), a1 - b1))
 
 
 def su2su2_to_so4(u, v) -> np.ndarray:

@@ -22,8 +22,10 @@ product of the two factors, and ``rho = |w|``; unlike an expanded
 ``rho^2``, the norm does not cancel near the cut.
 
 Two prefactor conventions are provided.  ``PAPER_FAITHFUL`` uses
-``asin(rho)/rho``, which is correct only while theta <= pi/2 because the
-arcsine folds larger angles back into the principal branch.
+``asin(rho)/rho``, evaluated as ``atan2(rho, |c|)/rho`` with ``c`` the
+scalar part of the product so that it keeps full precision at theta = pi/2;
+it is correct only while theta <= pi/2 because the arcsine folds larger
+angles back into the principal branch.
 ``BRANCH_CORRECTED`` uses ``theta/rho`` with theta recovered from both
 ``sin(theta)`` and ``cos(theta)``, extending validity to theta < pi.  The
 branch point theta = pi itself is a genuine singularity: the combined
@@ -201,8 +203,9 @@ def _compose(x, y, mode: BranchMode):
     if rho < _SERIES_CUTOFF and c > 0.0:
         prefactor = _asinc(rho)
     elif mode is BranchMode.PAPER_FAITHFUL:
-        # |w| may round just above 1 at theta = pi/2
-        prefactor = math.asin(min(rho, 1.0)) / rho
+        # asin(rho)/rho, folding theta > pi/2 back; atan2(rho, |c|) is the same
+        # angle on the unit circle without the arcsine's infinite slope at 1
+        prefactor = math.atan2(rho, abs(c)) / rho
     else:
         prefactor = theta / rho
 
