@@ -90,7 +90,7 @@ def tensor_product(a, b) -> np.ndarray:
 
 def hermitian_from_vec(v) -> np.ndarray:
     """Map a real 3-vector to the traceless Hermitian matrix ``v . sigma``."""
-    v = _as_vec3(v)
+    v = _finite_floats(v, 3)
     return np.array(
         [
             [v[2], v[0] - 1j * v[1]],
@@ -120,7 +120,10 @@ def vec_from_hermitian(m) -> np.ndarray:
 
 def so4_from_coeffs(c) -> np.ndarray:
     """Build the antisymmetric 4x4 matrix with upper triangle ``f12 .. f34``."""
-    f12, f13, f14, f23, f24, f34 = (float(x) for x in c)
+    return _antisymmetric(*_finite_floats(c, 6))
+
+
+def _antisymmetric(f12, f13, f14, f23, f24, f34) -> np.ndarray:
     return np.array(
         [
             [0.0, f12, f13, f14],
@@ -141,7 +144,8 @@ def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
     m = _as_real_4x4(m)
     if not is_antisymmetric(m, tol):
         raise ShapeError(f"matrix is not antisymmetric to {tol:g} in max-norm")
-    return So4Coeffs(m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3])
+    (_, f12, f13, f14), (_, _, f23, f24), (_, _, _, f34), _ = m.tolist()
+    return So4Coeffs(f12, f13, f14, f23, f24, f34)
 
 
 def is_antisymmetric(m, tol: float = 1e-12) -> bool:
@@ -153,7 +157,7 @@ def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
     m = np.asarray(m)
     if m.shape != (4, 4) or np.iscomplexobj(m):
         return False
-    m = m.astype(float)
+    m = m.astype(float, copy=False)
     return (
         frobenius_norm(m.T @ m - np.eye(4)) <= tol
         and abs(float(np.linalg.det(m)) - 1.0) <= tol
@@ -170,14 +174,15 @@ def is_special_unitary(u, tol: float = 1e-10) -> bool:
     )
 
 
-def _as_vec3(v) -> np.ndarray:
+def _finite_floats(v, n: int) -> list[float]:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ShapeError(f"expected a real 3-vector, got shape {v.shape}")
+    if v.shape != (n,):
+        raise ShapeError(f"expected a real {n}-vector, got shape {v.shape}")
     # math.isfinite on the Python floats costs a fifth of np.isfinite(v).all()
-    if not all(map(math.isfinite, v.tolist())):
-        raise ShapeError(f"expected finite entries, got {v.tolist()!r}")
-    return v
+    floats = v.tolist()
+    if not all(map(math.isfinite, floats)):
+        raise ShapeError(f"expected finite entries, got {floats!r}")
+    return floats
 
 
 def _as_real_4x4(m) -> np.ndarray:

@@ -49,12 +49,6 @@ _MODES = {
     "paper": su2.BranchMode.PAPER_FAITHFUL,
     "corrected": su2.BranchMode.BRANCH_CORRECTED,
 }
-# widest half-angle each mode composes reliably; beyond it a sweep trial is
-# counted as a branch-cut skip instead of an error sample
-_MODE_THETA_LIMITS = {
-    su2.BranchMode.PAPER_FAITHFUL: math.pi / 2,
-    su2.BranchMode.BRANCH_CORRECTED: math.pi - 1e-3,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def _cmd_bch(args) -> int:
             ell = oracle.mat_log_near_identity(su2.su2_exp(a) @ su2.su2_exp(b))
             out = _document("su2_vec", algebra.vec_from_hermitian(ell / 1j))
         else:
-            co, z = su2._compose(a, b, mode)
+            co, z = su2._compose(a.tolist(), b.tolist(), mode)
             out = _document("su2_vec", z, coefficients=dataclasses.asdict(co))
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
         a, b = _generator(ka, a), _generator(kb, b)
@@ -262,12 +256,12 @@ def _sample_generator_pairs(trials: int, seed: int, bound: float):
 
 
 def _compose_within_limits(a, b, mode):
-    """``bch_so4`` of the pair, or None for a branch-cut skip."""
+    """``bch_so4`` of the pair, or None at the antipode or where the paper's arcsine folds."""
     try:
         r = so4.bch_so4(a, b, mode)
     except AntipodalSingularityError:
         return None
-    if max(r.coeffs1.theta, r.coeffs2.theta) > _MODE_THETA_LIMITS[mode]:
+    if mode is su2.BranchMode.PAPER_FAITHFUL and max(r.coeffs1.theta, r.coeffs2.theta) > math.pi / 2:
         return None
     return r
 

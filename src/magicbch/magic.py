@@ -6,7 +6,8 @@ at the generator level carries ``i (a . sigma (x) 1 + 1 (x) b . sigma)``
 into an antisymmetric real matrix.  :func:`split` and :func:`merge`
 implement that generator correspondence in closed form with purely real
 arithmetic; the 3-vector pair they exchange is the self-dual plus
-anti-self-dual decomposition of the antisymmetric matrix.
+anti-self-dual decomposition of the antisymmetric matrix.  Both check their
+arguments; :mod:`magicbch.so4` calls the float-triple helpers behind them.
 
 At the group level ``R^dag (U (x) V) R = sum_ij p_i q_j E_ij`` is bilinear in
 the unit quaternions ``p``, ``q`` of the factors (the isoclinic factors of
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import coeffs_from_so4, frobenius_norm, is_special_unitary, pauli, so4_from_coeffs, tensor_product, _as_vec3
+from .algebra import coeffs_from_so4, is_special_unitary, pauli, tensor_product, _antisymmetric, _finite_floats
 from .errors import DomainError, InternalConsistencyError, ShapeError
 from .su2 import _quaternion_of
 
@@ -92,29 +93,15 @@ def to_tensor_frame(m) -> np.ndarray:
     return _MAGIC @ _as_4x4_complex(m) @ _MAGIC_DAG
 
 
-def split(a, tol: float = 1e-12) -> SplitPair:
+def split(a) -> SplitPair:
     """Decompose an antisymmetric real 4x4 matrix into two 3-vectors.
 
     The halves generate the two commuting 2x2 factors of the conjugated
     matrix: ``to_tensor_frame(a)`` equals
     ``i (a1 . sigma (x) 1 + 1 (x) a2 . sigma)`` for the returned pair.
+    A half that overflows a float raises :class:`DomainError`.
     """
-    c = coeffs_from_so4(a, tol=tol)
-    self_dual = np.array(
-        [
-            0.5 * (c.f12 + c.f34),
-            0.5 * (c.f13 - c.f24),
-            0.5 * (c.f14 + c.f23),
-        ]
-    )
-    anti_self_dual = np.array(
-        [
-            0.5 * (c.f12 - c.f34),
-            -0.5 * (c.f13 + c.f24),
-            0.5 * (c.f14 - c.f23),
-        ]
-    )
-    return SplitPair(self_dual, anti_self_dual)
+    return SplitPair(*map(np.array, _halves(a)))
 
 
 def merge(pair) -> np.ndarray:
@@ -123,9 +110,24 @@ def merge(pair) -> np.ndarray:
     The result satisfies ``m + m.T == 0`` exactly because each lower-triangle
     entry is the negation of the float computed for the upper triangle.
     """
-    a1, a2, a3 = _as_vec3(pair[0]).tolist()
-    b1, b2, b3 = _as_vec3(pair[1]).tolist()
-    return so4_from_coeffs((a1 + b1, a2 - b2, a3 + b3, a3 - b3, -(a2 + b2), a1 - b1))
+    return _merged(_finite_floats(pair[0], 3), _finite_floats(pair[1], 3))
+
+
+def _halves(a):
+    # the self-dual and anti-self-dual halves of a generator as float triples
+    f12, f13, f14, f23, f24, f34 = coeffs_from_so4(a)
+    halves = (
+        (0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)),
+        (0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)),
+    )
+    if not all(map(math.isfinite, halves[0] + halves[1])):
+        raise DomainError(f"a half of the generator overflows a float: {halves!r}")
+    return halves
+
+
+def _merged(z1, z2) -> np.ndarray:
+    (a1, a2, a3), (b1, b2, b3) = z1, z2
+    return _antisymmetric(a1 + b1, a2 - b2, a3 + b3, a3 - b3, -(a2 + b2), a1 - b1)
 
 
 def su2su2_to_so4(u, v) -> np.ndarray:
@@ -170,9 +172,9 @@ def _quaternions_from_rotation(o):
     i, j = divmod(int(np.argmax(np.abs(m))), 4)
     p = m[:, j] / np.linalg.norm(m[:, j])
     q = m[i, :] / math.copysign(np.linalg.norm(m[i, :]), m[i, j])
-    residue = frobenius_norm(np.multiply.outer(p, q) - m)
+    residue = float(np.linalg.norm(np.multiply.outer(p, q) - m))
     if residue > 1e-8:
         raise InternalConsistencyError(
             f"isoclinic factorization failed to reproduce the input, residue {residue:.3e}"
         )
-    return p, q
+    return p.tolist(), q.tolist()

@@ -1,8 +1,8 @@
 """Exponential, logarithm, and closed composition on real 4x4 rotations.
 
-Every operation here reduces to the 2x2 machinery: an antisymmetric matrix
-splits into two commuting 3-vector channels, each channel is handled by the
-closed-form routines in :mod:`magicbch.su2`, and the halves are merged back.
+Every operation checks its input once, then runs the 2x2 kernels of
+:mod:`magicbch.su2` on float triples: an antisymmetric matrix splits into two
+commuting 3-vector channels, each handled in closed form, and merges back.
 Exponential and logarithm carry each channel as a real unit quaternion, so
 no complex 4x4 conjugation is involved.  Two independent evaluation paths
 are provided for the composition law: the channel path (:func:`bch_so4`)
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import So4Coeffs, is_special_orthogonal, _as_real_4x4
+from .algebra import So4Coeffs, is_special_orthogonal, _as_real_4x4, _finite_floats
 from .errors import AntipodalSingularityError, DomainError
-from .magic import SplitPair, merge, split, _quaternions_from_rotation, _rotation_from_quaternions
-from .su2 import BchCoefficients, BranchMode, bch_coefficients, _compose, _quaternion, _quaternion_log
+from .magic import _halves, _merged, _quaternions_from_rotation, _rotation_from_quaternions
+from .su2 import BchCoefficients, BranchMode, _compose, _quaternion, _quaternion_log
 
 __all__ = [
     "So4BchResult",
@@ -53,7 +53,7 @@ def so4_exp(a) -> np.ndarray:
     exponentiated in closed form as unit quaternions and mapped to the
     rotation bilinearly, so no matrix series is summed.
     """
-    return _rotation_from_quaternions(*(_quaternion(half) for half in split(a)))
+    return _rotation_from_quaternions(*map(_quaternion, _halves(a)))
 
 
 def so4_log(o) -> np.ndarray:
@@ -71,8 +71,8 @@ def so4_log(o) -> np.ndarray:
     if not is_special_orthogonal(o, tol=1e-10):
         raise DomainError("input is not special orthogonal to tolerance")
     p, q = _canonical_lift(*_quaternions_from_rotation(o))
-    va = _in_channel("self-dual", _quaternion_log, p)
-    return merge(SplitPair(va, _in_channel("anti-self-dual", _quaternion_log, q)))
+    z1 = _in_channel("self-dual", _quaternion_log, p)
+    return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q))
 
 
 def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResult:
@@ -83,11 +83,10 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     case per channel: theta <= pi/2 in ``PAPER_FAITHFUL`` mode, theta < pi
     in ``BRANCH_CORRECTED`` mode.
     """
-    pa = split(a)
-    pb = split(b)
-    c1, z1 = _in_channel("self-dual", _compose, pa.self_dual, pb.self_dual, mode)
-    c2, z2 = _in_channel("anti-self-dual", _compose, pa.anti_self_dual, pb.anti_self_dual, mode)
-    return So4BchResult(result=merge(SplitPair(z1, z2)), coeffs1=c1, coeffs2=c2, mode=mode)
+    (a1, a2), (b1, b2) = _halves(a), _halves(b)
+    c1, z1 = _in_channel("self-dual", _compose, a1, b1, mode)
+    c2, z2 = _in_channel("anti-self-dual", _compose, a2, b2, mode)
+    return So4BchResult(result=_merged(z1, z2), coeffs1=c1, coeffs2=c2, mode=mode)
 
 
 def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4Coeffs:
@@ -99,20 +98,16 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     channel path to well below composite rounding error and is used as a
     cross-check of both.
     """
-    f = So4Coeffs(*(float(t) for t in f))
-    g = So4Coeffs(*(float(t) for t in g))
+    f = So4Coeffs(*_finite_floats(f, 6))
+    g = So4Coeffs(*_finite_floats(g, 6))
 
     fp1, fp2, fp3 = 0.5 * (f.f12 + f.f34), 0.5 * (f.f13 - f.f24), 0.5 * (f.f14 + f.f23)
     fm1, fm2, fm3 = 0.5 * (f.f12 - f.f34), 0.5 * (f.f13 + f.f24), 0.5 * (f.f14 - f.f23)
     gp1, gp2, gp3 = 0.5 * (g.f12 + g.f34), 0.5 * (g.f13 - g.f24), 0.5 * (g.f14 + g.f23)
     gm1, gm2, gm3 = 0.5 * (g.f12 - g.f34), 0.5 * (g.f13 + g.f24), 0.5 * (g.f14 - g.f23)
 
-    c1 = _in_channel(
-        "self-dual", bch_coefficients, np.array([fp1, fp2, fp3]), np.array([gp1, gp2, gp3]), mode
-    )
-    c2 = _in_channel(
-        "anti-self-dual", bch_coefficients, np.array([fm1, -fm2, fm3]), np.array([gm1, -gm2, gm3]), mode
-    )
+    c1, _ = _in_channel("self-dual", _compose, (fp1, fp2, fp3), (gp1, gp2, gp3), mode)
+    c2, _ = _in_channel("anti-self-dual", _compose, (fm1, -fm2, fm3), (gm1, -gm2, gm3), mode)
     a1, b1, g1 = c1.alpha, c1.beta, c1.gamma
     a2, b2, g2 = c2.alpha, c2.beta, c2.gamma
 
@@ -158,11 +153,11 @@ def _canonical_lift(p, q):
     # first entry of u, in row-major order, whose magnitude exceeds 1e-12 (p
     # is a unit quaternion, so one does): the sign of its real part decides,
     # or of its imaginary part where the real part is rounding noise
-    p0, p1, p2, p3 = p.tolist()
+    p0, p1, p2, p3 = p
     if abs(2.0 * p0) > 1e-12:
         flip = p0 < 0.0
     else:
         entries = ((p0, p3), (p2, p1), (-p2, p1), (p0, -p3))
         re, im = next(e for e in entries if math.hypot(*e) > 1e-12)
         flip = (re if abs(re) > 1e-12 else im) < 0.0
-    return (-p, -q) if flip else (p, q)
+    return ([-t for t in p], [-t for t in q]) if flip else (p, q)

@@ -3,7 +3,8 @@
 A real 3-vector ``v`` stands for the traceless Hermitian matrix ``v . sigma``
 and generates the group element ``exp(i v . sigma)``.  The product of two
 such exponentials is again one, and its coefficient vector is a closed
-function of the inputs; no series summation over matrices is involved.
+function of the inputs; no series summation over matrices is involved.  Only
+the public functions check arguments; the private kernels take float tuples.
 
 Writing ``r = |x|``, the exponential is ``cos(r) I + i sin(r)/r * x . sigma``.
 For the composition ``exp(i x.s) exp(i y.s) = exp(i z.s)`` the result is
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_special_unitary, _as_vec3
+from .algebra import is_special_unitary, _finite_floats
 from .errors import AntipodalSingularityError, DomainError, ShapeError
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
 _SERIES_CUTOFF = 1e-4
 # Distance from the branch point at which direction recovery is refused.
 _ANTIPODAL_TOL = 1e-8
-_UNITARY_TOL = 1e-10
 
 
 class BranchMode(enum.Enum):
@@ -100,11 +100,11 @@ def _asinc(r: float) -> float:
 
 def su2_exp(v) -> np.ndarray:
     """Exponential ``exp(i v . sigma)`` of a real 3-vector, a 2x2 unitary."""
-    p0, p1, p2, p3 = _quaternion(_as_vec3(v)).tolist()
+    p0, p1, p2, p3 = _quaternion(_finite_floats(v, 3))
     return np.array([[complex(p0, p3), complex(p2, p1)], [complex(-p2, p1), complex(p0, -p3)]])
 
 
-def su2_log(u, unitary_tol: float = _UNITARY_TOL) -> np.ndarray:
+def su2_log(u) -> np.ndarray:
     """Invert :func:`su2_exp` on a special unitary, returning ``v`` with |v| < pi.
 
     The rotation angle is recovered from ``atan2`` of the anti-Hermitian part
@@ -116,17 +116,17 @@ def su2_log(u, unitary_tol: float = _UNITARY_TOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_special_unitary(u, unitary_tol):
+    if not is_special_unitary(u):
         raise DomainError("input is not special unitary to tolerance")
-    return _quaternion_log(_quaternion_of(u))
+    return np.array(_quaternion_log(_quaternion_of(u)))
 
 
-def _quaternion(v) -> np.ndarray:
+def _quaternion(v):
     # su2_exp(v) = sum_k p_k s_k with s_0 = I, s_k = i sigma_k: p = (cos r, sinc(r) v)
-    v1, v2, v3 = v.tolist()
+    v1, v2, v3 = v
     r = _norm(v1, v2, v3)
     k = _sinc(r)
-    return np.array([math.cos(r), k * v1, k * v2, k * v3])
+    return math.cos(r), k * v1, k * v2, k * v3
 
 
 def _norm(v1: float, v2: float, v3: float) -> float:
@@ -137,22 +137,21 @@ def _norm(v1: float, v2: float, v3: float) -> float:
     return r
 
 
-def _quaternion_of(u) -> np.ndarray:
+def _quaternion_of(u):
     # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]; each component is
     # read from both entries that carry it
     (a, b), (c, d) = u.tolist()
-    return 0.5 * np.array([a.real + d.real, b.imag + c.imag, b.real - c.real, a.imag - d.imag])
+    return tuple(0.5 * t for t in (a.real + d.real, b.imag + c.imag, b.real - c.real, a.imag - d.imag))
 
 
-def _quaternion_log(p) -> np.ndarray:
+def _quaternion_log(p):
     # principal log of the unit quaternion p; ||u + I|| = sqrt(2) |p + (1, 0, 0, 0)|
-    t, w1, w2, w3 = p.tolist()
+    t, w1, w2, w3 = p
     s = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     if math.sqrt(2.0 * ((t + 1.0) ** 2 + s * s)) < _ANTIPODAL_TOL:
         raise AntipodalSingularityError("matrix is numerically -I; the log direction is undefined")
-    if s < _SERIES_CUTOFF and t > 0.0:
-        return p[1:] * _asinc(s)
-    return p[1:] * (math.atan2(s, t) / s)
+    k = _asinc(s) if s < _SERIES_CUTOFF and t > 0.0 else math.atan2(s, t) / s
+    return w1 * k, w2 * k, w3 * k
 
 
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:
@@ -163,7 +162,7 @@ def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> Bc
     the scalar part.  Raises :class:`~magicbch.errors.AntipodalSingularityError`
     once theta comes within ``1e-8`` of pi, in either mode.
     """
-    return _compose(x, y, mode)[0]
+    return _compose(_finite_floats(x, 3), _finite_floats(y, 3), mode)[0]
 
 
 def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
@@ -172,17 +171,17 @@ def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
     In ``PAPER_FAITHFUL`` mode this identity holds on the principal domain
     theta <= pi/2 only; ``BRANCH_CORRECTED`` extends it to theta < pi.
     """
-    return _compose(x, y, mode)[1]
+    return np.array(_compose(_finite_floats(x, 3), _finite_floats(y, 3), mode)[1])
 
 
 def _compose(x, y, mode: BranchMode):
-    # exp(x) exp(y) as the quaternion product (c, w) in scalars, then
-    # z = prefactor * w; np.cross and np.linalg.norm cost more than the rest
-    # of the composition on 3-vectors
+    # exp(x) exp(y) of two float triples as the quaternion product (c, w) in
+    # scalars, then z = prefactor * w; np.cross and np.linalg.norm cost more
+    # than the rest of the composition on 3-vectors
     if not isinstance(mode, BranchMode):
         raise ShapeError(f"mode must be a BranchMode, got {mode!r}")
-    x1, x2, x3 = _as_vec3(x).tolist()
-    y1, y2, y3 = _as_vec3(y).tolist()
+    x1, x2, x3 = x
+    y1, y2, y3 = y
     nx = _norm(x1, x2, x3)
     ny = _norm(y1, y2, y3)
     cx, six = math.cos(nx), _sinc(nx)
@@ -212,4 +211,4 @@ def _compose(x, y, mode: BranchMode):
     co = BchCoefficients(
         alpha=prefactor * a, beta=prefactor * b, gamma=prefactor * g, rho=rho, theta=theta
     )
-    return co, np.array([prefactor * w1, prefactor * w2, prefactor * w3])
+    return co, (prefactor * w1, prefactor * w2, prefactor * w3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from magicbch import (
     So4Coeffs,
     ShapeError,
+    bch_so4_entries,
     coeffs_from_so4,
     frobenius_norm,
     hermitian_from_vec,
@@ -139,8 +140,13 @@ def test_coeffs_from_so4_rejects_non_antisymmetric():
 
 
 def test_coeffs_from_so4_rejects_wrong_shape():
-    with pytest.raises(ShapeError):
-        coeffs_from_so4(np.zeros((3, 3)))
+    for call in (
+        lambda: coeffs_from_so4(np.zeros((3, 3))),
+        lambda: so4_from_coeffs(np.zeros(3)),
+        lambda: bch_so4_entries(np.zeros(3), np.zeros(6)),
+    ):
+        with pytest.raises(ShapeError):
+            call()
 
 
 def test_cross_product_bilinearity_and_orthogonality():

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from magicbch import (
+    BranchMode,
     SplitPair,
     bch_coefficients,
     bch_so4,
     bch_so4_entries,
     bch_su2,
     coeffs_from_so4,
+    frobenius_norm,
     merge,
     so4_exp,
     so4_from_coeffs,
@@ -22,7 +24,7 @@ from magicbch import (
     su2_exp,
     su2_log,
 )
-from magicbch.cli import main
+from magicbch.cli import _compose_within_limits, main
 
 
 def write_doc(path, doc):
@@ -381,6 +383,18 @@ def test_verify_counts_branch_cut_skips(capsys):
     assert report["branch_cut_skips"] > 0
     assert report["evaluated"] + report["branch_cut_skips"] == 200
     assert code == 0
+
+
+def test_sweep_keeps_corrected_trials_near_the_cut():
+    # commuting self-dual halves compose to theta = pi - 1e-4: accurate in
+    # corrected mode, past the arcsine's pi/2 in paper mode
+    a = merge(SplitPair(np.array([1.5, 0.0, 0.0]), np.array([0.1, 0.2, 0.0])))
+    b = merge(SplitPair(np.array([math.pi - 1.5 - 1e-4, 0.0, 0.0]), np.array([0.0, -0.1, 0.3])))
+    r = _compose_within_limits(a, b, BranchMode.BRANCH_CORRECTED)
+    assert r is not None
+    assert math.pi - r.coeffs1.theta == pytest.approx(1e-4, rel=1e-6)
+    assert frobenius_norm(so4_exp(r.result) - so4_exp(a) @ so4_exp(b)) <= 1e-13
+    assert _compose_within_limits(a, b, BranchMode.PAPER_FAITHFUL) is None
 
 
 def test_verify_tol_flag_can_fail_the_run(capsys):

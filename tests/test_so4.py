@@ -259,7 +259,7 @@ def test_order3_consistency_slope():
 
 
 def test_split_of_bch_matches_channel_composition():
-    from magicbch import bch_su2
+    from magicbch import bch_coefficients, bch_su2, su2su2_to_so4
 
     rng = np.random.default_rng(61)
     a = so4_from_coeffs(rng.uniform(-0.4, 0.4, size=6))
@@ -273,6 +273,14 @@ def test_split_of_bch_matches_channel_composition():
     np.testing.assert_allclose(
         got.anti_self_dual, bch_su2(pa.anti_self_dual, pb.anti_self_dual), atol=1e-14
     )
+    # the so(4) functions run the su(2) arithmetic on the split halves, bit for bit
+    z1 = bch_su2(pa.self_dual, pb.self_dual)
+    z2 = bch_su2(pa.anti_self_dual, pb.anti_self_dual)
+    assert np.array_equal(r.result, merge(SplitPair(z1, z2)))
+    assert r.coeffs1 == bch_coefficients(pa.self_dual, pb.self_dual)
+    assert r.coeffs2 == bch_coefficients(pa.anti_self_dual, pb.anti_self_dual)
+    u = su2su2_to_so4(su2_exp(pa.self_dual), su2_exp(pa.anti_self_dual))
+    assert np.array_equal(so4_exp(a), u)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from magicbch import (
     ShapeError,
     bch_coefficients,
     bch_so4,
+    bch_so4_entries,
     bch_su2,
     bch_trunc3,
     frobenius_norm,
@@ -305,10 +306,14 @@ def test_paper_faithful_at_quarter_turn():
 def test_non_finite_entries_rejected(bad):
     v = np.array([0.1, bad, 0.2])
     ok = np.array([0.1, 0.0, 0.2])
-    a = so4_from_coeffs([0.1, bad, 0.2, 0.0, 0.0, 0.0])
+    c = [0.1, bad, 0.2, 0.0, 0.0, 0.0]
+    a = np.zeros((4, 4))
+    a[0, 2], a[2, 0] = bad, -bad
     o = np.eye(4)
     o[2, 1] = bad
     for call in (
+        lambda: so4_from_coeffs(c),
+        lambda: bch_so4_entries(np.zeros(6), c),
         lambda: su2_exp(v),
         lambda: bch_coefficients(v, ok),
         lambda: bch_su2(ok, v),
@@ -326,12 +331,19 @@ def test_overflowing_norm_is_a_domain_error():
     v = np.array([1e200, 0.0, 0.0])
     ok = np.array([0.1, 0.0, 0.2])
     a = so4_from_coeffs([1e200, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # f12 + f34 overflows, so the self-dual half of this generator is infinite
+    c = [1e308, 0.0, 0.0, 0.0, 0.0, 1e308]
+    big = so4_from_coeffs(c)
     for call in (
         lambda: su2_exp(v),
         lambda: bch_coefficients(ok, v),
         lambda: bch_su2(v, ok),
         lambda: bch_so4(a, so4_from_coeffs(np.zeros(6))),
         lambda: so4_exp(a),
+        lambda: split(big),
+        lambda: so4_exp(big),
+        lambda: bch_so4(so4_from_coeffs(np.zeros(6)), big),
+        lambda: bch_so4_entries(c, np.zeros(6)),
     ):
         with pytest.raises(DomainError):
             call()
