@@ -10,7 +10,6 @@ independent 2x2 channels by conjugation with the magic basis.
 from .algebra import (
     So4Coeffs,
     coeffs_from_so4,
-    commutator,
     frobenius_norm,
     hermitian_from_vec,
     pauli,
@@ -37,7 +36,7 @@ from .magic import (
     to_orthogonal_frame,
     to_tensor_frame,
 )
-from .oracle import DEFAULT_CONFIG, OracleConfig, bch_trunc3, mat_exp_taylor, mat_log_near_identity
+from .oracle import bch_trunc3, mat_exp_taylor, mat_log_near_identity
 from .so4 import So4BchResult, bch_so4, bch_so4_entries, so4_exp, so4_log
 from .su2 import BchCoefficients, BranchMode, bch_coefficients, bch_su2, su2_exp, su2_log
 
@@ -49,11 +48,9 @@ __all__ = [
     "BellBasis",
     "BranchMode",
     "ConvergenceError",
-    "DEFAULT_CONFIG",
     "DomainError",
     "InternalConsistencyError",
     "MagicBchError",
-    "OracleConfig",
     "ShapeError",
     "So4BchResult",
     "So4Coeffs",
@@ -65,7 +62,6 @@ __all__ = [
     "bch_trunc3",
     "bell_basis",
     "coeffs_from_so4",
-    "commutator",
     "frobenius_norm",
     "hermitian_from_vec",
     "magic_matrix",

@@ -25,7 +25,6 @@ from .errors import ShapeError
 __all__ = [
     "So4Coeffs",
     "coeffs_from_so4",
-    "commutator",
     "frobenius_norm",
     "hermitian_from_vec",
     "is_antisymmetric",
@@ -36,6 +35,8 @@ __all__ = [
     "tensor_product",
     "vec_from_hermitian",
 ]
+
+_GROUP_TOL = 1e-10  # Frobenius and determinant slack of the SU(2)/SO(4) gates
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -69,10 +70,6 @@ def pauli(k: int) -> np.ndarray:
 def frobenius_norm(m) -> float:
     """Frobenius norm, the uniform error metric of this package."""
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -153,24 +150,24 @@ def is_antisymmetric(m, tol: float = 1e-12) -> bool:
     return m.shape == (4, 4) and float(np.abs(m + m.T).max()) <= tol
 
 
-def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
+def is_special_orthogonal(m) -> bool:
     m = np.asarray(m)
     if m.shape != (4, 4) or np.iscomplexobj(m):
         return False
     m = m.astype(float, copy=False)
     return (
-        frobenius_norm(m.T @ m - np.eye(4)) <= tol
-        and abs(float(np.linalg.det(m)) - 1.0) <= tol
+        frobenius_norm(m.T @ m - np.eye(4)) <= _GROUP_TOL
+        and abs(float(np.linalg.det(m)) - 1.0) <= _GROUP_TOL
     )
 
 
-def is_special_unitary(u, tol: float = 1e-10) -> bool:
+def is_special_unitary(u) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
     return (
-        frobenius_norm(u.conj().T @ u - np.eye(2)) <= tol
-        and abs(complex(np.linalg.det(u)) - 1.0) <= tol
+        frobenius_norm(u.conj().T @ u - np.eye(2)) <= _GROUP_TOL
+        and abs(complex(np.linalg.det(u)) - 1.0) <= _GROUP_TOL
     )
 
 

@@ -148,7 +148,7 @@ def _cmd_log(args) -> int:
     if kind == "su2_matrix":
         u = data[..., 0] + 1j * data[..., 1]
         if args.oracle:
-            if not algebra.is_special_unitary(u, tol=1e-10):
+            if not algebra.is_special_unitary(u):
                 raise DomainError("input is not special unitary to tolerance")
             v = algebra.vec_from_hermitian(oracle.mat_log_near_identity(u) / 1j)
         else:
@@ -156,13 +156,13 @@ def _cmd_log(args) -> int:
         out = _document("su2_vec", v)
     elif kind == "so4_matrix":
         if args.oracle:
-            if not algebra.is_special_orthogonal(data, tol=1e-10):
+            if not algebra.is_special_orthogonal(data):
                 raise DomainError("input is not special orthogonal to tolerance")
             ell = oracle.mat_log_near_identity(data)
             a = 0.5 * (ell - ell.T)
         else:
             a = so4.so4_log(data)
-        out = _document("so4_coeffs", algebra.coeffs_from_so4(a, tol=1e-10))
+        out = _document("so4_coeffs", algebra.coeffs_from_so4(a))
     else:
         raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")
     emit(out, args.output)
@@ -186,7 +186,7 @@ def _cmd_bch(args) -> int:
         a, b = _generator(ka, a), _generator(kb, b)
         if args.oracle:
             ell = oracle.mat_log_near_identity(so4.so4_exp(a) @ so4.so4_exp(b))
-            out = _document("so4_coeffs", algebra.coeffs_from_so4(0.5 * (ell - ell.T), tol=1e-10))
+            out = _document("so4_coeffs", algebra.coeffs_from_so4(0.5 * (ell - ell.T)))
         else:
             r = so4.bch_so4(a, b, mode)
             if args.entries_path:

@@ -109,8 +109,13 @@ def merge(pair) -> np.ndarray:
 
     The result satisfies ``m + m.T == 0`` exactly because each lower-triangle
     entry is the negation of the float computed for the upper triangle.
+    Halves whose sums overflow a float raise :class:`DomainError`.
     """
-    return _merged(_finite_floats(pair[0], 3), _finite_floats(pair[1], 3))
+    halves = _finite_floats(pair[0], 3), _finite_floats(pair[1], 3)
+    m = _merged(*halves)
+    if not all(map(math.isfinite, m.ravel().tolist())):
+        raise DomainError(f"a sum of the halves overflows a float: {halves!r}")
+    return m
 
 
 def _halves(a):
@@ -138,7 +143,7 @@ def su2su2_to_so4(u, v) -> np.ndarray:
     a pair ``(u, v)`` and ``(-u, -v)`` land on the same rotation.
     """
     factors = [np.asarray(m, dtype=complex) for m in (u, v)]
-    if not all(is_special_unitary(m, tol=1e-10) for m in factors):
+    if not all(is_special_unitary(m) for m in factors):
         raise DomainError("factors must be special unitary 2x2 matrices")
     return _rotation_from_quaternions(*(_quaternion_of(m) for m in factors))
 

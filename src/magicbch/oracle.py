@@ -5,13 +5,15 @@ exponential is a scaling-and-squaring Taylor sum, the logarithm is inverse
 scaling with Denman-Beavers square roots followed by a Mercator series, and
 :func:`bch_trunc3` is the plain order-3 commutator expansion.  They are
 slower and only serve as independent ground truth in tests, benchmarks,
-and the ``--oracle`` flag of the command line.
+and the ``--oracle`` flag of the command line.  Their budgets are fixed:
+a series stops at a term under 1e-16 in Frobenius norm or fails after 64
+terms, and the logarithm takes at most 32 square roots.  A NaN/Inf entry
+raises ``ShapeError``, and a norm that overflows a float ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,48 +21,24 @@ from .algebra import frobenius_norm
 from .errors import ConvergenceError, DomainError, ShapeError
 
 __all__ = [
-    "OracleConfig",
-    "DEFAULT_CONFIG",
     "bch_trunc3",
     "mat_exp_taylor",
     "mat_log_near_identity",
 ]
 
-# Denman-Beavers iteration limits, independent of the user-facing config.
+# Series, inverse-scaling and Denman-Beavers budgets.
+_TOL = 1e-16
+_MAX_TERMS = 64
+_MAX_SQRT_STEPS = 32
 _DB_MAX_ITER = 50
 _DB_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Budgets for the series routines.
-
-    ``tol`` bounds the Frobenius norm of the last summed term, ``max_terms``
-    caps series length, and ``max_sqrt_steps`` caps the inverse-scaling
-    depth of the logarithm.
-    """
-
-    tol: float = 1e-16
-    max_terms: int = 64
-    max_sqrt_steps: int = 32
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be at least 8, got {self.max_terms!r}")
-        if self.max_sqrt_steps < 1:
-            raise ValueError(f"max_sqrt_steps must be at least 1, got {self.max_sqrt_steps!r}")
-
-
-DEFAULT_CONFIG = OracleConfig()
-
-
-def mat_exp_taylor(m, config: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
+def mat_exp_taylor(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring around a Taylor sum.
 
     The argument is halved until its Frobenius norm drops below 0.5, the
-    series is summed until the term norm falls under ``config.tol``, and the
+    series is summed until the term norm falls under 1e-16, and the
     result is squared back up.
     """
     m = _as_square(m)
@@ -73,21 +51,21 @@ def mat_exp_taylor(m, config: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
 
     term = np.eye(n, dtype=x.dtype)
     acc = np.eye(n, dtype=x.dtype)
-    for k in range(1, config.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         term = term @ x / k
         acc = acc + term
-        if frobenius_norm(term) < config.tol:
+        if frobenius_norm(term) < _TOL:
             break
     else:
         raise ConvergenceError(
-            f"exponential series did not reach tol {config.tol:g} in {config.max_terms} terms"
+            f"exponential series did not reach tol {_TOL:g} in {_MAX_TERMS} terms"
         )
     for _ in range(steps):
         acc = acc @ acc
     return acc
 
 
-def mat_log_near_identity(m, config: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
+def mat_log_near_identity(m) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and a Mercator series.
 
     Square roots are taken until ``|m - I|`` falls below 0.25, the series
@@ -103,7 +81,7 @@ def mat_log_near_identity(m, config: OracleConfig = DEFAULT_CONFIG) -> np.ndarra
     x = m
     steps = 0
     while frobenius_norm(x - eye) >= 0.25:
-        if steps >= config.max_sqrt_steps:
+        if steps >= _MAX_SQRT_STEPS:
             raise DomainError(
                 f"matrix is still far from the identity after {steps} square roots"
             )
@@ -113,14 +91,14 @@ def mat_log_near_identity(m, config: OracleConfig = DEFAULT_CONFIG) -> np.ndarra
     d = x - eye
     power = d.copy()
     acc = d.copy()
-    for k in range(2, config.max_terms + 1):
+    for k in range(2, _MAX_TERMS + 1):
         power = power @ d
         acc = acc + (-1.0) ** (k + 1) / k * power
-        if frobenius_norm(power) / k < config.tol:
+        if frobenius_norm(power) / k < _TOL:
             break
     else:
         raise ConvergenceError(
-            f"logarithm series did not reach tol {config.tol:g} in {config.max_terms} terms"
+            f"logarithm series did not reach tol {_TOL:g} in {_MAX_TERMS} terms"
         )
     return acc * float(2**steps)
 
@@ -168,4 +146,9 @@ def _as_square(m) -> np.ndarray:
         m = m.astype(float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise ShapeError(f"expected a square 2x2 or 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ShapeError(f"expected finite entries, got {m.tolist()!r}")
+    with np.errstate(over="ignore"):  # finite entries, so only the squares overflow
+        if frobenius_norm(m) == math.inf:
+            raise DomainError(f"matrix norm overflows a float: {m.tolist()!r}")
     return m

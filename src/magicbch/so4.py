@@ -68,7 +68,7 @@ def so4_log(o) -> np.ndarray:
     :class:`~magicbch.errors.AntipodalSingularityError`.
     """
     o = _as_real_4x4(o)
-    if not is_special_orthogonal(o, tol=1e-10):
+    if not is_special_orthogonal(o):
         raise DomainError("input is not special orthogonal to tolerance")
     p, q = _canonical_lift(*_quaternions_from_rotation(o))
     z1 = _in_channel("self-dual", _quaternion_log, p)

@@ -30,7 +30,9 @@ angles back into the principal branch.
 ``BRANCH_CORRECTED`` uses ``theta/rho`` with theta recovered from both
 ``sin(theta)`` and ``cos(theta)``, extending validity to theta < pi.  The
 branch point theta = pi itself is a genuine singularity: the combined
-rotation is a numerical -I and its axis is not recoverable.
+rotation is a numerical -I and its axis is not recoverable.  Each ratio,
+``sin(t)/t``, the log's ``atan2(s, t)/s`` and the prefactor, is one plain
+quotient at every argument size; only a zero denominator takes the limit 1.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ __all__ = [
     "su2_log",
 ]
 
-# Below this argument size the sin(t)/t style ratios switch to 4-term series.
-_SERIES_CUTOFF = 1e-4
 # Distance from the branch point at which direction recovery is refused.
 _ANTIPODAL_TOL = 1e-8
 
@@ -83,19 +83,7 @@ class BchCoefficients:
 
 
 def _sinc(t: float) -> float:
-    # sin(t)/t with a series below the cutoff; truncation error ~ t**8/9!
-    if t < _SERIES_CUTOFF:
-        t2 = t * t
-        return 1.0 - t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 / 5040.0))
-    return math.sin(t) / t
-
-
-def _asinc(r: float) -> float:
-    # asin(r)/r with a series below the cutoff
-    if r < _SERIES_CUTOFF:
-        r2 = r * r
-        return 1.0 + r2 * (1.0 / 6.0 + r2 * (3.0 / 40.0 + r2 * (5.0 / 112.0)))
-    return math.asin(r) / r
+    return math.sin(t) / t if t else 1.0
 
 
 def su2_exp(v) -> np.ndarray:
@@ -150,7 +138,7 @@ def _quaternion_log(p):
     s = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     if math.sqrt(2.0 * ((t + 1.0) ** 2 + s * s)) < _ANTIPODAL_TOL:
         raise AntipodalSingularityError("matrix is numerically -I; the log direction is undefined")
-    k = _asinc(s) if s < _SERIES_CUTOFF and t > 0.0 else math.atan2(s, t) / s
+    k = math.atan2(s, t) / s if s else 1.0
     return w1 * k, w2 * k, w3 * k
 
 
@@ -199,14 +187,10 @@ def _compose(x, y, mode: BranchMode):
             "combined rotation is numerically antipodal; no branch assigns it a direction"
         )
 
-    if rho < _SERIES_CUTOFF and c > 0.0:
-        prefactor = _asinc(rho)
-    elif mode is BranchMode.PAPER_FAITHFUL:
-        # asin(rho)/rho, folding theta > pi/2 back; atan2(rho, |c|) is the same
-        # angle on the unit circle without the arcsine's infinite slope at 1
-        prefactor = math.atan2(rho, abs(c)) / rho
-    else:
-        prefactor = theta / rho
+    # paper mode's asin(rho) folds theta > pi/2 back; atan2(rho, |c|) is the same
+    # angle without the arcsine's infinite slope at 1; rho == 0 means w == 0
+    angle = math.atan2(rho, abs(c)) if mode is BranchMode.PAPER_FAITHFUL else theta
+    prefactor = angle / rho if rho else 1.0
 
     co = BchCoefficients(
         alpha=prefactor * a, beta=prefactor * b, gamma=prefactor * g, rho=rho, theta=theta

@@ -195,6 +195,20 @@ def test_merge_two_vector_files(tmp_path, capsys):
     np.testing.assert_allclose(got, so4_from_coeffs([1, 0, 0, 0, 0, 0]), atol=1e-15)
 
 
+@pytest.mark.parametrize("command", [["merge", "a", "a"], ["exp", "--oracle", "b"]])
+def test_overflowing_documents_exit_3(tmp_path, capsys, command):
+    # each half in a is finite, but f12 = 1e308 + 1e308 is not; the entries
+    # of b are finite, but the oracle's Frobenius norm of b overflows
+    paths = {
+        "a": write_doc(tmp_path / "a.json", su2_vec_doc([1e308, 0, 0])),
+        "b": write_doc(tmp_path / "b.json", so4_coeffs_doc([1e200] * 6)),
+    }
+    code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in command))
+    assert code == 3
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_emitted_documents_reparse(tmp_path, capsys):
     from magicbch.cli import validate_document
 

@@ -6,7 +6,6 @@ import pytest
 from magicbch import (
     ConvergenceError,
     DomainError,
-    OracleConfig,
     ShapeError,
     bch_trunc3,
     frobenius_norm,
@@ -14,6 +13,7 @@ from magicbch import (
     mat_log_near_identity,
     so4_from_coeffs,
 )
+from magicbch import oracle
 
 
 def planar_rotation(theta):
@@ -22,15 +22,6 @@ def planar_rotation(theta):
     m[0, 1] = math.sin(theta)
     m[1, 0] = -math.sin(theta)
     return m
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(max_terms=4)
-    with pytest.raises(ValueError):
-        OracleConfig(max_sqrt_steps=0)
 
 
 def test_exp_of_zero():
@@ -67,10 +58,11 @@ def test_exp_additivity_on_commuting_inputs():
         assert err < 1e-13
 
 
-def test_exp_convergence_error_when_budget_too_small():
-    cfg = OracleConfig(tol=1e-30, max_terms=8)
+def test_exp_convergence_error_when_budget_too_small(monkeypatch):
+    monkeypatch.setattr(oracle, "_TOL", 1e-30)
+    monkeypatch.setattr(oracle, "_MAX_TERMS", 8)
     with pytest.raises(ConvergenceError):
-        mat_exp_taylor(0.49 * np.eye(2), cfg)
+        mat_exp_taylor(0.49 * np.eye(2))
 
 
 def test_exp_rejects_unsupported_shapes():

@@ -16,6 +16,7 @@ from magicbch import (
     frobenius_norm,
     hermitian_from_vec,
     mat_exp_taylor,
+    mat_log_near_identity,
     merge,
     pauli,
     so4_exp,
@@ -26,6 +27,7 @@ from magicbch import (
     su2_log,
     vec_from_hermitian,
 )
+from magicbch import su2
 from magicbch.magic import SplitPair
 
 
@@ -165,6 +167,11 @@ def test_bch_identity_case():
     np.testing.assert_allclose(
         bch_su2(np.array([0.2, 0.0, 0.0]), np.zeros(3)), [0.2, 0.0, 0.0], atol=1e-15
     )
+    # w vanishes exactly here, so the prefactor takes its limit at rho == 0
+    x = np.array([0.2, -0.3, 0.1])
+    for mode in BranchMode:
+        np.testing.assert_array_equal(bch_su2(x, -x, mode), np.zeros(3))
+        np.testing.assert_array_equal(bch_su2(np.zeros(3), np.zeros(3), mode), np.zeros(3))
 
 
 def test_bch_collinear_angles_add():
@@ -204,8 +211,6 @@ def test_group_law_branch_corrected_extends():
         try:
             co = bch_coefficients(x, y, BranchMode.BRANCH_CORRECTED)
         except AntipodalSingularityError:
-            continue
-        if co.theta > math.pi - 1e-3:
             continue
         kept += 1
         z = bch_su2(x, y, BranchMode.BRANCH_CORRECTED)
@@ -322,6 +327,9 @@ def test_non_finite_entries_rejected(bad):
         lambda: split(a),
         lambda: bch_so4(so4_from_coeffs(np.zeros(6)), a),
         lambda: so4_log(o),
+        lambda: mat_exp_taylor(o),
+        lambda: mat_log_near_identity(o),
+        lambda: bch_trunc3(np.eye(4), o),
     ):
         with pytest.raises(ShapeError):
             call()
@@ -334,6 +342,8 @@ def test_overflowing_norm_is_a_domain_error():
     # f12 + f34 overflows, so the self-dual half of this generator is infinite
     c = [1e308, 0.0, 0.0, 0.0, 0.0, 1e308]
     big = so4_from_coeffs(c)
+    # finite entries whose squares overflow the Frobenius norm
+    full = np.full((4, 4), 1e200)
     for call in (
         lambda: su2_exp(v),
         lambda: bch_coefficients(ok, v),
@@ -344,6 +354,82 @@ def test_overflowing_norm_is_a_domain_error():
         lambda: so4_exp(big),
         lambda: bch_so4(so4_from_coeffs(np.zeros(6)), big),
         lambda: bch_so4_entries(c, np.zeros(6)),
+        lambda: merge(SplitPair(np.array([1e308, 0.0, 0.0]), np.array([1e308, 0.0, 0.0]))),
+        lambda: mat_exp_taylor(full),
+        lambda: mat_log_near_identity(full),
+        lambda: bch_trunc3(full, np.eye(4)),
     ):
         with pytest.raises(DomainError):
             call()
+
+
+# Below 1e-4 su2 once switched sin(t)/t and asin(r)/r to these 4-term series;
+# they are kept as the reference that the single quotients are held to.
+SERIES_CUTOFF = 1e-4
+
+
+def series_sinc(t):
+    if t < SERIES_CUTOFF:
+        t2 = t * t
+        return 1.0 - t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 / 5040.0))
+    return math.sin(t) / t
+
+
+def series_asinc(r):
+    # only called below the cutoff
+    r2 = r * r
+    return 1.0 + r2 * (1.0 / 6.0 + r2 * (3.0 / 40.0 + r2 * (5.0 / 112.0)))
+
+
+def series_compose(x, y, mode):
+    # the composition with the series branches: alpha, beta, gamma and z
+    (x1, x2, x3), (y1, y2, y3) = x, y
+    nx = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    ny = math.sqrt(y1 * y1 + y2 * y2 + y3 * y3)
+    cx, six = math.cos(nx), series_sinc(nx)
+    cy, siy = math.cos(ny), series_sinc(ny)
+    a, b, g = six * cy, cx * siy, six * siy
+    c = cx * cy - g * (x1 * y1 + x2 * y2 + x3 * y3)
+    w1 = a * x1 + b * y1 - g * (x2 * y3 - x3 * y2)
+    w2 = a * x2 + b * y2 - g * (x3 * y1 - x1 * y3)
+    w3 = a * x3 + b * y3 - g * (x1 * y2 - x2 * y1)
+    rho = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    if rho < SERIES_CUTOFF and c > 0.0:
+        pre = series_asinc(rho)
+    elif mode is BranchMode.PAPER_FAITHFUL:
+        pre = math.atan2(rho, abs(c)) / rho
+    else:
+        pre = math.atan2(rho, c) / rho
+    return np.array([pre * a, pre * b, pre * g]), pre * np.array([w1, w2, w3])
+
+
+def log_uniform(rng, low, high, size=None):
+    return 10.0 ** rng.uniform(math.log10(low), math.log10(high), size)
+
+
+def test_sinc_matches_the_series_below_its_cutoff():
+    rng = np.random.default_rng(44)
+    for t in log_uniform(rng, 1e-12, 1e-4, 2000):
+        ref = series_sinc(float(t))
+        assert abs(su2._sinc(float(t)) - ref) <= 2 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_small_compositions_match_the_series(mode):
+    rng = np.random.default_rng([45, mode is BranchMode.PAPER_FAITHFUL])
+    for i in range(2000):
+        x = rng.normal(size=3)
+        x *= log_uniform(rng, 1e-12, 1e-4) / np.linalg.norm(x)
+        if i % 2:
+            # near-cancelling: y = -x + d, so w is a small difference
+            d = rng.normal(size=3)
+            y = -x + d * (np.linalg.norm(x) * log_uniform(rng, 1e-8, 1e-1) / np.linalg.norm(d))
+        else:
+            y = rng.normal(size=3)
+            y *= log_uniform(rng, 1e-12, 1e-4) / np.linalg.norm(y)
+        ref_coeffs, ref_z = series_compose(x, y, mode)
+        co = bch_coefficients(x, y, mode)
+        coeffs = np.array([co.alpha, co.beta, co.gamma])
+        assert np.all(np.abs(coeffs - ref_coeffs) <= 1e-15 * np.abs(ref_coeffs))
+        scale = np.linalg.norm(x) + np.linalg.norm(y)
+        assert np.linalg.norm(bch_su2(x, y, mode) - ref_z) <= 1e-15 * scale
