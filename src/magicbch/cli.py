@@ -188,15 +188,15 @@ def _cmd_bch(args) -> int:
             ell = oracle.mat_log_near_identity(so4.so4_exp(a) @ so4.so4_exp(b))
             out = _document("so4_coeffs", algebra.coeffs_from_so4(0.5 * (ell - ell.T)))
         else:
-            r = so4.bch_so4(a, b, mode)
             if args.entries_path:
                 fa, fb = algebra.coeffs_from_so4(a), algebra.coeffs_from_so4(b)
-                data = so4.bch_so4_entries(fa, fb, mode)
+                data, c1, c2 = so4._bch_entries(fa, fb, mode)
             else:
-                data = algebra.coeffs_from_so4(r.result)
+                r = so4.bch_so4(a, b, mode)
+                data, c1, c2 = algebra.coeffs_from_so4(r.result), r.coeffs1, r.coeffs2
             coefficients = {
-                "self_dual": dataclasses.asdict(r.coeffs1),
-                "anti_self_dual": dataclasses.asdict(r.coeffs2),
+                "self_dual": dataclasses.asdict(c1),
+                "anti_self_dual": dataclasses.asdict(c2),
             }
             out = _document("so4_coeffs", data, coefficients=coefficients)
     else:

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import coeffs_from_so4, is_special_unitary, pauli, tensor_product, _antisymmetric, _finite_floats
+from .algebra import coeffs_from_so4, pauli, tensor_product, _antisymmetric, _complex_2x2_rows, _finite_floats
+from .algebra import _special_unitary_rows
 from .errors import DomainError, InternalConsistencyError, ShapeError
 from .su2 import _quaternion_of
 
@@ -140,12 +141,14 @@ def su2su2_to_so4(u, v) -> np.ndarray:
 
     Both factors are read as unit quaternions and mapped through the fixed
     isoclinic table, so the result is real by construction.  Both inputs of
-    a pair ``(u, v)`` and ``(-u, -v)`` land on the same rotation.
+    a pair ``(u, v)`` and ``(-u, -v)`` land on the same rotation.  A factor
+    with a wrong shape or a NaN/Inf entry raises :class:`ShapeError`, and
+    one off SU(2) by more than 1e-10 :class:`DomainError`.
     """
-    factors = [np.asarray(m, dtype=complex) for m in (u, v)]
-    if not all(is_special_unitary(m) for m in factors):
+    factors = _complex_2x2_rows(u), _complex_2x2_rows(v)
+    if not all(map(_special_unitary_rows, factors)):
         raise DomainError("factors must be special unitary 2x2 matrices")
-    return _rotation_from_quaternions(*(_quaternion_of(m) for m in factors))
+    return _rotation_from_quaternions(*map(_quaternion_of, factors))
 
 
 def _as_4x4_complex(m) -> np.ndarray:
@@ -169,17 +172,37 @@ def _rotation_from_quaternions(p, q) -> np.ndarray:
     return (np.multiply.outer(p, q).ravel() @ _ISOCLINIC).reshape(4, 4)
 
 
-def _quaternions_from_rotation(o):
-    # the E_ij are orthogonal with squared norm 4, so p_i q_j = <E_ij, o> / 4;
-    # factor that through the column and row of its largest entry, q taking
-    # the entry's sign; (-p, -q) is the other lift, left to the caller
-    m = 0.25 * (_ISOCLINIC @ o.ravel()).reshape(4, 4)
-    i, j = divmod(int(np.argmax(np.abs(m))), 4)
-    p = m[:, j] / np.linalg.norm(m[:, j])
-    q = m[i, :] / math.copysign(np.linalg.norm(m[i, :]), m[i, j])
-    residue = float(np.linalg.norm(np.multiply.outer(p, q) - m))
+# row 4 i + j of _ISOCLINIC as its four nonzero positions in a flattened 4x4
+# and their signs over 4, so <E_ij, O> / 4 is a signed sum of four entries
+_ISOCLINIC_TERMS = [
+    tuple(k for k, e in enumerate(row) if e) + tuple(0.25 * e for e in row if e)
+    for row in _ISOCLINIC.tolist()
+]
+
+
+def _quaternions_from_rotation(rows):
+    # the E_ij are orthogonal with squared norm 4, so p_i q_j = <E_ij, O> / 4;
+    # factor that through the column and row of its largest entry (the first
+    # in row-major order on a tie), q taking the entry's sign; (-p, -q) is
+    # the other lift, left to the caller
+    o = [x for row in rows for x in row]
+    m = [
+        e0 * o[k0] + e1 * o[k1] + e2 * o[k2] + e3 * o[k3]
+        for k0, k1, k2, k3, e0, e1, e2, e3 in _ISOCLINIC_TERMS
+    ]
+    size = list(map(abs, m))
+    k = size.index(max(size))
+    i, j = divmod(k, 4)
+    col, row = m[j::4], m[4 * i : 4 * i + 4]
+    pn, qn = _norm4(*col), math.copysign(_norm4(*row), m[k])
+    p, q = [t / pn for t in col], [t / qn for t in row]
+    residue = math.dist([a * b for a in p for b in q], m)
     if residue > 1e-8:
         raise InternalConsistencyError(
             f"isoclinic factorization failed to reproduce the input, residue {residue:.3e}"
         )
-    return p.tolist(), q.tolist()
+    return p, q
+
+
+def _norm4(t0, t1, t2, t3):
+    return math.sqrt(t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3)

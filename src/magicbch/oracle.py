@@ -8,7 +8,10 @@ slower and only serve as independent ground truth in tests, benchmarks,
 and the ``--oracle`` flag of the command line.  Their budgets are fixed:
 a series stops at a term under 1e-16 in Frobenius norm or fails after 64
 terms, and the logarithm takes at most 32 square roots.  A NaN/Inf entry
-raises ``ShapeError``, and a norm that overflows a float ``DomainError``.
+raises ``ShapeError``, and a norm that overflows a float ``DomainError``, as
+does an exponential argument with Frobenius norm above 1e4: each squaring
+doubles the rounding error, and past that norm the result drifts off the
+group by more than the 1e-10 that the special-orthogonal gate allows.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ _MAX_TERMS = 64
 _MAX_SQRT_STEPS = 32
 _DB_MAX_ITER = 50
 _DB_TOL = 1e-15
+# Largest Frobenius norm mat_exp_taylor accepts: for a generator with one
+# entry 1e5 (1e8) the squared-up result is off orthogonality by 1.1e-10 (1.4e-7).
+_MAX_EXP_NORM = 1e4
 
 
 def mat_exp_taylor(m) -> np.ndarray:
@@ -39,11 +45,17 @@ def mat_exp_taylor(m) -> np.ndarray:
 
     The argument is halved until its Frobenius norm drops below 0.5, the
     series is summed until the term norm falls under 1e-16, and the
-    result is squared back up.
+    result is squared back up.  A Frobenius norm above 1e4 raises
+    :class:`~magicbch.errors.DomainError`.
     """
     m = _as_square(m)
     n = m.shape[0]
     norm = frobenius_norm(m)
+    if norm > _MAX_EXP_NORM:
+        raise DomainError(
+            f"Frobenius norm {norm:.3e} exceeds {_MAX_EXP_NORM:g}; squaring back up "
+            "would lose the group property"
+        )
     steps = 0
     if norm >= 0.5:
         steps = int(math.floor(math.log2(norm / 0.5))) + 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import So4Coeffs, is_special_orthogonal, _as_real_4x4, _finite_floats
+from .algebra import So4Coeffs, _finite_floats, _real_4x4_rows, _special_orthogonal_rows
 from .errors import AntipodalSingularityError, DomainError
 from .magic import _halves, _merged, _quaternions_from_rotation, _rotation_from_quaternions
 from .su2 import BchCoefficients, BranchMode, _compose, _quaternion, _quaternion_log
@@ -67,10 +67,10 @@ def so4_log(o) -> np.ndarray:
     antipode have no recoverable direction and raise
     :class:`~magicbch.errors.AntipodalSingularityError`.
     """
-    o = _as_real_4x4(o)
-    if not is_special_orthogonal(o):
+    rows = _real_4x4_rows(o)
+    if not _special_orthogonal_rows(rows):
         raise DomainError("input is not special orthogonal to tolerance")
-    p, q = _canonical_lift(*_quaternions_from_rotation(o))
+    p, q = _canonical_lift(*_quaternions_from_rotation(rows))
     z1 = _in_channel("self-dual", _quaternion_log, p)
     return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q))
 
@@ -98,6 +98,13 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     channel path to well below composite rounding error and is used as a
     cross-check of both.
     """
+    return _bch_entries(f, g, mode)[0]
+
+
+def _bch_entries(f, g, mode: BranchMode):
+    # the entries of bch_so4_entries with the BchCoefficients of both channels;
+    # the halves equal magic._halves bit for bit (negating a float is exact),
+    # so the coefficients are those bch_so4 reports
     f = So4Coeffs(*_finite_floats(f, 6))
     g = So4Coeffs(*_finite_floats(g, 6))
 
@@ -135,7 +142,7 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
         a1 * fp1 + b1 * gp1 - g1 * (fp2 * gp3 - fp3 * gp2)
         - a2 * fm1 - b2 * gm1 + g2 * (-fm2 * gm3 + fm3 * gm2)
     )
-    return So4Coeffs(e12, e13, e14, e23, e24, e34)
+    return So4Coeffs(e12, e13, e14, e23, e24, e34), c1, c2
 
 
 def _in_channel(channel, fn, *args):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_special_unitary, _finite_floats
+from .algebra import _complex_2x2_rows, _finite_floats, _special_unitary_rows
 from .errors import AntipodalSingularityError, DomainError, ShapeError
 
 __all__ = [
@@ -100,13 +100,14 @@ def su2_log(u) -> np.ndarray:
     the domain.  Within ``1e-8`` of -I in Frobenius norm the direction has
     lost half its significant digits and an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised instead.
+    A wrong shape or a NaN/Inf entry raises
+    :class:`~magicbch.errors.ShapeError`, and a matrix off SU(2) by more
+    than 1e-10 :class:`~magicbch.errors.DomainError`.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_special_unitary(u):
+    rows = _complex_2x2_rows(u)
+    if not _special_unitary_rows(rows):
         raise DomainError("input is not special unitary to tolerance")
-    return np.array(_quaternion_log(_quaternion_of(u)))
+    return np.array(_quaternion_log(_quaternion_of(rows)))
 
 
 def _quaternion(v):
@@ -125,10 +126,10 @@ def _norm(v1: float, v2: float, v3: float) -> float:
     return r
 
 
-def _quaternion_of(u):
-    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]; each component is
-    # read from both entries that carry it
-    (a, b), (c, d) = u.tolist()
+def _quaternion_of(rows):
+    # rows of u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]; each
+    # component is read from both entries that carry it
+    (a, b), (c, d) = rows
     return tuple(0.5 * t for t in (a.real + d.real, b.imag + c.imag, b.real - c.real, a.imag - d.imag))
 
 

@@ -209,6 +209,36 @@ def test_overflowing_documents_exit_3(tmp_path, capsys, command):
     assert "overflows" in err
 
 
+def test_exp_oracle_refuses_a_generator_past_its_norm_bound(tmp_path, capsys):
+    # Frobenius norm 1.4e5: the series oracle would print a non-rotation
+    p = write_doc(tmp_path / "c.json", so4_coeffs_doc([1e5, 0.3, -0.7, 0.5, 0.2, -0.4]))
+    code, out, err = run_cli(capsys, "exp", "--oracle", p)
+    assert (code, out) == (3, "")
+    assert "exceeds" in err
+
+
+def test_bch_entries_path_output_bytes(tmp_path, capsys):
+    # the route composes once; its coefficients block is the one bch_so4
+    # reports, so the bytes are those of the route that composed twice
+    rng = np.random.default_rng(72)
+    f, g = rng.uniform(-1.5, 1.5, 6).tolist(), rng.uniform(-1.5, 1.5, 6).tolist()
+    r = bch_so4(so4_from_coeffs(f), so4_from_coeffs(g))
+    expected = {
+        "kind": "so4_coeffs",
+        "data": [float(t) for t in bch_so4_entries(f, g)],
+        "coefficients": {
+            "self_dual": dataclasses.asdict(r.coeffs1),
+            "anti_self_dual": dataclasses.asdict(r.coeffs2),
+        },
+        "mode": "corrected",
+    }
+    pf = write_doc(tmp_path / "f.json", so4_coeffs_doc(f))
+    pg = write_doc(tmp_path / "g.json", so4_coeffs_doc(g))
+    code, out, err = run_cli(capsys, "bch", pf, pg, "--entries-path")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_emitted_documents_reparse(tmp_path, capsys):
     from magicbch.cli import validate_document
 

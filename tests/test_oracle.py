@@ -48,6 +48,31 @@ def test_exp_handles_large_norms():
     np.testing.assert_allclose(mat_exp_taylor(a), planar_rotation(theta), atol=1e-13)
 
 
+def test_exp_refuses_norms_past_its_bound():
+    # one entry 1e5, the rest O(1): squaring back up would leave the group
+    a = so4_from_coeffs([1e5, 0.3, -0.7, 0.5, 0.2, -0.4])
+    with pytest.raises(DomainError):
+        mat_exp_taylor(a)
+    with pytest.raises(DomainError):
+        mat_exp_taylor(1e5 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def test_exp_stays_orthogonal_up_to_its_bound():
+    # one entry near 1e4 with Frobenius norm just under it, then random
+    # generators scaled to norm 1e4 itself
+    a = so4_from_coeffs([7071.0, 0.3, -0.7, 0.5, 0.2, -0.4])
+    assert 9999.0 < frobenius_norm(a) <= 1e4
+    generators = [a]
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        g = so4_from_coeffs(rng.uniform(-1.0, 1.0, size=6))
+        generators.append(g * (1e4 / frobenius_norm(g) * (1.0 - 1e-15)))
+    for g in generators:
+        assert frobenius_norm(g) <= 1e4
+        r = mat_exp_taylor(g)
+        assert frobenius_norm(r.T @ r - np.eye(4)) < 1e-10
+
+
 def test_exp_additivity_on_commuting_inputs():
     rng = np.random.default_rng(21)
     for _ in range(100):

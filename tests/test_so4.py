@@ -26,6 +26,7 @@ from magicbch import (
     to_orthogonal_frame,
 )
 from magicbch.magic import SplitPair
+from magicbch.so4 import _bch_entries
 
 
 def planar_rotation(theta):
@@ -243,6 +244,19 @@ def test_entries_agree_with_channel_path():
         )
         worst = max(worst, float(np.abs(via_entries - via_channels).max()))
     assert worst < 1e-13
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_entries_coefficients_are_the_channel_coefficients(mode):
+    # the entry formulas' halves equal magic._halves bit for bit, so the
+    # coefficients they return equal the ones bch_so4 reports
+    rng = np.random.default_rng(61)
+    for _ in range(500):
+        cf, cg = rng.uniform(-1.0, 1.0, size=6), rng.uniform(-1.0, 1.0, size=6)
+        r = bch_so4(so4_from_coeffs(cf), so4_from_coeffs(cg), mode)
+        entries, c1, c2 = _bch_entries(cf, cg, mode)
+        assert (c1, c2) == (r.coeffs1, r.coeffs2)
+        assert entries == bch_so4_entries(cf, cg, mode)
 
 
 def test_order3_consistency_slope():

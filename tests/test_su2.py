@@ -25,6 +25,7 @@ from magicbch import (
     split,
     su2_exp,
     su2_log,
+    su2su2_to_so4,
     vec_from_hermitian,
 )
 from magicbch import su2
@@ -316,6 +317,8 @@ def test_non_finite_entries_rejected(bad):
     a[0, 2], a[2, 0] = bad, -bad
     o = np.eye(4)
     o[2, 1] = bad
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
     for call in (
         lambda: so4_from_coeffs(c),
         lambda: bch_so4_entries(np.zeros(6), c),
@@ -327,9 +330,22 @@ def test_non_finite_entries_rejected(bad):
         lambda: split(a),
         lambda: bch_so4(so4_from_coeffs(np.zeros(6)), a),
         lambda: so4_log(o),
+        lambda: su2_log(u),
+        lambda: su2su2_to_so4(u, np.eye(2)),
+        lambda: su2su2_to_so4(np.eye(2), u),
         lambda: mat_exp_taylor(o),
         lambda: mat_log_near_identity(o),
         lambda: bch_trunc3(np.eye(4), o),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+
+
+def test_misshapen_2x2_inputs_rejected():
+    for call in (
+        lambda: su2_log(np.eye(3)),
+        lambda: su2su2_to_so4(np.eye(3), np.eye(2)),
+        lambda: su2su2_to_so4(np.eye(2), np.eye(3)),
     ):
         with pytest.raises(ShapeError):
             call()
