@@ -12,11 +12,13 @@ Everything in this package is expressed through a small set of carriers:
 The two-qubit basis order is |00>, |01>, |10>, |11> throughout.  The error
 metric used by every module is the Frobenius norm.
 
-A matrix argument is read once: ``np.asarray``, a shape check, then
-``.tolist()`` into rows of Python floats (complex numbers for a 2x2), which
-must all be finite.  The antisymmetry, special-orthogonal and
-special-unitary gates then run on those rows in scalar arithmetic; they form
-the quantities a NumPy evaluation would, ``max |m_ij + m_ji|``,
+Every argument is read once: ``np.asarray``, a cast to float64 (complex128
+for a 2x2), a shape check, then ``.tolist()`` into Python numbers, which
+must all be finite.  Complex entries where reals are due, strings, ragged
+nesting and ints past the float range raise :class:`ShapeError`.  The
+antisymmetry, special-orthogonal and special-unitary gates then run on those
+rows in scalar arithmetic; they form the quantities a NumPy evaluation
+would, ``max |m_ij + m_ji|``,
 ``||M^T M - I||_F`` with ``det M`` by the Laplace expansion in 2x2 minors,
 and ``||U^H U - I||_F`` with ``det U``, against the same tolerances
 (1e-10 for the group gates).
@@ -88,11 +90,7 @@ def tensor_product(a, b) -> np.ndarray:
     Block (i, j) of the result is ``a[i, j] * b``, which places the first
     factor on the first qubit under the |00>, |01>, |10>, |11> ordering.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ShapeError(f"expected two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
+    return np.kron(np.array(_complex_2x2_rows(a)), np.array(_complex_2x2_rows(b)))
 
 
 def hermitian_from_vec(v) -> np.ndarray:
@@ -113,16 +111,8 @@ def vec_from_hermitian(m) -> np.ndarray:
     Only the Hermitian traceless projection of ``m`` is inspected, so tiny
     numerical residue on the input is harmless.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return np.array(
-        [
-            m[1, 0].real,
-            m[1, 0].imag,
-            0.5 * (m[0, 0].real - m[1, 1].real),
-        ]
-    )
+    (a, _), (c, d) = _complex_2x2_rows(m)
+    return np.array([c.real, c.imag, 0.5 * (a.real - d.real)])
 
 
 def so4_from_coeffs(c) -> np.ndarray:
@@ -179,8 +169,26 @@ def is_special_unitary(u) -> bool:
         return False
 
 
+_REAL = np.dtype(float)
+_COMPLEX = np.dtype(complex)
+
+
+def _array(m, dtype: np.dtype) -> np.ndarray:
+    # m cast to _REAL or _COMPLEX from bool, int, float (or complex) entries;
+    # anything else is a ShapeError, never a cast that drops an imaginary part
+    try:
+        a = np.asarray(m)
+        if a.dtype is dtype:
+            return a
+        if a.dtype.kind in ("biufcO" if dtype is _COMPLEX else "biufO"):
+            return a.astype(dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"expected an array of numbers: {exc}") from None
+    raise ShapeError(f"expected entries that cast to {dtype}, got {a.dtype}")
+
+
 def _finite_floats(v, n: int) -> list[float]:
-    v = np.asarray(v, dtype=float)
+    v = _array(v, _REAL)
     if v.shape != (n,):
         raise ShapeError(f"expected a real {n}-vector, got shape {v.shape}")
     # math.isfinite on the Python floats costs a fifth of np.isfinite(v).all()
@@ -192,12 +200,10 @@ def _finite_floats(v, n: int) -> list[float]:
 
 def _real_4x4_rows(m) -> list[list[float]]:
     # read a real 4x4 matrix once, as four rows of finite Python floats
-    m = np.asarray(m)
-    if m.dtype.kind == "c":
-        raise ShapeError("expected a real 4x4 matrix, got complex entries")
+    m = _array(m, _REAL)
     if m.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
-    rows = m.astype(float, copy=False).tolist()
+    rows = m.tolist()
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise ShapeError(f"expected finite entries, got {rows!r}")
     return rows
@@ -205,7 +211,7 @@ def _real_4x4_rows(m) -> list[list[float]]:
 
 def _complex_2x2_rows(u) -> list[list[complex]]:
     # read a 2x2 matrix once, as two rows of finite Python complex numbers
-    u = np.asarray(u, dtype=complex)
+    u = _array(u, _COMPLEX)
     if u.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
     rows = u.tolist()

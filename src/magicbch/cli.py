@@ -177,7 +177,8 @@ def _cmd_bch(args) -> int:
         if args.entries_path:
             raise ShapeError("--entries-path applies only to so4 inputs")
         if args.oracle:
-            ell = oracle.mat_log_near_identity(su2.su2_exp(a) @ su2.su2_exp(b))
+            ea, eb = (oracle.mat_exp_taylor(1j * algebra.hermitian_from_vec(v)) for v in (a, b))
+            ell = oracle.mat_log_near_identity(ea @ eb)
             out = _document("su2_vec", algebra.vec_from_hermitian(ell / 1j))
         else:
             co, z = su2._compose(a.tolist(), b.tolist(), mode)
@@ -185,7 +186,7 @@ def _cmd_bch(args) -> int:
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
         a, b = _generator(ka, a), _generator(kb, b)
         if args.oracle:
-            ell = oracle.mat_log_near_identity(so4.so4_exp(a) @ so4.so4_exp(b))
+            ell = oracle.mat_log_near_identity(oracle.mat_exp_taylor(a) @ oracle.mat_exp_taylor(b))
             out = _document("so4_coeffs", algebra.coeffs_from_so4(0.5 * (ell - ell.T)))
         else:
             if args.entries_path:
@@ -396,12 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     _add_mode_flag(p)
-    p.add_argument(
+    route = p.add_mutually_exclusive_group()
+    route.add_argument(
         "--entries-path",
         action="store_true",
         help="evaluate through the expanded entry formulas (so4 inputs only)",
     )
-    p.add_argument("--oracle", action="store_true", help="use the series oracle instead")
+    route.add_argument("--oracle", action="store_true", help="use the series oracle instead")
     _add_output_flag(p)
     p.set_defaults(func=_cmd_bch)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import coeffs_from_so4, pauli, tensor_product, _antisymmetric, _complex_2x2_rows, _finite_floats
-from .algebra import _special_unitary_rows
+from .algebra import _COMPLEX, _array, _special_unitary_rows
 from .errors import DomainError, InternalConsistencyError, ShapeError
 from .su2 import _quaternion_of
 
@@ -152,9 +152,11 @@ def su2su2_to_so4(u, v) -> np.ndarray:
 
 
 def _as_4x4_complex(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = _array(m, _COMPLEX)
     if m.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ShapeError(f"expected finite entries, got {m.tolist()!r}")
     return m
 
 
@@ -183,8 +185,12 @@ _ISOCLINIC_TERMS = [
 def _quaternions_from_rotation(rows):
     # the E_ij are orthogonal with squared norm 4, so p_i q_j = <E_ij, O> / 4;
     # factor that through the column and row of its largest entry (the first
-    # in row-major order on a tie), q taking the entry's sign; (-p, -q) is
-    # the other lift, left to the caller
+    # in row-major order on a tie), q taking the entry's sign.  Of the lifts
+    # (p, q), (-p, -q) return the one whose self-dual factor u = [[p0 + i p3,
+    # p2 + i p1], [-p2 + i p1, p0 - i p3]] has real trace 2 p0 >= 0; where
+    # |2 p0| <= 1e-12 the first entry of u past 1e-12, p0 + i p3 or else
+    # p2 + i p1 (p is a unit), decides by its real part, or by its imaginary
+    # part where the real part is rounding noise
     o = [x for row in rows for x in row]
     m = [
         e0 * o[k0] + e1 * o[k1] + e2 * o[k2] + e3 * o[k3]
@@ -195,7 +201,16 @@ def _quaternions_from_rotation(rows):
     i, j = divmod(k, 4)
     col, row = m[j::4], m[4 * i : 4 * i + 4]
     pn, qn = _norm4(*col), math.copysign(_norm4(*row), m[k])
-    p, q = [t / pn for t in col], [t / qn for t in row]
+    p0, p1, p2, p3 = p = [t / pn for t in col]
+    if abs(2.0 * p0) > 1e-12:
+        flip = p0 < 0.0
+    elif math.hypot(p0, p3) > 1e-12:
+        flip = p3 < 0.0
+    else:
+        flip = (p2 if abs(p2) > 1e-12 else p1) < 0.0
+    if flip:
+        p, qn = [-t for t in p], -qn
+    q = [t / qn for t in row]
     residue = math.dist([a * b for a in p for b in q], m)
     if residue > 1e-8:
         raise InternalConsistencyError(

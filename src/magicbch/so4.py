@@ -12,7 +12,6 @@ and a direct transcription of the six expanded matrix entries
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,16 +62,16 @@ def so4_log(o) -> np.ndarray:
     tensor factors, the sign ambiguity of the factorization is resolved by
     a fixed lift rule (non-negative real trace, falling back to the first
     structurally nonzero entry of the first factor), and each factor is
-    logged on the principal branch.  Rotations with a factor at the
-    antipode have no recoverable direction and raise
-    :class:`~magicbch.errors.AntipodalSingularityError`.
+    logged on the principal branch.  A factor at the antipode has no
+    recoverable direction: once its theta comes within ``1e-8`` of pi an
+    :class:`~magicbch.errors.AntipodalSingularityError` is raised.
     """
     rows = _real_4x4_rows(o)
     if not _special_orthogonal_rows(rows):
         raise DomainError("input is not special orthogonal to tolerance")
-    p, q = _canonical_lift(*_quaternions_from_rotation(rows))
-    z1 = _in_channel("self-dual", _quaternion_log, p)
-    return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q))
+    p, q = _quaternions_from_rotation(rows)
+    z1 = _in_channel("self-dual", _quaternion_log, p)[0]
+    return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q)[0])
 
 
 def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResult:
@@ -151,20 +150,3 @@ def _in_channel(channel, fn, *args):
         return fn(*args)
     except AntipodalSingularityError as exc:
         raise AntipodalSingularityError(f"{channel} channel: {exc}") from exc
-
-
-def _canonical_lift(p, q):
-    # of the two lifts (p, q) and (-p, -q), pick the one whose self-dual
-    # factor u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has
-    # non-negative real trace 2 p0; on a traceless factor fall back to the
-    # first entry of u, in row-major order, whose magnitude exceeds 1e-12 (p
-    # is a unit quaternion, so one does): the sign of its real part decides,
-    # or of its imaginary part where the real part is rounding noise
-    p0, p1, p2, p3 = p
-    if abs(2.0 * p0) > 1e-12:
-        flip = p0 < 0.0
-    else:
-        entries = ((p0, p3), (p2, p1), (-p2, p1), (p0, -p3))
-        re, im = next(e for e in entries if math.hypot(*e) > 1e-12)
-        flip = (re if abs(re) > 1e-12 else im) < 0.0
-    return ([-t for t in p], [-t for t in q]) if flip else (p, q)

@@ -30,9 +30,10 @@ angles back into the principal branch.
 ``BRANCH_CORRECTED`` uses ``theta/rho`` with theta recovered from both
 ``sin(theta)`` and ``cos(theta)``, extending validity to theta < pi.  The
 branch point theta = pi itself is a genuine singularity: the combined
-rotation is a numerical -I and its axis is not recoverable.  Each ratio,
-``sin(t)/t``, the log's ``atan2(s, t)/s`` and the prefactor, is one plain
-quotient at every argument size; only a zero denominator takes the limit 1.
+rotation is a numerical -I and its axis is not recoverable.  The prefactor
+is the ratio ``angle/rho`` of the one principal log that every composition
+and logarithm ends in; it and ``sin(t)/t`` are plain quotients at every
+argument size, and only a zero denominator takes the limit 1.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def su2_log(u) -> np.ndarray:
 
     The rotation angle is recovered from ``atan2`` of the anti-Hermitian part
     norm against the half-trace, which stays well conditioned at both ends of
-    the domain.  Within ``1e-8`` of -I in Frobenius norm the direction has
+    the domain.  Once theta comes within ``1e-8`` of pi the direction has
     lost half its significant digits and an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised instead.
     A wrong shape or a NaN/Inf entry raises
@@ -107,7 +108,7 @@ def su2_log(u) -> np.ndarray:
     rows = _complex_2x2_rows(u)
     if not _special_unitary_rows(rows):
         raise DomainError("input is not special unitary to tolerance")
-    return np.array(_quaternion_log(_quaternion_of(rows)))
+    return np.array(_quaternion_log(_quaternion_of(rows))[0])
 
 
 def _quaternion(v):
@@ -133,14 +134,18 @@ def _quaternion_of(rows):
     return tuple(0.5 * t for t in (a.real + d.real, b.imag + c.imag, b.real - c.real, a.imag - d.imag))
 
 
-def _quaternion_log(p):
-    # principal log of the unit quaternion p; ||u + I|| = sqrt(2) |p + (1, 0, 0, 0)|
-    t, w1, w2, w3 = p
-    s = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
-    if math.sqrt(2.0 * ((t + 1.0) ** 2 + s * s)) < _ANTIPODAL_TOL:
-        raise AntipodalSingularityError("matrix is numerically -I; the log direction is undefined")
-    k = math.atan2(s, t) / s if s else 1.0
-    return w1 * k, w2 * k, w3 * k
+def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED):
+    # principal log z = k w of the unit quaternion p = (c, w), with k, rho = |w|
+    # and theta = atan2(rho, c).  Paper mode's asin(rho) folds theta > pi/2
+    # back; atan2(rho, |c|) is that angle without the arcsine's infinite slope
+    c, w1, w2, w3 = p
+    rho = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    theta = math.atan2(rho, c)
+    if theta > math.pi - _ANTIPODAL_TOL:
+        raise AntipodalSingularityError("rotation is numerically antipodal; no log direction")
+    angle = math.atan2(rho, abs(c)) if mode is BranchMode.PAPER_FAITHFUL else theta
+    k = angle / rho if rho else 1.0
+    return (k * w1, k * w2, k * w3), k, rho, theta
 
 
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:
@@ -165,8 +170,8 @@ def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
 
 def _compose(x, y, mode: BranchMode):
     # exp(x) exp(y) of two float triples as the quaternion product (c, w) in
-    # scalars, then z = prefactor * w; np.cross and np.linalg.norm cost more
-    # than the rest of the composition on 3-vectors
+    # scalars, then its log (a, b, g are alpha, beta, gamma before the ratio
+    # k); np.cross and np.linalg.norm cost more than the rest on 3-vectors
     if not isinstance(mode, BranchMode):
         raise ShapeError(f"mode must be a BranchMode, got {mode!r}")
     x1, x2, x3 = x
@@ -181,19 +186,5 @@ def _compose(x, y, mode: BranchMode):
     w1 = a * x1 + b * y1 - g * (x2 * y3 - x3 * y2)
     w2 = a * x2 + b * y2 - g * (x3 * y1 - x1 * y3)
     w3 = a * x3 + b * y3 - g * (x1 * y2 - x2 * y1)
-    rho = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
-    theta = math.atan2(rho, c)
-    if theta > math.pi - _ANTIPODAL_TOL:
-        raise AntipodalSingularityError(
-            "combined rotation is numerically antipodal; no branch assigns it a direction"
-        )
-
-    # paper mode's asin(rho) folds theta > pi/2 back; atan2(rho, |c|) is the same
-    # angle without the arcsine's infinite slope at 1; rho == 0 means w == 0
-    angle = math.atan2(rho, abs(c)) if mode is BranchMode.PAPER_FAITHFUL else theta
-    prefactor = angle / rho if rho else 1.0
-
-    co = BchCoefficients(
-        alpha=prefactor * a, beta=prefactor * b, gamma=prefactor * g, rho=rho, theta=theta
-    )
-    return co, (prefactor * w1, prefactor * w2, prefactor * w3)
+    z, k, rho, theta = _quaternion_log((c, w1, w2, w3), mode)
+    return BchCoefficients(alpha=k * a, beta=k * b, gamma=k * g, rho=rho, theta=theta), z

@@ -383,6 +383,114 @@ def test_log_of_non_orthogonal_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def seeded_route_docs(tmp_path, route, seed):
+    # the input documents of one CLI route, from a seeded stream kept well
+    # inside the principal domain, so the series oracle converges
+    rng = np.random.default_rng([73, seed])
+    x, y = rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.6, 0.6, 3)
+    f, g = rng.uniform(-0.4, 0.4, 6), rng.uniform(-0.4, 0.4, 6)
+    u, o = su2_exp(x), so4_exp(so4_from_coeffs(f))
+    docs = {
+        "exp_su2": [su2_vec_doc(x)],
+        "exp_so4": [so4_coeffs_doc(f)],
+        "log_su2": [{"kind": "su2_matrix", "data": np.stack([u.real, u.imag], -1).tolist()}],
+        "log_so4": [{"kind": "so4_matrix", "data": o.tolist(), "orthogonal": True}],
+        "bch_su2": [su2_vec_doc(x), su2_vec_doc(y)],
+        "bch_so4": [so4_coeffs_doc(f), so4_coeffs_doc(g)],
+    }[route]
+    return [write_doc(tmp_path / f"{route}{k}.json", d) for k, d in enumerate(docs)]
+
+
+ROUTES = ["exp_su2", "exp_so4", "log_su2", "log_so4", "bch_su2", "bch_so4"]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_oracle_routes_agree_with_closed_routes(tmp_path, capsys, route):
+    for seed in range(5):
+        paths = seeded_route_docs(tmp_path, route, seed)
+        command = route.split("_")[0]
+        code, closed, _ = run_cli(capsys, command, *paths)
+        assert code == 0
+        code, series, err = run_cli(capsys, command, *paths, "--oracle")
+        assert (code, err) == (0, "")
+        a = np.asarray(read_json(closed)["data"])
+        b = np.asarray(read_json(series)["data"])
+        assert float(np.abs(a - b).max()) < 1e-12, (route, seed)
+
+
+def test_bch_oracle_does_not_call_the_closed_forms(tmp_path, capsys, monkeypatch):
+    # the series route must stand on its own: the closed exponentials and
+    # compositions are disabled while it runs
+    from magicbch import cli
+
+    def closed(*args, **kwargs):
+        raise AssertionError("closed form called on the oracle route")
+
+    for route in ("bch_su2", "bch_so4"):
+        paths = seeded_route_docs(tmp_path, route, 0)
+        for name in ("su2_exp", "_compose"):
+            monkeypatch.setattr(cli.su2, name, closed)
+        for name in ("so4_exp", "bch_so4"):
+            monkeypatch.setattr(cli.so4, name, closed)
+        code, _, err = run_cli(capsys, "bch", *paths, "--oracle")
+        assert (code, err) == (0, ""), route
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+@pytest.mark.parametrize("kind", ["su2_matrix", "so4_matrix"])
+def test_log_of_a_non_group_element_exits_3(tmp_path, capsys, kind, oracle):
+    doc = {"kind": "su2_matrix", "data": [[[1.1, 0], [0, 0]], [[0, 0], [1.1, 0]]]}
+    if kind == "so4_matrix":
+        doc = {"kind": "so4_matrix", "data": (1.1 * np.eye(4)).tolist(), "orthogonal": True}
+    code, out, err = run_cli(capsys, "log", write_doc(tmp_path / "m.json", doc), *oracle)
+    assert (code, out) == (3, "")
+    assert "tolerance" in err
+
+
+MALFORMED = {
+    "list_document": (["exp", "list"], "JSON object"),
+    "inf_literal": (["exp", "inf"], "non-finite"),
+    "exp_of_a_matrix": (["exp", "u"], "exp expects"),
+    "log_of_a_vector": (["log", "x"], "log expects"),
+    "log_of_a_generator": (["log", "f"], "log expects"),
+    "split_of_a_vector": (["split", "x"], "split expects"),
+    "merge_list_document": (["merge", "list"], "pair document"),
+    "merge_half_missing": (["merge", "half"], "pair document"),
+    "merge_pair_of_wrong_kind": (["merge", "wrong_pair"], "expected a su2_vec"),
+    "merge_vector_and_generator": (["merge", "x", "f"], "su2_vec documents"),
+    "merge_three_inputs": (["merge", "x", "x", "x"], "one pair document or two"),
+    "bch_oracle_entries_su2": (["bch", "x", "x", "--oracle", "--entries-path"], "not allowed"),
+    "bch_oracle_entries_so4": (["bch", "f", "f", "--oracle", "--entries-path"], "not allowed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    command, message = MALFORMED[case]
+    x, f = su2_vec_doc([0.1, 0.2, 0.3]), so4_coeffs_doc([0.1, 0, 0, 0, 0, 0.2])
+    docs = {
+        "list": [1.0, 2.0, 3.0],
+        "u": {"kind": "su2_matrix", "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "x": x,
+        "f": f,
+        "half": {"self_dual": x},
+        "wrong_pair": {"self_dual": x, "anti_self_dual": f},
+    }
+    paths = {key: write_doc(tmp_path / f"{key}.json", doc) for key, doc in docs.items()}
+    # json parses the literal 1e400 to inf, which no document may carry
+    paths["inf"] = str(tmp_path / "inf.json")
+    (tmp_path / "inf.json").write_text('{"kind": "su2_vec", "data": [1e400, 0, 0]}')
+    args = [paths.get(arg, arg) for arg in command]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects conflicting flags itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_verify_zero_bound(tmp_path, capsys):
     # degenerate sweep: identity rotations only, error is pure roundoff
     code, out, _ = run_cli(capsys, "verify", "--trials", "1", "--seed", "5", "--bound", "0")

@@ -14,7 +14,9 @@ import pytest
 
 from magicbch import (
     bch_so4,
+    SplitPair,
     coeffs_from_so4,
+    merge,
     so4_exp,
     so4_from_coeffs,
     so4_log,
@@ -23,8 +25,8 @@ from magicbch import (
     su2_log,
 )
 from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
-from magicbch.magic import _ISOCLINIC, _merged, _rotation_from_quaternions
-from magicbch.so4 import _canonical_lift
+from magicbch.magic import _ISOCLINIC, _merged, _quaternions_from_rotation
+from magicbch.magic import _rotation_from_quaternions
 from magicbch.su2 import BranchMode, _compose, _quaternion, _quaternion_log
 
 SAMPLES = 2000
@@ -119,6 +121,30 @@ def test_gates_reject_wrong_shapes():
     assert not is_antisymmetric(np.zeros((3, 3)))
     # a generator is a real matrix: complex entries fail as in coeffs_from_so4
     assert not is_antisymmetric(np.zeros((4, 4), dtype=complex))
+    # ragged nesting is no matrix at all, and fails rather than raising
+    for ragged in ([[1, 0], [0]], [[1, 0, 0, 0]] * 3 + [[0]]):
+        assert not is_special_unitary(ragged)
+        assert not is_special_orthogonal(ragged)
+        assert not is_antisymmetric(ragged)
+
+
+def canonical_lift(p, q):
+    # the lift rule as a separate step over the entries of the self-dual
+    # factor, the reference for the rule folded into the factorization: of
+    # the two lifts (p, q) and (-p, -q), pick the one whose self-dual factor
+    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has non-negative
+    # real trace 2 p0; on a traceless factor fall back to the first entry of
+    # u, in row-major order, whose magnitude exceeds 1e-12 (p is a unit
+    # quaternion, so one does): the sign of its real part decides, or of its
+    # imaginary part where the real part is rounding noise
+    p0, p1, p2, p3 = p
+    if abs(2.0 * p0) > 1e-12:
+        flip = p0 < 0.0
+    else:
+        entries = ((p0, p3), (p2, p1), (-p2, p1), (p0, -p3))
+        re, im = next(e for e in entries if math.hypot(*e) > 1e-12)
+        flip = (re if abs(re) > 1e-12 else im) < 0.0
+    return ([-t for t in p], [-t for t in q]) if flip else (p, q)
 
 
 def numpy_so4_log(o):
@@ -127,8 +153,8 @@ def numpy_so4_log(o):
     i, j = divmod(int(np.argmax(np.abs(m))), 4)
     p = m[:, j] / np.linalg.norm(m[:, j])
     q = m[i, :] / math.copysign(np.linalg.norm(m[i, :]), m[i, j])
-    p, q = _canonical_lift(p.tolist(), q.tolist())
-    return _merged(_quaternion_log(p), _quaternion_log(q))
+    p, q = canonical_lift(p.tolist(), q.tolist())
+    return _merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
 
 
 def test_so4_log_matches_numpy_factorization():
@@ -183,4 +209,72 @@ def test_readers_deliver_numpy_floats_bit_for_bit():
             0.5 * (u[0, 1].real - u[1, 0].real),
             0.5 * (u[0, 0].imag - u[1, 1].imag),
         )
-        assert su2_log(u).tobytes() == np.array(_quaternion_log(p)).tobytes()
+        assert su2_log(u).tobytes() == np.array(_quaternion_log(p)[0]).tobytes()
+
+
+def lift_branch(p):
+    # which test of the lift rule decides on the self-dual factor p
+    p0, p1, p2, p3 = p
+    if abs(2.0 * p0) > 1e-12:
+        return "trace"
+    if math.hypot(p0, p3) > 1e-12:
+        return "p3"
+    return "p2" if abs(p2) > 1e-12 else "p1"
+
+
+def traceless_rotations(rng, n):
+    # rotations whose self-dual factor is traceless along each axis with
+    # either sign; the deciding components sit within a few ulps of the
+    # rotation entries (1e-16) of the 1e-12 thresholds, on both sides once
+    # the factorization has rounded them.  Every fifth one is a power of a
+    # rotation through a quarter turn on the axis, whose components off the
+    # axis are rounding noise.
+    for i in range(n):
+        axis, sign = i % 3, (-1.0, 1.0)[(i // 3) % 2]
+        kind = (i // 6) % 5
+        if kind == 4:
+            z1 = np.zeros(3)
+            z1[axis] = sign * math.pi / 2
+            k = (2, 3, 5, 7)[(i // 30) % 4]
+            a = merge(SplitPair(z1, rng.uniform(-1.0, 1.0, size=3)))
+            yield np.linalg.matrix_power(so4_exp(a / k), k)
+            continue
+        near = rng.choice([-1.0, 1.0]) * rng.uniform(-4e-16, 4e-16)
+        p = np.zeros(4)
+        p[1 + axis] = sign
+        if kind == 0:
+            p[0] = rng.choice([-1.0, 1.0]) * (5e-13 + near)
+        elif kind == 1:
+            p[0] = rng.uniform(-4e-13, 4e-13)
+            if axis != 2:
+                p[3] = rng.choice([-1.0, 1.0]) * (math.sqrt(1e-24 - p[0] ** 2) + near)
+        elif kind == 2:
+            p[0] = rng.uniform(-3e-13, 3e-13)
+            if axis != 2:
+                p[3] = rng.uniform(-3e-13, 3e-13)
+            if axis != 1:
+                p[2] = rng.choice([-1.0, 1.0]) * (1e-12 + near)
+        else:
+            p[0] = rng.uniform(-5e-13, 5e-13)
+        q = rng.normal(size=4)
+        yield _rotation_from_quaternions(p / np.linalg.norm(p), q / np.linalg.norm(q))
+
+
+def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
+    # the separate rule picks the same pair from either lift (every test it
+    # makes is of a magnitude or of a nonzero sign), so a factorization
+    # that returns one of the two lifts, negated exactly or not, makes the
+    # separate rule's choice when that rule leaves its pair unchanged
+    rng = np.random.default_rng(307)
+    branches = {}
+    for o in traceless_rotations(rng, 2400):
+        p, q = _quaternions_from_rotation(o.tolist())
+        for lift in ((p, q), ([-t for t in p], [-t for t in q])):
+            lp, lq = canonical_lift(*lift)
+            assert np.array(lp + lq).tobytes() == np.array(p + q).tobytes(), o.tolist()
+        expected = _merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
+        assert so4_log(o).tobytes() == expected.tobytes()
+        branches[lift_branch(p)] = branches.get(lift_branch(p), 0) + 1
+    # each test of the rule decides a share of the samples
+    assert set(branches) == {"trace", "p3", "p2", "p1"}
+    assert min(branches.values()) >= 100, branches

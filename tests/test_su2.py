@@ -13,6 +13,7 @@ from magicbch import (
     bch_so4_entries,
     bch_su2,
     bch_trunc3,
+    coeffs_from_so4,
     frobenius_norm,
     hermitian_from_vec,
     mat_exp_taylor,
@@ -26,9 +27,13 @@ from magicbch import (
     su2_exp,
     su2_log,
     su2su2_to_so4,
+    tensor_product,
+    to_orthogonal_frame,
+    to_tensor_frame,
     vec_from_hermitian,
 )
 from magicbch import su2
+from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
 from magicbch.magic import SplitPair
 
 
@@ -239,6 +244,37 @@ def test_antipodal_composition_raises_in_both_modes():
             bch_su2(x, x, mode)
 
 
+@pytest.mark.parametrize("distance", [1.01e-8, 0.99e-8, 8e-9])
+def test_logs_and_compositions_refuse_alike_at_the_cut(distance):
+    # one test, on theta, for every log: at pi - theta = distance a
+    # composition, su2_log and so4_log all return or all refuse, as theta
+    # comes within 1e-8 of pi; 8e-9 lies in the band that a Frobenius test
+    # ||u + I|| < 1e-8 on the logs used to accept
+    rng = np.random.default_rng([46, round(distance * 1e11)])
+    refused = distance < 1e-8
+    for _ in range(50):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        x = (math.pi - distance) * n
+        s = rng.uniform(0.2, 0.8)
+        # a self-dual half within pi/2 keeps the lift, and one past pi/2
+        # flips it, taking an anti-self-dual angle distance to pi - distance
+        kept, flipped = rng.uniform(-0.5, 0.5, size=3), 2.5 * n[::-1]
+        calls = [
+            lambda: bch_su2(s * x, (1.0 - s) * x),
+            lambda: bch_coefficients(s * x, (1.0 - s) * x, BranchMode.PAPER_FAITHFUL),
+            lambda: su2_log(su2_exp(x)),
+            lambda: so4_log(so4_exp(merge(SplitPair(kept, x)))),
+            lambda: so4_log(so4_exp(merge(SplitPair(flipped, distance * n)))),
+        ]
+        for call in calls:
+            if refused:
+                with pytest.raises(AntipodalSingularityError):
+                    call()
+            else:
+                call()
+
+
 def test_cross_product_dictionary():
     rng = np.random.default_rng(38)
     for _ in range(300):
@@ -308,47 +344,95 @@ def test_paper_faithful_at_quarter_turn():
         assert frobenius_norm(su2_exp(z) - su2_exp(x) @ su2_exp(y)) < 1e-13
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def with_entries(m, entries):
+    # m as nested lists with some entries replaced, so entries of any type fit
+    rows = np.asarray(m).tolist()
+    for (i, j), value in entries.items():
+        rows[i][j] = value
+    return rows
+
+
+# NaN and Inf, an int past the float range, a string, and a complex number:
+# none is a finite real entry, and each raises ShapeError instead of being
+# cast (the complex one once lost its imaginary part) or escaping as a bare
+# OverflowError or ValueError
+UNREADABLE = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    pytest.param(10**400, id="int_past_float"),
+    pytest.param("0.5", id="string"),
+    pytest.param(0.5 + 1j, id="complex"),
+]
+
+
+@pytest.mark.parametrize("bad", UNREADABLE)
 def test_non_finite_entries_rejected(bad):
-    v = np.array([0.1, bad, 0.2])
+    v = [0.1, bad, 0.2]
     ok = np.array([0.1, 0.0, 0.2])
     c = [0.1, bad, 0.2, 0.0, 0.0, 0.0]
-    a = np.zeros((4, 4))
-    a[0, 2], a[2, 0] = bad, -bad
-    o = np.eye(4)
-    o[2, 1] = bad
-    u = np.eye(2, dtype=complex)
-    u[0, 1] = bad
-    for call in (
+    # a stays antisymmetric where bad has a negative, so only the entry fails
+    a = with_entries(np.zeros((4, 4)), {(0, 2): bad, (2, 0): bad if isinstance(bad, str) else -bad})
+    o = with_entries(np.eye(4), {(2, 1): bad})
+    u = with_entries(np.eye(2, dtype=complex), {(0, 1): bad})
+    m = with_entries(np.eye(4, dtype=complex), {(3, 0): bad})
+    calls = [
         lambda: so4_from_coeffs(c),
         lambda: bch_so4_entries(np.zeros(6), c),
         lambda: su2_exp(v),
         lambda: bch_coefficients(v, ok),
         lambda: bch_su2(ok, v),
+        lambda: hermitian_from_vec(v),
         lambda: merge(SplitPair(ok, v)),
         lambda: so4_exp(a),
         lambda: split(a),
+        lambda: coeffs_from_so4(a),
         lambda: bch_so4(so4_from_coeffs(np.zeros(6)), a),
         lambda: so4_log(o),
-        lambda: su2_log(u),
-        lambda: su2su2_to_so4(u, np.eye(2)),
-        lambda: su2su2_to_so4(np.eye(2), u),
-        lambda: mat_exp_taylor(o),
-        lambda: mat_log_near_identity(o),
-        lambda: bch_trunc3(np.eye(4), o),
-    ):
+    ]
+    if not isinstance(bad, complex):
+        # a complex entry is well formed in these complex arguments
+        calls += [
+            lambda: su2_log(u),
+            lambda: su2su2_to_so4(u, np.eye(2)),
+            lambda: su2su2_to_so4(np.eye(2), u),
+            lambda: vec_from_hermitian(u),
+            lambda: tensor_product(u, np.eye(2)),
+            lambda: tensor_product(np.eye(2), u),
+            lambda: to_orthogonal_frame(m),
+            lambda: to_tensor_frame(m),
+        ]
+    if isinstance(bad, float):
+        # the series oracle reads its arguments itself and shares no code with these
+        o = np.array(o)
+        calls += [
+            lambda: mat_exp_taylor(o),
+            lambda: mat_log_near_identity(o),
+            lambda: bch_trunc3(np.eye(4), o),
+        ]
+    for call in calls:
         with pytest.raises(ShapeError):
             call()
+    predicates = [lambda: is_antisymmetric(a), lambda: is_special_orthogonal(o)]
+    if not isinstance(bad, complex):
+        predicates.append(lambda: is_special_unitary(u))
+    for predicate in predicates:
+        assert predicate() is False
 
 
 def test_misshapen_2x2_inputs_rejected():
-    for call in (
-        lambda: su2_log(np.eye(3)),
-        lambda: su2su2_to_so4(np.eye(3), np.eye(2)),
-        lambda: su2su2_to_so4(np.eye(2), np.eye(3)),
-    ):
-        with pytest.raises(ShapeError):
-            call()
+    # a wrong shape, and ragged nesting that NumPy cannot make an array of
+    for bad in (np.eye(3), [[1, 0], [0]], [[1, 0], [0, [1]]]):
+        for call in (
+            lambda: su2_log(bad),
+            lambda: su2su2_to_so4(bad, np.eye(2)),
+            lambda: su2su2_to_so4(np.eye(2), bad),
+            lambda: vec_from_hermitian(bad),
+            lambda: tensor_product(bad, np.eye(2)),
+        ):
+            with pytest.raises(ShapeError):
+                call()
+        assert is_special_unitary(bad) is False
 
 
 def test_overflowing_norm_is_a_domain_error():
