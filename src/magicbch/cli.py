@@ -4,9 +4,13 @@ Single matrices travel as one JSON object per file with a ``kind`` tag and a
 ``data`` payload of a fixed shape: ``su2_vec`` (3 reals), ``su2_matrix``
 (2x2 complex entries as ``[re, im]`` pairs), ``so4_coeffs`` (6 reals) and
 ``so4_matrix`` (4x4 reals, antisymmetric unless marked ``orthogonal``).  Each
-input is decoded and validated once into a ``(kind, float array)`` pair;
-non-finite numbers are rejected on input and never emitted.  Subcommands:
-``exp``, ``log``, ``bch``, ``split``, ``merge``, ``verify``, ``bench``.
+input is decoded and validated once, in pure Python, into a ``(kind,
+payload)`` pair of nested Python floats; non-finite numbers are rejected on
+input and never emitted.  Subcommands: ``exp``, ``log``, ``bch``, ``split``,
+``merge``, ``verify``, ``bench``.  The closed forms of ``exp``, ``log``,
+``bch``, ``split`` and ``merge`` run the kernels of :mod:`magicbch._scalar`
+on those floats and never import NumPy; ``--oracle``, ``verify`` and
+``bench`` load it with the series oracle and the array API.
 
 Exit codes: 0 success, 1 failed verification, 2 input or schema error,
 3 math-domain error, 4 internal-consistency error.
@@ -21,9 +25,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import algebra, magic, oracle, so4, su2
+from . import _scalar
+from ._scalar import BranchMode
 from .errors import AntipodalSingularityError, DomainError, InternalConsistencyError, ShapeError
 
 EXIT_OK = 0
@@ -40,14 +43,17 @@ _SHAPES = {
 }
 DOCUMENT_KINDS = tuple(_SHAPES)
 _SO4_GENERATORS = ("so4_coeffs", "so4_matrix")
+_PAIR_KEYS = ("self_dual", "anti_self_dual")
 RNG_ALGORITHM = "numpy-pcg64"
 
 _DEFAULT_TOL = 1e-10
 _INGEST_TOL = 1e-10
+# NumPy's limit on array dimensions, which the payload reader keeps
+_MAX_DIMS = 64
 
 _MODES = {
-    "paper": su2.BranchMode.PAPER_FAITHFUL,
-    "corrected": su2.BranchMode.BRANCH_CORRECTED,
+    "paper": BranchMode.PAPER_FAITHFUL,
+    "corrected": BranchMode.BRANCH_CORRECTED,
 }
 
 
@@ -64,8 +70,8 @@ def _read_json(path: str):
         return json.load(fh, parse_constant=_reject_nonfinite)
 
 
-def load_document(path: str) -> tuple[str, np.ndarray]:
-    """Read and validate one document, returning its kind and float payload."""
+def load_document(path: str) -> tuple[str, list]:
+    """Read and validate one document, returning its kind and payload as nested float lists."""
     return _payload(_read_json(path), source=path)
 
 
@@ -75,7 +81,9 @@ def validate_document(doc, source: str = "<document>") -> dict:
     return doc
 
 
-def _payload(doc, source: str) -> tuple[str, np.ndarray]:
+def _payload(doc, source: str) -> tuple[str, list]:
+    # the payload as np.asarray(data, dtype=float).tolist() would read it, with
+    # the same messages, except that a string is refused rather than parsed
     if not isinstance(doc, dict):
         raise ShapeError(f"{source}: expected a JSON object")
     kind = doc.get("kind")
@@ -83,16 +91,18 @@ def _payload(doc, source: str) -> tuple[str, np.ndarray]:
         raise ShapeError(
             f"{source}: unknown kind {kind!r}, expected one of {', '.join(DOCUMENT_KINDS)}"
         )
+    entries = []
     try:
-        data = np.asarray(doc.get("data"), dtype=float)
+        shape = _shape(doc.get("data"))
+        data = _floats(doc.get("data"), entries)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{source}: data payload is not numeric: {exc}") from exc
-    if data.shape != _SHAPES[kind]:
-        raise ShapeError(f"{source}: data payload has shape {data.shape}, expected {_SHAPES[kind]}")
-    if not np.all(np.isfinite(data)):
+    if shape != _SHAPES[kind]:
+        raise ShapeError(f"{source}: data payload has shape {shape}, expected {_SHAPES[kind]}")
+    if not all(map(math.isfinite, entries)):
         raise ShapeError(f"{source}: data payload contains non-finite entries")
     if kind == "so4_matrix" and not doc.get("orthogonal", False):
-        if not algebra.is_antisymmetric(data, _INGEST_TOL):
+        if not _scalar._antisymmetric_rows(data, _INGEST_TOL):
             raise ShapeError(
                 f"{source}: so4_matrix payload must be antisymmetric "
                 "unless the document is marked orthogonal"
@@ -100,16 +110,68 @@ def _payload(doc, source: str) -> tuple[str, np.ndarray]:
     return kind, data
 
 
-def _generator(kind: str, data: np.ndarray) -> np.ndarray:
-    # generator matrices are canonicalized through their upper triangle so
-    # every downstream path sees identical numbers
-    if kind == "so4_matrix":
-        data = algebra.coeffs_from_so4(data, tol=_INGEST_TOL)
-    return algebra.so4_from_coeffs(data)
+def _shape(data) -> tuple[int, ...]:
+    # NumPy's shape discovery, depth first: lists (and tuples) nest, anything
+    # else is an entry, and the first entry or empty list fixes the depth.
+    # Ragged nesting raises NumPy's ValueError, naming the dimensions that
+    # stayed consistent
+    shape = []
+    ndim = _MAX_DIMS
+    fixed = ragged = False
+
+    def walk(obj, depth):
+        nonlocal ndim, fixed, ragged
+        nested = isinstance(obj, (list, tuple))
+        if depth == ndim or not nested:
+            if depth < ndim:
+                ragged, ndim = ragged or fixed, depth
+            fixed, ragged = True, ragged or nested
+        else:
+            if not fixed:
+                shape.append(len(obj))
+            elif len(obj) != shape[depth]:
+                ragged, ndim = True, depth
+                return
+            if not obj:
+                fixed, ndim = True, depth + 1
+            for item in obj:
+                walk(item, depth + 1)
+
+    walk(data, 0)
+    if ragged and ndim == _MAX_DIMS:
+        raise ValueError(
+            "setting an array element with a sequence. The requested array would "
+            f"exceed the maximum number of dimension of {_MAX_DIMS}."
+        )
+    if ragged:
+        raise ValueError(
+            "setting an array element with a sequence. The requested array has an "
+            f"inhomogeneous shape after {ndim} dimensions. The detected shape was "
+            f"{tuple(shape[:ndim])!r} + inhomogeneous part."
+        )
+    return tuple(shape[:ndim])
+
+
+def _floats(data, entries: list):
+    # the nested lists with bool, int and float entries as floats and None as
+    # NaN, as NumPy reads them, each entry also appended to entries; float()
+    # raises on other entries, an int past the float range included
+    if isinstance(data, (list, tuple)):
+        return [_floats(item, entries) for item in data]
+    if isinstance(data, str):
+        raise ValueError(f"expected numbers, got the string {data!r}")
+    entries.append(math.nan if data is None else float(data))
+    return entries[-1]
+
+
+def _generator(kind: str, data):
+    # a generator as its six upper-triangle floats; a matrix is read through
+    # its upper triangle, so every path sees the numbers of a so4_coeffs document
+    return _scalar._coeffs(data, _INGEST_TOL) if kind == "so4_matrix" else data
 
 
 def _document(kind: str, data, **extra) -> dict:
-    return {"kind": kind, "data": np.asarray(data, dtype=float).tolist(), **extra}
+    return {"kind": kind, "data": data, **extra}
 
 
 def emit(doc: dict, path) -> None:
@@ -129,13 +191,20 @@ def _cmd_exp(args) -> int:
     kind, data = load_document(args.input)
     if kind == "su2_vec":
         if args.oracle:
-            u = oracle.mat_exp_taylor(1j * algebra.hermitian_from_vec(data))
+            from . import algebra, oracle
+
+            u = oracle.mat_exp_taylor(1j * algebra.hermitian_from_vec(data)).tolist()
         else:
-            u = su2.su2_exp(data)
-        out = _document("su2_matrix", np.stack([u.real, u.imag], axis=-1))
+            u = _scalar._unitary(_scalar._quaternion(data))
+        out = _document("su2_matrix", [[[z.real, z.imag] for z in row] for row in u])
     elif kind in _SO4_GENERATORS:
-        a = _generator(kind, data)
-        o = oracle.mat_exp_taylor(a) if args.oracle else so4.so4_exp(a)
+        f = _generator(kind, data)
+        if args.oracle:
+            from . import algebra, oracle
+
+            o = oracle.mat_exp_taylor(algebra.so4_from_coeffs(f)).tolist()
+        else:
+            o = _scalar._so4_exp(f)
         out = _document("so4_matrix", o, orthogonal=True)
     else:
         raise ShapeError("exp expects a su2_vec, so4_coeffs, or antisymmetric so4_matrix input")
@@ -146,23 +215,27 @@ def _cmd_exp(args) -> int:
 def _cmd_log(args) -> int:
     kind, data = load_document(args.input)
     if kind == "su2_matrix":
-        u = data[..., 0] + 1j * data[..., 1]
+        u = [[re + 1j * im for re, im in row] for row in data]
         if args.oracle:
+            from . import algebra, oracle
+
             if not algebra.is_special_unitary(u):
                 raise DomainError("input is not special unitary to tolerance")
-            v = algebra.vec_from_hermitian(oracle.mat_log_near_identity(u) / 1j)
+            v = algebra.vec_from_hermitian(oracle.mat_log_near_identity(u) / 1j).tolist()
         else:
-            v = su2.su2_log(u)
+            v = _scalar._su2_log(u)
         out = _document("su2_vec", v)
     elif kind == "so4_matrix":
         if args.oracle:
+            from . import algebra, oracle
+
             if not algebra.is_special_orthogonal(data):
                 raise DomainError("input is not special orthogonal to tolerance")
             ell = oracle.mat_log_near_identity(data)
-            a = 0.5 * (ell - ell.T)
+            f = algebra.coeffs_from_so4(0.5 * (ell - ell.T))
         else:
-            a = so4.so4_log(data)
-        out = _document("so4_coeffs", algebra.coeffs_from_so4(a))
+            f = _scalar._so4_log(data)
+        out = _document("so4_coeffs", f)
     else:
         raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")
     emit(out, args.output)
@@ -177,29 +250,32 @@ def _cmd_bch(args) -> int:
         if args.entries_path:
             raise ShapeError("--entries-path applies only to so4 inputs")
         if args.oracle:
+            from . import algebra, oracle
+
             ea, eb = (oracle.mat_exp_taylor(1j * algebra.hermitian_from_vec(v)) for v in (a, b))
             ell = oracle.mat_log_near_identity(ea @ eb)
-            out = _document("su2_vec", algebra.vec_from_hermitian(ell / 1j))
+            out = _document("su2_vec", algebra.vec_from_hermitian(ell / 1j).tolist())
         else:
-            co, z = su2._compose(a.tolist(), b.tolist(), mode)
+            co, z = _scalar._compose(a, b, mode)
             out = _document("su2_vec", z, coefficients=dataclasses.asdict(co))
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
-        a, b = _generator(ka, a), _generator(kb, b)
+        fa, fb = _generator(ka, a), _generator(kb, b)
         if args.oracle:
-            ell = oracle.mat_log_near_identity(oracle.mat_exp_taylor(a) @ oracle.mat_exp_taylor(b))
+            from . import algebra, oracle
+
+            ea, eb = (oracle.mat_exp_taylor(algebra.so4_from_coeffs(f)) for f in (fa, fb))
+            ell = oracle.mat_log_near_identity(ea @ eb)
             out = _document("so4_coeffs", algebra.coeffs_from_so4(0.5 * (ell - ell.T)))
         else:
             if args.entries_path:
-                fa, fb = algebra.coeffs_from_so4(a), algebra.coeffs_from_so4(b)
-                data, c1, c2 = so4._bch_entries(fa, fb, mode)
+                f, c1, c2 = _scalar._bch_entries(fa, fb, mode)
             else:
-                r = so4.bch_so4(a, b, mode)
-                data, c1, c2 = algebra.coeffs_from_so4(r.result), r.coeffs1, r.coeffs2
+                f, c1, c2 = _scalar._bch_so4(_scalar._halves(fa), _scalar._halves(fb), mode)
             coefficients = {
                 "self_dual": dataclasses.asdict(c1),
                 "anti_self_dual": dataclasses.asdict(c2),
             }
-            out = _document("so4_coeffs", data, coefficients=coefficients)
+            out = _document("so4_coeffs", f, coefficients=coefficients)
     else:
         raise ShapeError(f"bch expects two documents of one kind family, got {ka!r} and {kb!r}")
     out["mode"] = args.mode
@@ -211,8 +287,8 @@ def _cmd_split(args) -> int:
     kind, data = load_document(args.input)
     if kind not in _SO4_GENERATORS:
         raise ShapeError("split expects a so4_coeffs or antisymmetric so4_matrix input")
-    pair = magic.split(_generator(kind, data))
-    emit({key: _document("su2_vec", v) for key, v in pair._asdict().items()}, args.output)
+    pair = _scalar._halves(_generator(kind, data))
+    emit({key: _document("su2_vec", v) for key, v in zip(_PAIR_KEYS, pair)}, args.output)
     return EXIT_OK
 
 
@@ -225,7 +301,7 @@ def _cmd_merge(args) -> int:
                 f"{path}: merge expects a pair document with self_dual and anti_self_dual entries"
             )
         halves = []
-        for key in magic.SplitPair._fields:
+        for key in _PAIR_KEYS:
             kind, v = _payload(doc[key], source=f"{path}:{key}")
             if kind != "su2_vec":
                 raise ShapeError(f"{path}:{key}: expected a su2_vec document")
@@ -237,7 +313,7 @@ def _cmd_merge(args) -> int:
         halves = [v for _, v in docs]
     else:
         raise ShapeError("merge takes one pair document or two su2_vec documents")
-    emit(_document("so4_matrix", magic.merge(magic.SplitPair(*halves))), args.output)
+    emit(_document("so4_matrix", _scalar._generator_rows(*_scalar._merge(*halves))), args.output)
     return EXIT_OK
 
 
@@ -247,6 +323,10 @@ def _cmd_merge(args) -> int:
 
 def _sample_generator_pairs(trials: int, seed: int, bound: float):
     """One seeded stream; per trial the six entries of a, then of b."""
+    import numpy as np
+
+    from . import algebra
+
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(trials):
@@ -258,11 +338,13 @@ def _sample_generator_pairs(trials: int, seed: int, bound: float):
 
 def _compose_within_limits(a, b, mode):
     """``bch_so4`` of the pair, or None at the antipode or where the paper's arcsine folds."""
+    from . import so4
+
     try:
         r = so4.bch_so4(a, b, mode)
     except AntipodalSingularityError:
         return None
-    if mode is su2.BranchMode.PAPER_FAITHFUL and max(r.coeffs1.theta, r.coeffs2.theta) > math.pi / 2:
+    if mode is BranchMode.PAPER_FAITHFUL and max(r.coeffs1.theta, r.coeffs2.theta) > math.pi / 2:
         return None
     return r
 
@@ -286,6 +368,8 @@ def _sweep_report(args, operation: str, errors, timings: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from . import algebra, so4
+
     mode = _MODES[args.mode]
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
@@ -308,6 +392,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import algebra, oracle, so4
+
     mode = _MODES[args.mode]
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 

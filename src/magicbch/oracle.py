@@ -7,16 +7,19 @@ scaling with Denman-Beavers square roots followed by a Mercator series, and
 slower and only serve as independent ground truth in tests, benchmarks,
 and the ``--oracle`` flag of the command line.  Their budgets are fixed:
 a series stops at a term under 1e-16 in Frobenius norm or fails after 64
-terms, and the logarithm takes at most 32 square roots.  A NaN/Inf entry
-raises ``ShapeError``, and a norm that overflows a float ``DomainError``, as
-does an exponential argument with Frobenius norm above 1e4: each squaring
-doubles the rounding error, and past that norm the result drifts off the
-group by more than the 1e-10 that the special-orthogonal gate allows.
+terms, and the logarithm takes at most 32 square roots.  An entry that is
+not a bool, int, float or complex number (a string, say), an int past the
+float range, ragged nesting or a NaN/Inf entry raises ``ShapeError``, and a
+norm that overflows a float ``DomainError``, as does an exponential argument
+with Frobenius norm above 1e4: each squaring doubles the rounding error, and
+past that norm the result drifts off the group by more than the 1e-10 that
+the special-orthogonal gate allows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -153,9 +156,18 @@ def _sqrt_denman_beavers(m):
 
 
 def _as_square(m) -> np.ndarray:
-    m = np.asarray(m)
-    if m.dtype.kind not in "fc":
+    # bool, int, float and complex entries only: a string is never parsed, and
+    # an int past the float range or ragged nesting raises ShapeError
+    try:
+        m = np.asarray(m)
+        if m.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in m.flat):
+            m = m.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"expected a matrix of numbers: {exc}") from None
+    if m.dtype.kind in "biu":
         m = m.astype(float)
+    if m.dtype.kind not in "fc":
+        raise ShapeError(f"expected a matrix of numbers, got entries of dtype {m.dtype}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise ShapeError(f"expected a square 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -1,7 +1,7 @@
 """Exponential, logarithm, and closed composition on real 4x4 rotations.
 
-Every operation checks its input once, then runs the 2x2 kernels of
-:mod:`magicbch.su2` on float triples: an antisymmetric matrix splits into two
+Every operation checks its input once, then runs the kernels of
+:mod:`magicbch._scalar` on floats: an antisymmetric matrix splits into two
 commuting 3-vector channels, each handled in closed form, and merges back.
 Exponential and logarithm carry each channel as a real unit quaternion, so
 no complex 4x4 conjugation is involved.  Two independent evaluation paths
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import So4Coeffs, _finite_floats, _real_4x4_rows, _special_orthogonal_rows
-from .errors import AntipodalSingularityError, DomainError
-from .magic import _halves, _merged, _quaternions_from_rotation, _rotation_from_quaternions
-from .su2 import BchCoefficients, BranchMode, _compose, _quaternion, _quaternion_log
+from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _halves, _so4_exp, _so4_log
+from .algebra import So4Coeffs, _antisymmetric, _finite_floats, _real_4x4_rows, coeffs_from_so4
 
 __all__ = [
     "So4BchResult",
@@ -52,7 +50,7 @@ def so4_exp(a) -> np.ndarray:
     exponentiated in closed form as unit quaternions and mapped to the
     rotation bilinearly, so no matrix series is summed.
     """
-    return _rotation_from_quaternions(*map(_quaternion, _halves(a)))
+    return np.array(_so4_exp(coeffs_from_so4(a)))
 
 
 def so4_log(o) -> np.ndarray:
@@ -66,12 +64,7 @@ def so4_log(o) -> np.ndarray:
     recoverable direction: once its theta comes within ``1e-8`` of pi an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised.
     """
-    rows = _real_4x4_rows(o)
-    if not _special_orthogonal_rows(rows):
-        raise DomainError("input is not special orthogonal to tolerance")
-    p, q = _quaternions_from_rotation(rows)
-    z1 = _in_channel("self-dual", _quaternion_log, p)[0]
-    return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q)[0])
+    return _antisymmetric(*_so4_log(_real_4x4_rows(o)))
 
 
 def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResult:
@@ -82,10 +75,9 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     case per channel: theta <= pi/2 in ``PAPER_FAITHFUL`` mode, theta < pi
     in ``BRANCH_CORRECTED`` mode.
     """
-    (a1, a2), (b1, b2) = _halves(a), _halves(b)
-    c1, z1 = _in_channel("self-dual", _compose, a1, b1, mode)
-    c2, z2 = _in_channel("anti-self-dual", _compose, a2, b2, mode)
-    return So4BchResult(result=_merged(z1, z2), coeffs1=c1, coeffs2=c2, mode=mode)
+    ha = _halves(coeffs_from_so4(a))
+    f, c1, c2 = _bch_so4(ha, _halves(coeffs_from_so4(b)), mode)
+    return So4BchResult(result=_antisymmetric(*f), coeffs1=c1, coeffs2=c2, mode=mode)
 
 
 def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4Coeffs:
@@ -97,56 +89,4 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     channel path to well below composite rounding error and is used as a
     cross-check of both.
     """
-    return _bch_entries(f, g, mode)[0]
-
-
-def _bch_entries(f, g, mode: BranchMode):
-    # the entries of bch_so4_entries with the BchCoefficients of both channels;
-    # the halves equal magic._halves bit for bit (negating a float is exact),
-    # so the coefficients are those bch_so4 reports
-    f = So4Coeffs(*_finite_floats(f, 6))
-    g = So4Coeffs(*_finite_floats(g, 6))
-
-    fp1, fp2, fp3 = 0.5 * (f.f12 + f.f34), 0.5 * (f.f13 - f.f24), 0.5 * (f.f14 + f.f23)
-    fm1, fm2, fm3 = 0.5 * (f.f12 - f.f34), 0.5 * (f.f13 + f.f24), 0.5 * (f.f14 - f.f23)
-    gp1, gp2, gp3 = 0.5 * (g.f12 + g.f34), 0.5 * (g.f13 - g.f24), 0.5 * (g.f14 + g.f23)
-    gm1, gm2, gm3 = 0.5 * (g.f12 - g.f34), 0.5 * (g.f13 + g.f24), 0.5 * (g.f14 - g.f23)
-
-    c1, _ = _in_channel("self-dual", _compose, (fp1, fp2, fp3), (gp1, gp2, gp3), mode)
-    c2, _ = _in_channel("anti-self-dual", _compose, (fm1, -fm2, fm3), (gm1, -gm2, gm3), mode)
-    a1, b1, g1 = c1.alpha, c1.beta, c1.gamma
-    a2, b2, g2 = c2.alpha, c2.beta, c2.gamma
-
-    e12 = (
-        a1 * fp1 + b1 * gp1 - g1 * (fp2 * gp3 - fp3 * gp2)
-        + a2 * fm1 + b2 * gm1 - g2 * (-fm2 * gm3 + fm3 * gm2)
-    )
-    e13 = (
-        a1 * fp2 + b1 * gp2 - g1 * (fp3 * gp1 - fp1 * gp3)
-        + a2 * fm2 + b2 * gm2 - g2 * (-fm3 * gm1 + fm1 * gm3)
-    )
-    e14 = (
-        a1 * fp3 + b1 * gp3 - g1 * (fp1 * gp2 - fp2 * gp1)
-        + a2 * fm3 + b2 * gm3 - g2 * (-fm1 * gm2 + fm2 * gm1)
-    )
-    e23 = (
-        a1 * fp3 + b1 * gp3 - g1 * (fp1 * gp2 - fp2 * gp1)
-        - a2 * fm3 - b2 * gm3 + g2 * (-fm1 * gm2 + fm2 * gm1)
-    )
-    e24 = (
-        -a1 * fp2 - b1 * gp2 + g1 * (fp3 * gp1 - fp1 * gp3)
-        + a2 * fm2 + b2 * gm2 - g2 * (-fm3 * gm1 + fm1 * gm3)
-    )
-    e34 = (
-        a1 * fp1 + b1 * gp1 - g1 * (fp2 * gp3 - fp3 * gp2)
-        - a2 * fm1 - b2 * gm1 + g2 * (-fm2 * gm3 + fm3 * gm2)
-    )
-    return So4Coeffs(e12, e13, e14, e23, e24, e34), c1, c2
-
-
-def _in_channel(channel, fn, *args):
-    # name the channel in an antipodal singularity raised by fn
-    try:
-        return fn(*args)
-    except AntipodalSingularityError as exc:
-        raise AntipodalSingularityError(f"{channel} channel: {exc}") from exc
+    return So4Coeffs(*_bch_entries(_finite_floats(f, 6), _finite_floats(g, 6), mode)[0])

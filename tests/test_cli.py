@@ -1,14 +1,19 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magicbch
 from magicbch import (
     BranchMode,
+    ShapeError,
     SplitPair,
     bch_coefficients,
     bch_so4,
@@ -24,7 +29,8 @@ from magicbch import (
     su2_exp,
     su2_log,
 )
-from magicbch.cli import _compose_within_limits, main
+from magicbch.algebra import is_antisymmetric
+from magicbch.cli import _compose_within_limits, _payload, main
 
 
 def write_doc(path, doc):
@@ -371,6 +377,76 @@ def test_integer_payload_overflowing_a_float_exits_2(tmp_path, capsys):
     assert "not numeric" in err
 
 
+def numpy_payload(doc, source):
+    # the reader as it ran on NumPy, the reference for the pure-Python one
+    # (which also refuses strings, and so is compared on payloads without)
+    kind = doc["kind"]
+    try:
+        data = np.asarray(doc.get("data"), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"{source}: data payload is not numeric: {exc}"
+    shapes = {"so4_coeffs": (6,), "so4_matrix": (4, 4), "su2_vec": (3,), "su2_matrix": (2, 2, 2)}
+    if data.shape != shapes[kind]:
+        return f"{source}: data payload has shape {data.shape}, expected {shapes[kind]}"
+    if not np.all(np.isfinite(data)):
+        return f"{source}: data payload contains non-finite entries"
+    if kind == "so4_matrix" and not is_antisymmetric(data, 1e-10):
+        return (
+            f"{source}: so4_matrix payload must be antisymmetric "
+            "unless the document is marked orthogonal"
+        )
+    return kind, repr(data.tolist())
+
+
+def mangled_payload(rng, shape):
+    # a payload of the given shape with, now and then, an entry replaced by
+    # something else, or a list shortened, lengthened or nested one deeper
+    if not shape:
+        choices = [0.5, -0.0, 2, True, None, 10**400, {}, [0.25], [], math.inf]
+        weights = [60, 4, 8, 4, 3, 3, 2, 4, 2, 2]
+        return rng.choices(choices, weights)[0]
+    items = [mangled_payload(rng, shape[1:]) for _ in range(shape[0])]
+    roll = rng.random()
+    if roll < 0.04:
+        items.pop()
+    elif roll < 0.08:
+        items.append(mangled_payload(rng, shape[1:]))
+    elif roll < 0.1:
+        items = [items]
+    return items
+
+
+def test_payload_reader_matches_numpy():
+    # every message and every payload the NumPy reader produced, from bools,
+    # ints, floats, None, ints past the float range, objects, ragged and
+    # too-deep nesting; only strings (covered in MALFORMED) are read apart
+    import random
+
+    rng = random.Random(74)
+    deep = 0.5
+    for _ in range(70):
+        deep = [deep]
+    cases = [
+        {"kind": "su2_vec", "data": data}
+        for data in (None, 5, [], [[]], [[1, 2], [3]], [1, [2], 3], [[], [[1]]], deep, [deep, 1])
+    ]
+    for _ in range(3000):
+        kind = rng.choice(["su2_vec", "su2_matrix", "so4_coeffs", "so4_matrix"])
+        shape = {"so4_coeffs": (6,), "so4_matrix": (4, 4), "su2_vec": (3,), "su2_matrix": (2, 2, 2)}[kind]
+        cases.append({"kind": kind, "data": mangled_payload(rng, shape)})
+    outcomes = set()
+    for doc in cases:
+        expected = numpy_payload(doc, "doc.json")
+        try:
+            kind, data = _payload(doc, "doc.json")
+            got = kind, repr(data)
+        except ShapeError as exc:
+            got = str(exc)
+        assert got == expected, doc
+        outcomes.add(expected if isinstance(expected, str) else "read")
+    assert len(outcomes) > 30, outcomes
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "exp", str(tmp_path / "absent.json"))
     assert code == 2
@@ -419,19 +495,20 @@ def test_oracle_routes_agree_with_closed_routes(tmp_path, capsys, route):
 
 
 def test_bch_oracle_does_not_call_the_closed_forms(tmp_path, capsys, monkeypatch):
-    # the series route must stand on its own: the closed exponentials and
-    # compositions are disabled while it runs
-    from magicbch import cli
+    # the series route must stand on its own: the scalar kernels behind the
+    # closed routes, and the public closed forms, are disabled while it runs
+    from magicbch import _scalar, so4, su2
 
     def closed(*args, **kwargs):
         raise AssertionError("closed form called on the oracle route")
 
+    kernels = ("_compose", "_quaternion", "_unitary", "_so4_exp", "_bch_so4", "_bch_entries", "rotation")
     for route in ("bch_su2", "bch_so4"):
         paths = seeded_route_docs(tmp_path, route, 0)
-        for name in ("su2_exp", "_compose"):
-            monkeypatch.setattr(cli.su2, name, closed)
-        for name in ("so4_exp", "bch_so4"):
-            monkeypatch.setattr(cli.so4, name, closed)
+        for name in kernels:
+            monkeypatch.setattr(_scalar, name, closed)
+        for module, name in ((su2, "su2_exp"), (su2, "bch_su2"), (so4, "so4_exp"), (so4, "bch_so4")):
+            monkeypatch.setattr(module, name, closed)
         code, _, err = run_cli(capsys, "bch", *paths, "--oracle")
         assert (code, err) == (0, ""), route
         monkeypatch.undo()
@@ -462,6 +539,9 @@ MALFORMED = {
     "merge_three_inputs": (["merge", "x", "x", "x"], "one pair document or two"),
     "bch_oracle_entries_su2": (["bch", "x", "x", "--oracle", "--entries-path"], "not allowed"),
     "bch_oracle_entries_so4": (["bch", "f", "f", "--oracle", "--entries-path"], "not allowed"),
+    # a string is no number, even one that float() would parse
+    "numeric_string": (["exp", "strings"], "got the string '0.5'"),
+    "numeric_string_in_a_matrix": (["log", "string_matrix"], "got the string '1'"),
 }
 
 
@@ -476,6 +556,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "f": f,
         "half": {"self_dual": x},
         "wrong_pair": {"self_dual": x, "anti_self_dual": f},
+        "strings": {"kind": "su2_vec", "data": ["0.5", "0", "0"]},
+        "string_matrix": {"kind": "su2_matrix", "data": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]},
     }
     paths = {key: write_doc(tmp_path / f"{key}.json", doc) for key, doc in docs.items()}
     # json parses the literal 1e400 to inf, which no document may carry
@@ -594,3 +676,68 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_closed_form_commands_never_import_numpy(tmp_path):
+    # exp, log, bch, split and merge run on Python floats alone; --oracle,
+    # verify and bench load NumPy and still work in the same process
+    x, y = su2_vec_doc([0.3, -0.2, 0.5]), su2_vec_doc([-0.1, 0.4, 0.25])
+    f, g = so4_coeffs_doc([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]), so4_coeffs_doc([0.2, 0.1, 0, 0, 0, -0.1])
+    u = su2_exp([0.3, -0.2, 0.5])
+    o = so4_exp(so4_from_coeffs(f["data"]))
+    docs = {
+        "x": x,
+        "y": y,
+        "f": f,
+        "g": g,
+        "a": {"kind": "so4_matrix", "data": so4_from_coeffs(g["data"]).tolist()},
+        "u": {"kind": "su2_matrix", "data": np.stack([u.real, u.imag], axis=-1).tolist()},
+        "o": {"kind": "so4_matrix", "data": o.tolist(), "orthogonal": True},
+        "pair": {"self_dual": x, "anti_self_dual": y},
+    }
+    paths = {key: write_doc(tmp_path / f"{key}.json", doc) for key, doc in docs.items()}
+    closed = [
+        ["exp", "x"], ["exp", "f"], ["exp", "a"], ["log", "u"], ["log", "o"],
+        ["bch", "x", "y"], ["bch", "x", "y", "--mode", "paper"],
+        ["bch", "f", "g"], ["bch", "a", "g", "--mode", "paper"],
+        ["bch", "f", "a", "--entries-path"], ["bch", "f", "g", "--entries-path", "--mode", "paper"],
+        ["split", "f"], ["split", "a"], ["merge", "pair"], ["merge", "x", "y"],
+    ]
+    loading = [
+        ["exp", "x", "--oracle"], ["log", "o", "--oracle"], ["bch", "f", "g", "--oracle"],
+        ["verify", "--trials", "3"], ["bench", "--trials", "2"],
+    ]
+    out = str(tmp_path / "out.json")
+    commands = [[paths.get(arg, arg) for arg in c] + ["--output", out] for c in closed + loading]
+    script = textwrap.dedent(
+        f"""
+        import json, sys
+        from magicbch.cli import main
+        codes = []
+        for k, args in enumerate({commands!r}):
+            if k == {len(closed)}:
+                print(json.dumps({{"numpy": "numpy" in sys.modules}}))
+            codes.append(main(args))
+        print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
+        """
+    )
+    src = str(Path(magicbch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, after = map(json.loads, proc.stdout.splitlines())
+    assert before == {"numpy": False}
+    assert after == {"codes": [0] * len(commands), "numpy": True}
+
+
+def test_every_public_name_resolves_lazily():
+    # the package loads its submodules on first access; every name of
+    # __all__ still resolves, by attribute and by a star import
+    namespace = {}
+    exec("from magicbch import *", namespace)
+    assert set(magicbch.__all__) <= set(namespace)
+    for name in magicbch.__all__:
+        assert getattr(magicbch, name) is namespace[name]
+    assert set(magicbch.__all__) <= set(dir(magicbch))
+    with pytest.raises(AttributeError):
+        magicbch.no_such_name

@@ -23,7 +23,7 @@ from magicbch import (
     to_orthogonal_frame,
     to_tensor_frame,
 )
-from magicbch.magic import _ISOCLINIC, _quaternions_from_rotation
+from magicbch._scalar import _quaternions_from_rotation, rotation
 
 
 def random_su2(rng):
@@ -224,19 +224,24 @@ def test_su2su2_rejects_non_unitary():
 
 
 def test_isoclinic_table_is_the_conjugated_quaternion_basis():
+    # rotation(e_i, e_j) on basis quaternions is E_ij = Re R^dag (s_i (x) s_j) R
     r = magic_matrix()
     units = [np.eye(2, dtype=complex)] + [1j * pauli(k) for k in (1, 2, 3)]
+    basis = np.eye(4).tolist()
+    table = []
     for i, si in enumerate(units):
         for j, sj in enumerate(units):
             conj = r.conj().T @ np.kron(si, sj) @ r
-            e = _ISOCLINIC[4 * i + j].reshape(4, 4)
+            e = np.array(rotation(basis[i], basis[j]))
             assert float(np.abs(e - conj.real).max()) < 1e-15
             assert float(np.abs(conj.imag).max()) < 1e-15
             # a signed permutation: entries in {0, +-1}, one nonzero per row and column
             assert set(np.unique(e)) <= {-1.0, 0.0, 1.0}
             np.testing.assert_array_equal(np.abs(e).sum(axis=0), np.ones(4))
             np.testing.assert_array_equal(np.abs(e).sum(axis=1), np.ones(4))
-    np.testing.assert_array_equal(_ISOCLINIC @ _ISOCLINIC.T, 4.0 * np.eye(16))
+            table.append(e.ravel())
+    table = np.array(table)
+    np.testing.assert_array_equal(table @ table.T, 4.0 * np.eye(16))
 
 
 def test_su2su2_matches_conjugation_path():

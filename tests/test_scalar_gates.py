@@ -1,4 +1,4 @@
-"""The scalar gates and the scalar isoclinic factorization against NumPy.
+"""The scalar gates, the written-out rotation and its factorization against NumPy.
 
 Each public entry point reads its matrix once into Python floats and runs
 its antisymmetry, special-orthogonal or special-unitary gate in scalars.
@@ -16,18 +16,20 @@ from magicbch import (
     bch_so4,
     SplitPair,
     coeffs_from_so4,
+    magic_matrix,
     merge,
+    pauli,
     so4_exp,
     so4_from_coeffs,
     so4_log,
     split,
     su2_exp,
     su2_log,
+    su2su2_to_so4,
 )
+from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
+from magicbch._scalar import _quaternion_of, _quaternions_from_rotation, rotation
 from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
-from magicbch.magic import _ISOCLINIC, _merged, _quaternions_from_rotation
-from magicbch.magic import _rotation_from_quaternions
-from magicbch.su2 import BranchMode, _compose, _quaternion, _quaternion_log
 
 SAMPLES = 2000
 GROUP_TOL = 1e-10
@@ -128,6 +130,26 @@ def test_gates_reject_wrong_shapes():
         assert not is_antisymmetric(ragged)
 
 
+def isoclinic_table():
+    # row 4 i + j is E_ij = Re R^dag (s_i (x) s_j) R flattened, from the
+    # conjugation; each is a signed permutation, so rounding drops only roundoff
+    r = magic_matrix()
+    units = [np.eye(2, dtype=complex)] + [1j * pauli(k) for k in (1, 2, 3)]
+    return np.rint([(r.conj().T @ np.kron(a, b) @ r).real.ravel() for a in units for b in units])
+
+
+ISOCLINIC = isoclinic_table()
+
+
+def blas_rotation(p, q):
+    # sum_ij p_i q_j E_ij as one BLAS product of the outer product with the table
+    return (np.multiply.outer(p, q).ravel() @ ISOCLINIC).reshape(4, 4)
+
+
+def merged(z1, z2):
+    return merge(SplitPair(z1, z2))
+
+
 def canonical_lift(p, q):
     # the lift rule as a separate step over the entries of the self-dual
     # factor, the reference for the rule folded into the factorization: of
@@ -149,12 +171,12 @@ def canonical_lift(p, q):
 
 def numpy_so4_log(o):
     # the factorization as NumPy evaluated it, feeding the same lift and log
-    m = 0.25 * (_ISOCLINIC @ o.ravel()).reshape(4, 4)
+    m = 0.25 * (ISOCLINIC @ o.ravel()).reshape(4, 4)
     i, j = divmod(int(np.argmax(np.abs(m))), 4)
     p = m[:, j] / np.linalg.norm(m[:, j])
     q = m[i, :] / math.copysign(np.linalg.norm(m[i, :]), m[i, j])
     p, q = canonical_lift(p.tolist(), q.tolist())
-    return _merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
+    return merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
 
 
 def test_so4_log_matches_numpy_factorization():
@@ -196,11 +218,11 @@ def test_readers_deliver_numpy_floats_bit_for_bit():
         pair = split(a)
         assert pair.self_dual.tobytes() == np.array(ha[0]).tobytes()
         assert pair.anti_self_dual.tobytes() == np.array(ha[1]).tobytes()
-        expected = _rotation_from_quaternions(*map(_quaternion, ha))
+        expected = blas_rotation(*map(np.array, map(_quaternion, ha)))
         assert so4_exp(a).tobytes() == expected.tobytes()
         mode = BranchMode.BRANCH_CORRECTED
         z1, z2 = (_compose(x, y, mode)[1] for x, y in zip(ha, hb))
-        assert bch_so4(a, b).result.tobytes() == _merged(z1, z2).tobytes()
+        assert bch_so4(a, b).result.tobytes() == merged(z1, z2).tobytes()
 
         u = su2_exp(rng.uniform(-3.0, 3.0, size=3))
         p = (
@@ -210,6 +232,30 @@ def test_readers_deliver_numpy_floats_bit_for_bit():
             0.5 * (u[0, 0].imag - u[1, 1].imag),
         )
         assert su2_log(u).tobytes() == np.array(_quaternion_log(p)[0]).tobytes()
+
+
+def test_rotations_equal_the_blas_product_bit_for_bit():
+    # so4_exp and su2su2_to_so4 write sum_ij p_i q_j E_ij out entry by entry,
+    # each entry adding its four signed products in ascending i from +0.0 as
+    # the BLAS product with the table does, so the bytes agree, the sign of
+    # every zero entry included; half of the generator entries are signed zeros
+    rng = np.random.default_rng(308)
+    zero_entries = 0
+    for _ in range(SAMPLES):
+        c = rng.uniform(-2.0, 2.0, size=6)
+        c = np.where(rng.random(6) < 0.5, np.copysign(0.0, c), c)
+        a = so4_from_coeffs(c)
+        p, q = (np.array(_quaternion(h)) for h in numpy_halves(a))
+        o = so4_exp(a)
+        assert o.tobytes() == blas_rotation(p, q).tobytes(), c.tolist()
+        zero_entries += int(np.count_nonzero(o == 0.0))
+
+        x, y = (rng.uniform(-3.0, 3.0, size=3) for _ in range(2))
+        x, y = (np.where(rng.random(3) < 0.3, np.copysign(0.0, v), v) for v in (x, y))
+        u, v = su2_exp(x), su2_exp(y)
+        pu, pv = (np.array(_quaternion_of(m.tolist())) for m in (u, v))
+        assert su2su2_to_so4(u, v).tobytes() == blas_rotation(pu, pv).tobytes(), (x, y)
+    assert zero_entries > 2 * SAMPLES, zero_entries
 
 
 def lift_branch(p):
@@ -257,7 +303,7 @@ def traceless_rotations(rng, n):
         else:
             p[0] = rng.uniform(-5e-13, 5e-13)
         q = rng.normal(size=4)
-        yield _rotation_from_quaternions(p / np.linalg.norm(p), q / np.linalg.norm(q))
+        yield np.array(rotation((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist()))
 
 
 def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
@@ -272,7 +318,7 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
         for lift in ((p, q), ([-t for t in p], [-t for t in q])):
             lp, lq = canonical_lift(*lift)
             assert np.array(lp + lq).tobytes() == np.array(p + q).tobytes(), o.tolist()
-        expected = _merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
+        expected = merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
         assert so4_log(o).tobytes() == expected.tobytes()
         branches[lift_branch(p)] = branches.get(lift_branch(p), 0) + 1
     # each test of the rule decides a share of the samples

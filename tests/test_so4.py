@@ -26,7 +26,7 @@ from magicbch import (
     to_orthogonal_frame,
 )
 from magicbch.magic import SplitPair
-from magicbch.so4 import _bch_entries
+from magicbch._scalar import _bch_entries
 
 
 def planar_rotation(theta):
@@ -254,7 +254,7 @@ def test_entries_coefficients_are_the_channel_coefficients(mode):
     for _ in range(500):
         cf, cg = rng.uniform(-1.0, 1.0, size=6), rng.uniform(-1.0, 1.0, size=6)
         r = bch_so4(so4_from_coeffs(cf), so4_from_coeffs(cg), mode)
-        entries, c1, c2 = _bch_entries(cf, cg, mode)
+        entries, c1, c2 = _bch_entries(cf.tolist(), cg.tolist(), mode)
         assert (c1, c2) == (r.coeffs1, r.coeffs2)
         assert entries == bch_so4_entries(cf, cg, mode)
 
