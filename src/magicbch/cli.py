@@ -4,9 +4,9 @@ Single matrices travel as one JSON object per file with a ``kind`` tag and a
 ``data`` payload of a fixed shape: ``su2_vec`` (3 reals), ``su2_matrix``
 (2x2 complex entries as ``[re, im]`` pairs), ``so4_coeffs`` (6 reals) and
 ``so4_matrix`` (4x4 reals, antisymmetric unless marked ``orthogonal``).  Each
-input is decoded and validated once, in pure Python, into a ``(kind,
-payload)`` pair of nested Python floats; non-finite numbers are rejected on
-input and never emitted.  Subcommands: ``exp``, ``log``, ``bch``, ``split``,
+payload is read once, in pure Python, top-down against its kind's shape into
+nested floats, and refused at its first list of the wrong length or entry that
+is not a finite number.  Subcommands: ``exp``, ``log``, ``bch``, ``split``,
 ``merge``, ``verify``, ``bench``.  The closed forms of ``exp``, ``log``,
 ``bch``, ``split`` and ``merge`` run the kernels of :mod:`magicbch._scalar`
 on those floats and never import NumPy; ``--oracle``, ``verify`` and
@@ -48,8 +48,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _DEFAULT_TOL = 1e-10
 _INGEST_TOL = 1e-10
-# NumPy's limit on array dimensions, which the payload reader keeps
-_MAX_DIMS = 64
 
 _MODES = {
     "paper": BranchMode.PAPER_FAITHFUL,
@@ -67,7 +65,10 @@ def _reject_nonfinite(token):
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_nonfinite)
+        try:
+            return json.load(fh, parse_constant=_reject_nonfinite)
+        except RecursionError:
+            raise ShapeError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_document(path: str) -> tuple[str, list]:
@@ -82,8 +83,8 @@ def validate_document(doc, source: str = "<document>") -> dict:
 
 
 def _payload(doc, source: str) -> tuple[str, list]:
-    # the payload as np.asarray(data, dtype=float).tolist() would read it, with
-    # the same messages, except that a string is refused rather than parsed
+    # the kind and its payload as nested floats; a payload off its kind's
+    # shape is refused at its first offending position, named in the message
     if not isinstance(doc, dict):
         raise ShapeError(f"{source}: expected a JSON object")
     kind = doc.get("kind")
@@ -91,16 +92,11 @@ def _payload(doc, source: str) -> tuple[str, list]:
         raise ShapeError(
             f"{source}: unknown kind {kind!r}, expected one of {', '.join(DOCUMENT_KINDS)}"
         )
-    entries = []
+    shape = _SHAPES[kind]
     try:
-        shape = _shape(doc.get("data"))
-        data = _floats(doc.get("data"), entries)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ShapeError(f"{source}: data payload is not numeric: {exc}") from exc
-    if shape != _SHAPES[kind]:
-        raise ShapeError(f"{source}: data payload has shape {shape}, expected {_SHAPES[kind]}")
-    if not all(map(math.isfinite, entries)):
-        raise ShapeError(f"{source}: data payload contains non-finite entries")
+        data = _read(doc.get("data"), shape, "data payload")
+    except ShapeError as exc:
+        raise ShapeError(f"{source}: {exc}; a {kind} payload has shape {shape}") from None
     if kind == "so4_matrix" and not doc.get("orthogonal", False):
         if not _scalar._antisymmetric_rows(data, _INGEST_TOL):
             raise ShapeError(
@@ -110,58 +106,26 @@ def _payload(doc, source: str) -> tuple[str, list]:
     return kind, data
 
 
-def _shape(data) -> tuple[int, ...]:
-    # NumPy's shape discovery, depth first: lists (and tuples) nest, anything
-    # else is an entry, and the first entry or empty list fixes the depth.
-    # Ragged nesting raises NumPy's ValueError, naming the dimensions that
-    # stayed consistent
-    shape = []
-    ndim = _MAX_DIMS
-    fixed = ragged = False
-
-    def walk(obj, depth):
-        nonlocal ndim, fixed, ragged
-        nested = isinstance(obj, (list, tuple))
-        if depth == ndim or not nested:
-            if depth < ndim:
-                ragged, ndim = ragged or fixed, depth
-            fixed, ragged = True, ragged or nested
-        else:
-            if not fixed:
-                shape.append(len(obj))
-            elif len(obj) != shape[depth]:
-                ragged, ndim = True, depth
-                return
-            if not obj:
-                fixed, ndim = True, depth + 1
-            for item in obj:
-                walk(item, depth + 1)
-
-    walk(data, 0)
-    if ragged and ndim == _MAX_DIMS:
-        raise ValueError(
-            "setting an array element with a sequence. The requested array would "
-            f"exceed the maximum number of dimension of {_MAX_DIMS}."
-        )
-    if ragged:
-        raise ValueError(
-            "setting an array element with a sequence. The requested array has an "
-            f"inhomogeneous shape after {ndim} dimensions. The detected shape was "
-            f"{tuple(shape[:ndim])!r} + inhomogeneous part."
-        )
-    return tuple(shape[:ndim])
-
-
-def _floats(data, entries: list):
-    # the nested lists with bool, int and float entries as floats and None as
-    # NaN, as NumPy reads them, each entry also appended to entries; float()
-    # raises on other entries, an int past the float range included
-    if isinstance(data, (list, tuple)):
-        return [_floats(item, entries) for item in data]
-    if isinstance(data, str):
-        raise ValueError(f"expected numbers, got the string {data!r}")
-    entries.append(math.nan if data is None else float(data))
-    return entries[-1]
+def _read(data, shape: tuple[int, ...], where: str):
+    # data read top-down against shape: lists and tuples nest, and each list's
+    # length is checked before any of its entries is read, so the reader never
+    # goes deeper than the shape; a leaf is a bool, int or float read by float()
+    if shape:
+        if not isinstance(data, (list, tuple)):
+            raise ShapeError(f"{where} is not a list of {shape[0]}: got {type(data).__name__}")
+        if len(data) != shape[0]:
+            raise ShapeError(f"{where} is a list of {len(data)}, not {shape[0]}")
+        return [_read(item, shape[1:], f"{where}[{k}]") for k, item in enumerate(data)]
+    if not isinstance(data, (int, float)):
+        got = f"the string {data!r}" if isinstance(data, str) else type(data).__name__
+        raise ShapeError(f"{where} is not numeric: got {got}")
+    try:
+        value = float(data)
+    except OverflowError:
+        raise ShapeError(f"{where} is not numeric: an int past the float range") from None
+    if not math.isfinite(value):
+        raise ShapeError(f"{where} is non-finite: {value}")
+    return value
 
 
 def _generator(kind: str, data):
@@ -433,18 +397,24 @@ def _cmd_bench(args) -> int:
 # argument parsing and dispatch
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _flag_type(convert, accept, rule: str):
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _unsigned_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+_positive_int = _flag_type(int, lambda n: n >= 1, "at least 1")
+_unsigned_int = _flag_type(int, lambda n: n >= 0, "non-negative")
+_finite_float = _flag_type(float, math.isfinite, "finite")
+# entries are drawn from uniform(-bound, bound), whose width 2 * bound must be finite
+_entry_bound = _flag_type(
+    float, lambda b: b >= 0 and math.isfinite(2 * b), "non-negative with 2 * bound finite"
+)
 
 
 def _add_output_flag(parser) -> None:
@@ -458,6 +428,15 @@ def _add_mode_flag(parser) -> None:
         default="corrected",
         help="branch handling of the composition law (default: corrected)",
     )
+
+
+def _add_sweep_flags(parser, trials: int) -> None:
+    parser.add_argument("--trials", type=_positive_int, default=trials)
+    parser.add_argument("--seed", type=_unsigned_int, default=0)
+    parser.add_argument(
+        "--bound", type=_entry_bound, default=0.3, help="entry bound for sampled generators"
+    )
+    _add_mode_flag(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -504,13 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("verify", help="seeded random sweep of the composition law")
-    p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=_unsigned_int, default=0)
-    p.add_argument("--bound", type=float, default=0.3, help="entry bound for sampled generators")
-    _add_mode_flag(p)
+    _add_sweep_flags(p, trials=1000)
     p.add_argument(
         "--tol",
-        type=float,
+        type=_finite_float,
         default=_DEFAULT_TOL,
         help=f"pass threshold on the max error (default {_DEFAULT_TOL:g})",
     )
@@ -518,10 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time the closed form against the series oracle")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_unsigned_int, default=0)
-    p.add_argument("--bound", type=float, default=0.3, help="entry bound for sampled generators")
-    _add_mode_flag(p)
+    _add_sweep_flags(p, trials=100)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -541,10 +514,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ShapeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ShapeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -377,6 +377,9 @@ def test_integer_payload_overflowing_a_float_exits_2(tmp_path, capsys):
     assert "not numeric" in err
 
 
+SHAPES = {"so4_coeffs": (6,), "so4_matrix": (4, 4), "su2_vec": (3,), "su2_matrix": (2, 2, 2)}
+
+
 def numpy_payload(doc, source):
     # the reader as it ran on NumPy, the reference for the pure-Python one
     # (which also refuses strings, and so is compared on payloads without)
@@ -385,9 +388,8 @@ def numpy_payload(doc, source):
         data = np.asarray(doc.get("data"), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         return f"{source}: data payload is not numeric: {exc}"
-    shapes = {"so4_coeffs": (6,), "so4_matrix": (4, 4), "su2_vec": (3,), "su2_matrix": (2, 2, 2)}
-    if data.shape != shapes[kind]:
-        return f"{source}: data payload has shape {data.shape}, expected {shapes[kind]}"
+    if data.shape != SHAPES[kind]:
+        return f"{source}: data payload has shape {data.shape}, expected {SHAPES[kind]}"
     if not np.all(np.isfinite(data)):
         return f"{source}: data payload contains non-finite entries"
     if kind == "so4_matrix" and not is_antisymmetric(data, 1e-10):
@@ -417,9 +419,10 @@ def mangled_payload(rng, shape):
 
 
 def test_payload_reader_matches_numpy():
-    # every message and every payload the NumPy reader produced, from bools,
-    # ints, floats, None, ints past the float range, objects, ragged and
-    # too-deep nesting; only strings (covered in MALFORMED) are read apart
+    # the NumPy reader's verdict on every payload, and its floats on every one
+    # it accepts, from bools, ints, floats, None, ints past the float range,
+    # objects, ragged and too-deep nesting; only strings (covered in
+    # MALFORMED) are read apart. The messages differ by design
     import random
 
     rng = random.Random(74)
@@ -432,19 +435,81 @@ def test_payload_reader_matches_numpy():
     ]
     for _ in range(3000):
         kind = rng.choice(["su2_vec", "su2_matrix", "so4_coeffs", "so4_matrix"])
-        shape = {"so4_coeffs": (6,), "so4_matrix": (4, 4), "su2_vec": (3,), "su2_matrix": (2, 2, 2)}[kind]
-        cases.append({"kind": kind, "data": mangled_payload(rng, shape)})
-    outcomes = set()
+        cases.append({"kind": kind, "data": mangled_payload(rng, SHAPES[kind])})
+    verdicts = {"read": 0, "refused": 0}
     for doc in cases:
         expected = numpy_payload(doc, "doc.json")
-        try:
+        if isinstance(expected, str):
+            with pytest.raises(ShapeError, match="^doc.json: "):
+                _payload(doc, "doc.json")
+            verdicts["refused"] += 1
+        else:
             kind, data = _payload(doc, "doc.json")
-            got = kind, repr(data)
-        except ShapeError as exc:
-            got = str(exc)
-        assert got == expected, doc
-        outcomes.add(expected if isinstance(expected, str) else "read")
-    assert len(outcomes) > 30, outcomes
+            assert (kind, repr(data)) == expected, doc
+            verdicts["read"] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
+POSITIONS = {
+    "short_vector": ("su2_vec", [1.0, 2.0], "data payload is a list of 2, not 3"),
+    "scalar_payload": ("so4_coeffs", 0.5, "data payload is not a list of 6: got float"),
+    "missing_payload": ("su2_vec", None, "data payload is not a list of 3: got NoneType"),
+    "long_row": (
+        "so4_matrix",
+        [[0] * 4, [0] * 4, [0] * 5, [0] * 4],
+        "data payload[2] is a list of 5, not 4",
+    ),
+    "short_pair": (
+        "su2_matrix",
+        [[[1, 0], [0, 0]], [[0, 0], [1]]],
+        "data payload[1][1] is a list of 1, not 2",
+    ),
+    "nested_entry": ("su2_vec", [0.5, [0.25], 0.5], "data payload[1] is not numeric: got list"),
+    "null_entry": (
+        "so4_coeffs",
+        [0, 0, 0, None, 0, 0],
+        "data payload[3] is not numeric: got NoneType",
+    ),
+    "object_entry": ("su2_vec", [0, {}, 0], "data payload[1] is not numeric: got dict"),
+    "string_entry": (
+        "so4_coeffs",
+        [0, 0, 0, 0, "0.5", 0],
+        "data payload[4] is not numeric: got the string '0.5'",
+    ),
+    "huge_int": (
+        "so4_matrix",
+        [[0] * 4, [0] * 4, [0, 0, 0, 10**400], [0] * 4],
+        "data payload[2][3] is not numeric: an int past the float range",
+    ),
+    "infinite_entry": (
+        "su2_matrix",
+        [[[1, 0], [0, 0]], [[0, 1e400], [1, 0]]],
+        "data payload[1][0][1] is non-finite: inf",
+    ),
+    # the first offending position wins, and a list of the wrong length is
+    # refused before its entries are read, however deep they nest
+    "first_of_many": (
+        "su2_vec",
+        ["0.5", 10**400, 1e400],
+        "data payload[0] is not numeric: got the string '0.5'",
+    ),
+    "ragged_before_deep": (
+        "su2_vec",
+        [[[[[[0.5]]]]], 0, 0, 0],
+        "data payload is a list of 4, not 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSITIONS))
+def test_rejection_names_file_shape_and_position(tmp_path, capsys, case):
+    kind, data, message = POSITIONS[case]
+    path = tmp_path / "doc.json"
+    # json writes inf as Infinity, which no document may carry; 1e400 reads as inf
+    path.write_text(json.dumps({"kind": kind, "data": data}).replace("Infinity", "1e400"))
+    code, out, err = run_cli(capsys, "exp", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}; a {kind} payload has shape {SHAPES[kind]}\n"
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -644,6 +709,34 @@ def test_verify_rejects_zero_trials(capsys):
         main(["verify", "--trials", "0"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+BAD_BOUNDS = ["--bound=nan", "--bound=inf", "--bound=-inf", "--bound=1e308", "--bound=-0.5"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("verify", flag) for flag in [*BAD_BOUNDS, "--tol=nan", "--tol=inf", "--tol=-inf"]]
+    + [("bench", flag) for flag in BAD_BOUNDS],
+)
+def test_sweep_flag_out_of_range_exits_2(capsys, command, flag):
+    # entries are drawn from uniform(-bound, bound), whose width must be a
+    # finite float, and a non-finite tolerance has no JSON report; both are
+    # refused before the sweep starts
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--trials", "2", flag])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag.split('=')[0]}: must be" in err
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text('{"kind": "su2_vec", "data": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "exp", str(p))
+    assert (code, out) == (2, "")
+    assert f"{p}: JSON nested too deeply" in err
 
 
 def test_bench_smoke(capsys):
