@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AntipodalSingularityError, DomainError, InternalConsistencyError, ShapeError
 
@@ -36,8 +36,7 @@ class BranchMode(enum.Enum):
     BRANCH_CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class BchCoefficients:
+class BchCoefficients(NamedTuple):
     """Scalar data of one closed composition.
 
     ``theta`` is the combined rotation half-angle in [0, pi] and ``rho`` its
@@ -129,7 +128,7 @@ def _compose(x, y, mode: BranchMode):
     w2 = a * x2 + b * y2 - g * (x3 * y1 - x1 * y3)
     w3 = a * x3 + b * y3 - g * (x1 * y2 - x2 * y1)
     z, k, rho, theta = _quaternion_log((c, w1, w2, w3), mode)
-    return BchCoefficients(alpha=k * a, beta=k * b, gamma=k * g, rho=rho, theta=theta), z
+    return BchCoefficients(k * a, k * b, k * g, rho, theta), z
 
 
 # ---------------------------------------------------------------------------

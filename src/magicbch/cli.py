@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 failed verification, 2 input or schema error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -69,6 +68,8 @@ def _read_json(path: str):
             return json.load(fh, parse_constant=_reject_nonfinite)
         except RecursionError:
             raise ShapeError(f"{path}: JSON nested too deeply to read") from None
+        except ShapeError as exc:  # a NaN or Infinity literal
+            raise ShapeError(f"{path}: {exc}") from None
 
 
 def load_document(path: str) -> tuple[str, list]:
@@ -221,7 +222,7 @@ def _cmd_bch(args) -> int:
             out = _document("su2_vec", algebra.vec_from_hermitian(ell / 1j).tolist())
         else:
             co, z = _scalar._compose(a, b, mode)
-            out = _document("su2_vec", z, coefficients=dataclasses.asdict(co))
+            out = _document("su2_vec", z, coefficients=co._asdict())
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
         fa, fb = _generator(ka, a), _generator(kb, b)
         if args.oracle:
@@ -236,8 +237,8 @@ def _cmd_bch(args) -> int:
             else:
                 f, c1, c2 = _scalar._bch_so4(_scalar._halves(fa), _scalar._halves(fb), mode)
             coefficients = {
-                "self_dual": dataclasses.asdict(c1),
-                "anti_self_dual": dataclasses.asdict(c2),
+                "self_dual": c1._asdict(),
+                "anti_self_dual": c2._asdict(),
             }
             out = _document("so4_coeffs", f, coefficients=coefficients)
     else:
@@ -271,10 +272,12 @@ def _cmd_merge(args) -> int:
                 raise ShapeError(f"{path}:{key}: expected a su2_vec document")
             halves.append(v)
     elif len(args.inputs) == 2:
-        docs = [load_document(p) for p in args.inputs]
-        if any(kind != "su2_vec" for kind, _ in docs):
-            raise ShapeError("merge expects su2_vec documents")
-        halves = [v for _, v in docs]
+        halves = []
+        for path in args.inputs:
+            kind, v = load_document(path)
+            if kind != "su2_vec":
+                raise ShapeError(f"{path}: merge expects su2_vec documents, got {kind}")
+            halves.append(v)
     else:
         raise ShapeError("merge takes one pair document or two su2_vec documents")
     emit(_document("so4_matrix", _scalar._generator_rows(*_scalar._merge(*halves))), args.output)

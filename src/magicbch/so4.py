@@ -12,7 +12,7 @@ and a direct transcription of the six expanded matrix entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class So4BchResult:
+class So4BchResult(NamedTuple):
     """Composition result with per-channel scalar diagnostics.
 
     ``coeffs1`` belongs to the self-dual channel and ``coeffs2`` to the
@@ -77,7 +76,7 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     """
     ha = _halves(coeffs_from_so4(a))
     f, c1, c2 = _bch_so4(ha, _halves(coeffs_from_so4(b)), mode)
-    return So4BchResult(result=_antisymmetric(*f), coeffs1=c1, coeffs2=c2, mode=mode)
+    return So4BchResult(_antisymmetric(*f), c1, c2, mode)
 
 
 def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4Coeffs:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -233,8 +232,8 @@ def test_bch_entries_path_output_bytes(tmp_path, capsys):
         "kind": "so4_coeffs",
         "data": [float(t) for t in bch_so4_entries(f, g)],
         "coefficients": {
-            "self_dual": dataclasses.asdict(r.coeffs1),
-            "anti_self_dual": dataclasses.asdict(r.coeffs2),
+            "self_dual": r.coeffs1._asdict(),
+            "anti_self_dual": r.coeffs2._asdict(),
         },
         "mode": "corrected",
     }
@@ -243,6 +242,30 @@ def test_bch_entries_path_output_bytes(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bch", pf, pg, "--entries-path")
     assert (code, err) == (0, "")
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_result_records_are_named_tuples(tmp_path, capsys):
+    # the records unpack in field order, and _asdict() is the block bch writes
+    x, y = [0.3, -0.2, 0.5], [-0.1, 0.4, 0.25]
+    f, g = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05], [-0.2, 0.25, 0.0, 0.1, -0.05, 0.3]
+    co, r = bch_coefficients(x, y), bch_so4(so4_from_coeffs(f), so4_from_coeffs(g))
+    assert type(co)._fields == ("alpha", "beta", "gamma", "rho", "theta")
+    assert type(r)._fields == ("result", "coeffs1", "coeffs2", "mode")
+    assert tuple(co) == (co.alpha, co.beta, co.gamma, co.rho, co.theta)
+    for record, field in ((co, "theta"), (r, "mode")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    px = write_doc(tmp_path / "x.json", su2_vec_doc(x))
+    py = write_doc(tmp_path / "y.json", su2_vec_doc(y))
+    pf = write_doc(tmp_path / "f.json", so4_coeffs_doc(f))
+    pg = write_doc(tmp_path / "g.json", so4_coeffs_doc(g))
+    _, out, _ = run_cli(capsys, "bch", px, py)
+    assert read_json(out)["coefficients"] == co._asdict()
+    _, out, _ = run_cli(capsys, "bch", pf, pg)
+    assert read_json(out)["coefficients"] == {
+        "self_dual": r.coeffs1._asdict(),
+        "anti_self_dual": r.coeffs2._asdict(),
+    }
 
 
 def test_emitted_documents_reparse(tmp_path, capsys):
@@ -278,8 +301,8 @@ def test_exact_output_bytes(tmp_path, capsys):
     halves = split(a)
     r = bch_so4(a, b)
     so4_block = {
-        "self_dual": dataclasses.asdict(r.coeffs1),
-        "anti_self_dual": dataclasses.asdict(r.coeffs2),
+        "self_dual": r.coeffs1._asdict(),
+        "anti_self_dual": r.coeffs2._asdict(),
     }
     cases = [
         (("exp", px), {"kind": "su2_matrix", "data": u_pairs}),
@@ -302,7 +325,7 @@ def test_exact_output_bytes(tmp_path, capsys):
             {
                 "kind": "su2_vec",
                 "data": bch_su2(x, y).tolist(),
-                "coefficients": dataclasses.asdict(bch_coefficients(x, y)),
+                "coefficients": bch_coefficients(x, y)._asdict(),
                 "mode": "corrected",
             },
         ),
@@ -368,6 +391,7 @@ def test_nan_rejected_on_ingest(tmp_path, capsys):
     code, _, err = run_cli(capsys, "exp", str(p))
     assert code == 2
     assert "non-finite" in err
+    assert str(p) in err
 
 
 def test_integer_payload_overflowing_a_float_exits_2(tmp_path, capsys):
@@ -590,6 +614,7 @@ def test_log_of_a_non_group_element_exits_3(tmp_path, capsys, kind, oracle):
     assert "tolerance" in err
 
 
+MERGE_WRONG_KIND = "merge expects su2_vec documents, got so4_coeffs"
 MALFORMED = {
     "list_document": (["exp", "list"], "JSON object"),
     "inf_literal": (["exp", "inf"], "non-finite"),
@@ -600,7 +625,9 @@ MALFORMED = {
     "merge_list_document": (["merge", "list"], "pair document"),
     "merge_half_missing": (["merge", "half"], "pair document"),
     "merge_pair_of_wrong_kind": (["merge", "wrong_pair"], "expected a su2_vec"),
-    "merge_vector_and_generator": (["merge", "x", "f"], "su2_vec documents"),
+    # the file of the wrong kind is named, in either position
+    "merge_vector_and_generator": (["merge", "x", "f"], f"/f.json: {MERGE_WRONG_KIND}"),
+    "merge_generator_and_vector": (["merge", "f", "x"], f"/f.json: {MERGE_WRONG_KIND}"),
     "merge_three_inputs": (["merge", "x", "x", "x"], "one pair document or two"),
     "bch_oracle_entries_su2": (["bch", "x", "x", "--oracle", "--entries-path"], "not allowed"),
     "bch_oracle_entries_so4": (["bch", "f", "f", "--oracle", "--entries-path"], "not allowed"),
@@ -772,8 +799,9 @@ def test_module_entry_point_runs():
 
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
-    # exp, log, bch, split and merge run on Python floats alone; --oracle,
-    # verify and bench load NumPy and still work in the same process
+    # exp, log, bch, split and merge run on Python floats alone, without
+    # NumPy, dataclasses or inspect; --oracle, verify and bench load NumPy
+    # and still work in the same process
     x, y = su2_vec_doc([0.3, -0.2, 0.5]), su2_vec_doc([-0.1, 0.4, 0.25])
     f, g = so4_coeffs_doc([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]), so4_coeffs_doc([0.2, 0.1, 0, 0, 0, -0.1])
     u = su2_exp([0.3, -0.2, 0.5])
@@ -805,11 +833,13 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     script = textwrap.dedent(
         f"""
         import json, sys
+        preloaded = set(sys.modules)  # what the interpreter's site hooks load
         from magicbch.cli import main
         codes = []
         for k, args in enumerate({commands!r}):
             if k == {len(closed)}:
-                print(json.dumps({{"numpy": "numpy" in sys.modules}}))
+                loaded = set(sys.modules) - preloaded
+                print(json.dumps({{m: m in loaded for m in ("numpy", "dataclasses", "inspect")}}))
             codes.append(main(args))
         print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
         """
@@ -819,7 +849,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     before, after = map(json.loads, proc.stdout.splitlines())
-    assert before == {"numpy": False}
+    assert before == {"numpy": False, "dataclasses": False, "inspect": False}
     assert after == {"codes": [0] * len(commands), "numpy": True}
 
 
