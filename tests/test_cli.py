@@ -839,7 +839,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
         for k, args in enumerate({commands!r}):
             if k == {len(closed)}:
                 loaded = set(sys.modules) - preloaded
-                print(json.dumps({{m: m in loaded for m in ("numpy", "dataclasses", "inspect")}}))
+                print(json.dumps({{"numpy": "numpy" in sys.modules, **{{m: m in loaded for m in ("dataclasses", "inspect")}}}}))
             codes.append(main(args))
         print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
         """
