@@ -85,7 +85,7 @@ def _quaternion_of(rows):
     # rows of u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]; each
     # component is read from both entries that carry it
     (a, b), (c, d) = rows
-    return tuple(0.5 * t for t in (a.real + d.real, b.imag + c.imag, b.real - c.real, a.imag - d.imag))
+    return 0.5 * (a.real + d.real), 0.5 * (b.imag + c.imag), 0.5 * (b.real - c.real), 0.5 * (a.imag - d.imag)
 
 
 def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED):
@@ -360,30 +360,41 @@ def rotation(p, q):
     ]
 
 
-_BASIS = [tuple(float(i == k) for i in range(4)) for k in range(4)]
-# E_ij = rotation(e_i, e_j) for basis quaternions e_i, e_j, flattened, as its
-# four nonzero positions and their signs over 4, so <E_ij, O> / 4 is a signed
-# sum of four entries of O
-_ISOCLINIC_TERMS = [
-    tuple(k for k, e in enumerate(flat) if e) + tuple(0.25 * e for e in flat if e)
-    for flat in ([x for row in rotation(ei, ej) for x in row] for ei in _BASIS for ej in _BASIS)
-]
+def _isoclinic_products(rows):
+    # p_i q_j = <E_ij, O> / 4 row-major in (i, j): E_ij = rotation(e_i, e_j)
+    # on basis quaternions are orthogonal signed permutation matrices, so each
+    # is a signed sum of four entries of O.  Each term keeps its own 0.25: a
+    # common 0.25 * (...) rounds differently where a term is subnormal
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    return [
+        0.25 * a0 + 0.25 * b1 + 0.25 * c2 + 0.25 * d3,
+        0.25 * a1 - 0.25 * b0 - 0.25 * c3 + 0.25 * d2,
+        -0.25 * a2 - 0.25 * b3 + 0.25 * c0 + 0.25 * d1,
+        0.25 * a3 - 0.25 * b2 + 0.25 * c1 - 0.25 * d0,
+        0.25 * a1 - 0.25 * b0 + 0.25 * c3 - 0.25 * d2,
+        -0.25 * a0 - 0.25 * b1 + 0.25 * c2 + 0.25 * d3,
+        -0.25 * a3 + 0.25 * b2 + 0.25 * c1 - 0.25 * d0,
+        -0.25 * a2 - 0.25 * b3 - 0.25 * c0 - 0.25 * d1,
+        0.25 * a2 - 0.25 * b3 - 0.25 * c0 + 0.25 * d1,
+        -0.25 * a3 - 0.25 * b2 - 0.25 * c1 - 0.25 * d0,
+        0.25 * a0 - 0.25 * b1 + 0.25 * c2 - 0.25 * d3,
+        0.25 * a1 + 0.25 * b0 - 0.25 * c3 - 0.25 * d2,
+        0.25 * a3 + 0.25 * b2 - 0.25 * c1 - 0.25 * d0,
+        0.25 * a2 - 0.25 * b3 + 0.25 * c0 - 0.25 * d1,
+        0.25 * a1 + 0.25 * b0 + 0.25 * c3 + 0.25 * d2,
+        -0.25 * a0 + 0.25 * b1 + 0.25 * c2 - 0.25 * d3,
+    ]
 
 
 def _quaternions_from_rotation(rows):
-    # the E_ij are orthogonal with squared norm 4, so p_i q_j = <E_ij, O> / 4;
-    # factor that through the column and row of its largest entry (the first
-    # in row-major order on a tie), q taking the entry's sign.  Of the lifts
-    # (p, q), (-p, -q) return the one whose self-dual factor u = [[p0 + i p3,
-    # p2 + i p1], [-p2 + i p1, p0 - i p3]] has real trace 2 p0 >= 0; where
-    # |2 p0| <= 1e-12 the first entry of u past 1e-12, p0 + i p3 or else
-    # p2 + i p1 (p is a unit), decides by its real part, or by its imaginary
-    # part where the real part is rounding noise
-    o = [x for row in rows for x in row]
-    m = [
-        e0 * o[k0] + e1 * o[k1] + e2 * o[k2] + e3 * o[k3]
-        for k0, k1, k2, k3, e0, e1, e2, e3 in _ISOCLINIC_TERMS
-    ]
+    # factor m_ij = p_i q_j through the column and row of its largest entry
+    # (the first in row-major order on a tie), q taking the entry's sign.  Of
+    # the lifts (p, q), (-p, -q) return the one whose self-dual factor
+    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has real trace
+    # 2 p0 >= 0; where |2 p0| <= 1e-12 the first entry of u past 1e-12,
+    # p0 + i p3 or else p2 + i p1 (p is a unit), decides by its real part, or
+    # by its imaginary part where the real part is rounding noise
+    m = _isoclinic_products(rows)
     size = list(map(abs, m))
     k = size.index(max(size))
     i, j = divmod(k, 4)

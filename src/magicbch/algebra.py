@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scalar import _antisymmetric_rows, _coeffs, _generator_rows, _special_orthogonal_rows
+from ._scalar import _antisymmetric_rows, _coeffs, _special_orthogonal_rows
 from ._scalar import _special_unitary_rows
 from .errors import ShapeError
 
@@ -73,15 +73,25 @@ class So4Coeffs(NamedTuple):
 
 
 def pauli(k: int) -> np.ndarray:
-    """Return the Pauli matrix sigma_k for ``k`` in {1, 2, 3}."""
+    """Return the Pauli matrix sigma_k for any ``k`` equal to 1, 2 or 3."""
     if k not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2, or 3, got {k!r}")
-    return _SIGMA[k - 1].copy()
+    return _SIGMA[(1, 2, 3).index(k)].copy()
 
 
 def frobenius_norm(m) -> float:
-    """Frobenius norm, the uniform error metric of this package."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm, the uniform error metric of this package.
+
+    Bit for bit ``float(np.linalg.norm(m))`` on float64, complex128, int and bool input.
+    """
+    x = np.asarray(m)
+    if x.dtype.kind not in "fcO":
+        x = x.astype(float)
+    x = x.ravel("K")  # memory order, as np.linalg.norm sums
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -121,7 +131,10 @@ def so4_from_coeffs(c) -> np.ndarray:
 
 
 def _antisymmetric(f12, f13, f14, f23, f24, f34) -> np.ndarray:
-    return np.array(_generator_rows(f12, f13, f14, f23, f24, f34))
+    # boxed from one flat list, which NumPy reads faster than four nested rows
+    return np.array(
+        [0.0, f12, f13, f14, -f12, 0.0, f23, f24, -f13, -f23, 0.0, f34, -f14, -f24, -f34, 0.0]
+    ).reshape(4, 4)
 
 
 def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
@@ -131,7 +144,12 @@ def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
     max-norm.  The entries are copied without arithmetic, so a round trip
     through :func:`so4_from_coeffs` is bit-exact.
     """
-    return So4Coeffs(*_coeffs(_real_4x4_rows(m), tol))
+    return So4Coeffs(*_generator_floats(m, tol))
+
+
+def _generator_floats(m, tol: float = 1e-12) -> tuple[float, ...]:
+    # the six floats of coeffs_from_so4, for callers that need no record
+    return _coeffs(_real_4x4_rows(m), tol)
 
 
 def is_antisymmetric(m, tol: float = 1e-12) -> bool:
@@ -193,7 +211,7 @@ def _real_4x4_rows(m) -> list[list[float]]:
     if m.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
     rows = m.tolist()
-    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
+    if not all(map(math.isfinite, [*rows[0], *rows[1], *rows[2], *rows[3]])):
         raise ShapeError(f"expected finite entries, got {rows!r}")
     return rows
 

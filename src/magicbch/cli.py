@@ -265,21 +265,16 @@ def _cmd_merge(args) -> int:
             raise ShapeError(
                 f"{path}: merge expects a pair document with self_dual and anti_self_dual entries"
             )
-        halves = []
-        for key in _PAIR_KEYS:
-            kind, v = _payload(doc[key], source=f"{path}:{key}")
-            if kind != "su2_vec":
-                raise ShapeError(f"{path}:{key}: expected a su2_vec document")
-            halves.append(v)
+        documents = ((f"{path}:{k}", _payload(doc[k], f"{path}:{k}")) for k in _PAIR_KEYS)
     elif len(args.inputs) == 2:
-        halves = []
-        for path in args.inputs:
-            kind, v = load_document(path)
-            if kind != "su2_vec":
-                raise ShapeError(f"{path}: merge expects su2_vec documents, got {kind}")
-            halves.append(v)
+        documents = ((path, load_document(path)) for path in args.inputs)
     else:
         raise ShapeError("merge takes one pair document or two su2_vec documents")
+    halves = []
+    for source, (kind, v) in documents:  # each input is read, then checked, in order
+        if kind != "su2_vec":
+            raise ShapeError(f"{source}: merge expects su2_vec documents, got {kind}")
+        halves.append(v)
     emit(_document("so4_matrix", _scalar._generator_rows(*_scalar._merge(*halves))), args.output)
     return EXIT_OK
 

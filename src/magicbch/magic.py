@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._scalar import _halves, _merge, _quaternion_of, _special_unitary_rows, rotation
-from .algebra import _COMPLEX, _antisymmetric, _array, _complex_2x2_rows, _finite_floats, coeffs_from_so4
+from .algebra import _COMPLEX, _antisymmetric, _array, _complex_2x2_rows, _finite_floats, _generator_floats
 from .errors import DomainError, ShapeError
 
 __all__ = [
@@ -105,7 +105,7 @@ def split(a) -> SplitPair:
     ``i (a1 . sigma (x) 1 + 1 (x) a2 . sigma)`` for the returned pair.
     A half that overflows a float raises :class:`DomainError`.
     """
-    return SplitPair(*map(np.array, _halves(coeffs_from_so4(a))))
+    return SplitPair(*map(np.array, _halves(_generator_floats(a))))
 
 
 def merge(pair) -> np.ndarray:

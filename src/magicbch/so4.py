@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _halves, _so4_exp, _so4_log
-from .algebra import So4Coeffs, _antisymmetric, _finite_floats, _real_4x4_rows, coeffs_from_so4
+from .algebra import So4Coeffs, _antisymmetric, _finite_floats, _generator_floats, _real_4x4_rows
 
 __all__ = [
     "So4BchResult",
@@ -49,7 +49,8 @@ def so4_exp(a) -> np.ndarray:
     exponentiated in closed form as unit quaternions and mapped to the
     rotation bilinearly, so no matrix series is summed.
     """
-    return np.array(_so4_exp(coeffs_from_so4(a)))
+    r0, r1, r2, r3 = _so4_exp(_generator_floats(a))
+    return np.array([*r0, *r1, *r2, *r3]).reshape(4, 4)
 
 
 def so4_log(o) -> np.ndarray:
@@ -74,8 +75,8 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     case per channel: theta <= pi/2 in ``PAPER_FAITHFUL`` mode, theta < pi
     in ``BRANCH_CORRECTED`` mode.
     """
-    ha = _halves(coeffs_from_so4(a))
-    f, c1, c2 = _bch_so4(ha, _halves(coeffs_from_so4(b)), mode)
+    ha = _halves(_generator_floats(a))
+    f, c1, c2 = _bch_so4(ha, _halves(_generator_floats(b)), mode)
     return So4BchResult(_antisymmetric(*f), c1, c2, mode)
 
 

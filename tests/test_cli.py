@@ -624,8 +624,11 @@ MALFORMED = {
     "split_of_a_vector": (["split", "x"], "split expects"),
     "merge_list_document": (["merge", "list"], "pair document"),
     "merge_half_missing": (["merge", "half"], "pair document"),
-    "merge_pair_of_wrong_kind": (["merge", "wrong_pair"], "expected a su2_vec"),
-    # the file of the wrong kind is named, in either position
+    # the half or the file of the wrong kind is named, with its kind
+    "merge_pair_of_wrong_kind": (
+        ["merge", "wrong_pair"],
+        f"/wrong_pair.json:anti_self_dual: {MERGE_WRONG_KIND}",
+    ),
     "merge_vector_and_generator": (["merge", "x", "f"], f"/f.json: {MERGE_WRONG_KIND}"),
     "merge_generator_and_vector": (["merge", "f", "x"], f"/f.json: {MERGE_WRONG_KIND}"),
     "merge_three_inputs": (["merge", "x", "x", "x"], "one pair document or two"),
