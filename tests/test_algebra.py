@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,12 @@ def test_pauli_entries():
     np.testing.assert_array_equal(pauli(1), np.array([[0, 1], [1, 0]], dtype=complex))
     np.testing.assert_array_equal(pauli(2), np.array([[0, -1j], [1j, 0]]))
     np.testing.assert_array_equal(pauli(3), np.array([[1, 0], [0, -1]], dtype=complex))
+    # any index equal to 1, 2 or 3 selects that matrix
+    for k in (1.0, 2.0, np.float64(2.0), np.int64(3), 3.0 + 0.0j):
+        np.testing.assert_array_equal(pauli(k), pauli(int(k.real)))
 
 
-@pytest.mark.parametrize("k", [0, 4, -1])
+@pytest.mark.parametrize("k", [0, 4, -1, 0.0, 1.5, np.float64(2.5), 4.0, "1", None])
 def test_pauli_rejects_bad_index(k):
     with pytest.raises(ValueError):
         pauli(k)
@@ -35,6 +40,39 @@ def test_pauli_returns_a_copy():
     m = pauli(1)
     m[0, 0] = 99.0
     assert pauli(1)[0, 0] == 0.0
+
+
+def frobenius_inputs(rng):
+    # real and complex values at four shapes over magnitudes 1e-300..1e300,
+    # as arrays, transposed and strided views, nested lists, with an inf or
+    # NaN entry, and int and bool arrays; then 0-d input
+    for shape in ((2, 2), (4, 4), (3,), (16,)):
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            real = scale * rng.normal(size=shape)
+            cplx = real + 1j * scale * rng.normal(size=shape)
+            for a in (real, cplx):
+                yield a
+                yield a.T
+                yield np.repeat(a, 2, axis=-1)[..., ::2]
+                yield a[::-1]
+                yield a.tolist()
+                bad = a.copy()
+                bad.flat[rng.integers(bad.size)] = rng.choice([np.inf, -np.inf, np.nan])
+                yield bad
+            yield rng.integers(-(2**31), 2**31, size=shape)
+            yield rng.integers(0, 2, size=shape).astype(bool)
+    yield from (2.5, np.float64(-3.0), np.array(4.0 + 3.0j), np.nan, [])
+
+
+def test_frobenius_norm_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for m in frobenius_inputs(rng):
+        with np.errstate(over="ignore"):  # squares past 1e154 overflow to inf
+            got, expected = frobenius_norm(m), float(np.linalg.norm(m))
+        assert type(got) is float
+        # packed, so that NaN results compare by their bytes
+        assert struct.pack("<d", got) == struct.pack("<d", expected), m
 
 
 def test_tensor_product_identity():

@@ -8,6 +8,7 @@ the tolerance, and hold the readers to NumPy's own indexing bit for bit.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from magicbch import (
     su2su2_to_so4,
 )
 from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
-from magicbch._scalar import _quaternion_of, _quaternions_from_rotation, rotation
+from magicbch._scalar import _isoclinic_products, _quaternion_of, _quaternions_from_rotation, rotation
 from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
 
 SAMPLES = 2000
@@ -256,6 +257,60 @@ def test_rotations_equal_the_blas_product_bit_for_bit():
         pu, pv = (np.array(_quaternion_of(m.tolist())) for m in (u, v))
         assert su2su2_to_so4(u, v).tobytes() == blas_rotation(pu, pv).tobytes(), (x, y)
     assert zero_entries > 2 * SAMPLES, zero_entries
+
+
+BASIS = [tuple(float(i == k) for i in range(4)) for k in range(4)]
+# E_ij = rotation(e_i, e_j) for basis quaternions e_i, e_j, flattened, as its
+# four nonzero positions and their signs over 4, so <E_ij, O> / 4 is a signed
+# sum of four entries of O
+ISOCLINIC_TERMS = [
+    tuple(k for k, e in enumerate(flat) if e) + tuple(0.25 * e for e in flat if e)
+    for flat in ([x for row in rotation(ei, ej) for x in row] for ei in BASIS for ej in BASIS)
+]
+
+
+def table_products(rows):
+    # the sixteen p_i q_j through the table, in the order of its terms
+    o = [x for row in rows for x in row]
+    return [
+        e0 * o[k0] + e1 * o[k1] + e2 * o[k2] + e3 * o[k3]
+        for k0, k1, k2, k3, e0, e1, e2, e3 in ISOCLINIC_TERMS
+    ]
+
+
+def subnormal_rotations(rng, n):
+    # rotations with subnormal entries: signed permutations with their zeros
+    # replaced by subnormals, and pairs of unit quaternions with two
+    # components near 1e-160 each, whose products underflow
+    for k in range(n):
+        if k % 2:
+            i, j = rng.integers(4, size=2)
+            o = np.array(rotation([rng.choice([-1.0, 1.0]) * t for t in BASIS[i]], BASIS[j]))
+            tiny = rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(5e-324, 2.2e-308, size=(4, 4))
+            yield np.where(o == 0.0, tiny, o)
+        else:
+            p, q = rng.normal(size=4), rng.normal(size=4)
+            p[rng.choice(4, size=2, replace=False)] *= 1e-160
+            q[rng.choice(4, size=2, replace=False)] *= 1e-160
+            yield np.array(rotation((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist()))
+
+
+def test_isoclinic_sums_equal_the_table_bit_for_bit():
+    # each written-out sum scales its four terms one by one, as the table
+    # does, so the bytes agree; a common factor 0.25 * (...) would round
+    # differently where a term is subnormal, which the second half exercises
+    rng = np.random.default_rng(309)
+    seeded = (so4_exp(so4_from_coeffs(rng.uniform(-2.0, 2.0, size=6))) for _ in range(SAMPLES))
+    for o in seeded:
+        rows = o.tolist()
+        assert np.array(_isoclinic_products(rows)).tobytes() == np.array(table_products(rows)).tobytes()
+    subnormal = 0
+    for o in subnormal_rotations(rng, SAMPLES):
+        rows = o.tolist()
+        expected = table_products(rows)
+        assert np.array(_isoclinic_products(rows)).tobytes() == np.array(expected).tobytes(), rows
+        subnormal += sum(0.0 < abs(t) < sys.float_info.min for t in expected)
+    assert subnormal > SAMPLES, subnormal
 
 
 def lift_branch(p):
