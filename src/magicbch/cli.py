@@ -180,7 +180,7 @@ def _cmd_exp(args) -> int:
 def _cmd_log(args) -> int:
     kind, data = load_document(args.input)
     if kind == "su2_matrix":
-        u = [[re + 1j * im for re, im in row] for row in data]
+        u = [[complex(re, im) for re, im in row] for row in data]
         if args.oracle:
             from . import algebra, oracle
 
