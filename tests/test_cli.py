@@ -101,6 +101,20 @@ def test_log_inverts_exp(tmp_path, capsys):
     np.testing.assert_allclose(doc["data"], coeffs, atol=1e-12)
 
 
+def test_log_keeps_the_sign_of_a_zero_imaginary_part(tmp_path, capsys):
+    # exp writes each complex entry as [re, im] and log reads it back as
+    # complex(re, im); re + 1j * im would turn an imaginary -0.0 into +0.0
+    x = [-0.0, 0.3, 0.2]
+    p = write_doc(tmp_path / "x.json", su2_vec_doc(x))
+    code, _, _ = run_cli(capsys, "exp", p, "--output", str(tmp_path / "u.json"))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "log", str(tmp_path / "u.json"))
+    assert code == 0
+    data = read_json(out)["data"]
+    assert math.copysign(1.0, data[0]) < 0
+    assert np.array(data).tobytes() == su2_log(su2_exp(x)).tobytes()
+
+
 def test_log_oracle_flag_agrees(tmp_path, capsys):
     p = write_doc(tmp_path / "v.json", su2_vec_doc([0.4, -0.3, 0.2]))
     run_cli(capsys, "exp", p, "--output", str(tmp_path / "u.json"))

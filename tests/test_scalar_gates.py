@@ -31,6 +31,7 @@ from magicbch import (
 from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
 from magicbch._scalar import _isoclinic_products, _quaternion_of, _quaternions_from_rotation, rotation
 from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
+from magicbch.errors import InternalConsistencyError
 
 SAMPLES = 2000
 GROUP_TOL = 1e-10
@@ -379,3 +380,74 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
     # each test of the rule decides a share of the samples
     assert set(branches) == {"trace", "p3", "p2", "p1"}
     assert min(branches.values()) >= 100, branches
+
+
+def list_factorization(rows):
+    # the factorization as it was written over lists, the reference for the
+    # unpacked scalars: the same pivot, divisions, lift and residue check
+    m = _isoclinic_products(rows)
+    size = list(map(abs, m))
+    k = size.index(max(size))
+    i, j = divmod(k, 4)
+    col, row = m[j::4], m[4 * i : 4 * i + 4]
+    pn, qn = (math.sqrt(a * a + b * b + c * c + d * d) for a, b, c, d in (col, row))
+    qn = math.copysign(qn, m[k])
+    p0, p1, p2, p3 = p = [t / pn for t in col]
+    if abs(2.0 * p0) > 1e-12:
+        flip = p0 < 0.0
+    elif math.hypot(p0, p3) > 1e-12:
+        flip = p3 < 0.0
+    else:
+        flip = (p2 if abs(p2) > 1e-12 else p1) < 0.0
+    if flip:
+        p, qn = [-t for t in p], -qn
+    q = [t / qn for t in row]
+    residue = math.dist([a * b for a in p for b in q], m)
+    if residue > 1e-8:
+        raise InternalConsistencyError(f"residue {residue:.3e}")
+    return p, q
+
+
+def tied_rotations():
+    # the identity, the signed permutations rotation(e_i, e_j) of basis
+    # quaternions, and products of quaternions with components of equal
+    # size, whose isoclinic products tie for the pivot in 4, 8 or 16 places
+    yield np.eye(4)
+    for ei in BASIS:
+        for ej in BASIS:
+            yield np.array(rotation(ei, ej))
+    halves = [np.array(s) - 0.5 for s in np.ndindex(2, 2, 2, 2)]
+    pairs = [np.array(BASIS[a]) + np.array(BASIS[b]) for a in range(4) for b in range(a + 1, 4)]
+    pairs = [v / math.sqrt(2.0) for v in pairs] + [-v / math.sqrt(2.0) for v in pairs]
+    for p in halves + pairs:
+        for q in halves[::3] + pairs[::2]:
+            yield np.array(rotation(p.tolist(), q.tolist()))
+
+
+def test_unpacked_factorization_equals_the_lists_bit_for_bit():
+    # the unpacked scalars divide, flip and check as the lists did, so both
+    # return the same bytes, signed zeros included, on every lift tier and
+    # on ties for the pivot
+    rng = np.random.default_rng(310)
+
+    def factor(o):
+        rows = o.tolist()
+        p, q = _quaternions_from_rotation(rows)
+        lp, lq = list_factorization(rows)
+        assert np.array(p + q).tobytes() == np.array(lp + lq).tobytes(), rows
+        return p
+
+    for _ in range(SAMPLES):
+        factor(so4_exp(so4_from_coeffs(rng.uniform(-2.0, 2.0, size=6))))
+    for o in subnormal_rotations(rng, SAMPLES):
+        factor(o)
+    branches = {lift_branch(factor(o)) for o in traceless_rotations(rng, 2400)}
+    assert branches == {"trace", "p3", "p2", "p1"}
+    ties = 0
+    for o in tied_rotations():
+        factor(o)
+        size = np.abs(_isoclinic_products(o.tolist()))
+        ties += int(np.count_nonzero(size == size.max())) > 1
+    assert ties > 100, ties
+    with pytest.raises(InternalConsistencyError):
+        _quaternions_from_rotation(np.diag([1.0, 1.0, 1.0, -1.0]).tolist())
