@@ -18,6 +18,9 @@ _MODULES = {
         "coeffs_from_so4",
         "frobenius_norm",
         "hermitian_from_vec",
+        "is_antisymmetric",
+        "is_special_orthogonal",
+        "is_special_unitary",
         "pauli",
         "so4_from_coeffs",
         "tensor_product",

@@ -118,8 +118,12 @@ def hermitian_from_vec(v) -> np.ndarray:
 def vec_from_hermitian(m) -> np.ndarray:
     """Read the Pauli coefficients back off a traceless Hermitian 2x2 matrix.
 
-    Only the Hermitian traceless projection of ``m`` is inspected, so tiny
-    numerical residue on the input is harmless.
+    Only three numbers are read: the real and imaginary parts of the
+    lower-left entry ``m[1, 0]``, and half the difference of the real parts
+    of ``m[0, 0]`` and ``m[1, 1]``.  The input is not projected onto the
+    traceless Hermitian matrices first: ``[[0, 1], [0, 0]]`` reads as
+    ``[0, 0, 0]``, while its Hermitian part ``[[0, 0.5], [0.5, 0]]`` reads
+    as ``[0.5, 0, 0]``.
     """
     (a, _), (c, d) = _complex_2x2_rows(m)
     return np.array([c.real, c.imag, 0.5 * (a.real - d.real)])

@@ -113,9 +113,14 @@ def merge(pair) -> np.ndarray:
 
     The result satisfies ``m + m.T == 0`` exactly because each lower-triangle
     entry is the negation of the float computed for the upper triangle.
-    Halves whose sums overflow a float raise :class:`DomainError`.
+    Anything but two halves raises :class:`ShapeError`, and halves whose
+    sums overflow a float raise :class:`DomainError`.
     """
-    return _antisymmetric(*_merge(_finite_floats(pair[0], 3), _finite_floats(pair[1], 3)))
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ShapeError(f"expected a pair of two 3-vector halves, got {pair!r}") from None
+    return _antisymmetric(*_merge(_finite_floats(a, 3), _finite_floats(b, 3)))
 
 
 def su2su2_to_so4(u, v) -> np.ndarray:

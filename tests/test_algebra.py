@@ -142,6 +142,13 @@ def test_vec_from_hermitian_round_trip(v):
     np.testing.assert_array_equal(vec_from_hermitian(hermitian_from_vec(v)), v)
 
 
+def test_vec_from_hermitian_reads_without_projecting():
+    # only the lower-left entry and the real diagonal are read, so a matrix
+    # off the Hermitian ones is not read as its Hermitian part
+    assert vec_from_hermitian([[0, 1], [0, 0]]).tolist() == [0.0, 0.0, 0.0]
+    assert vec_from_hermitian([[0, 0.5], [0.5, 0]]).tolist() == [0.5, 0.0, 0.0]
+
+
 def test_so4_from_coeffs_layout():
     m = so4_from_coeffs(So4Coeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     expected = np.zeros((4, 4))

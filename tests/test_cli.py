@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from magicbch import (
     su2_log,
 )
 from magicbch.algebra import is_antisymmetric
-from magicbch.cli import _compose_within_limits, _payload, main
+from magicbch.cli import _compose_within_limits, _payload, _sample_generator_pairs, main
 
 
 def write_doc(path, doc):
@@ -748,6 +749,104 @@ def test_verify_tol_flag_can_fail_the_run(capsys):
     assert read_json(out)["passed"] is False
 
 
+@pytest.mark.parametrize(("seed", "evaluated", "expected"), [(0, 1, 0), (2, 0, 1)])
+def test_verify_fails_a_sweep_that_evaluated_nothing(capsys, seed, evaluated, expected):
+    # seed 2 draws one pair that paper mode skips, so its sweep checks nothing
+    args = ("verify", "--trials", "1", "--mode", "paper", "--bound", "2", "--seed", str(seed))
+    code, out, _ = run_cli(capsys, *args)
+    report = read_json(out)
+    assert (code, report["evaluated"], report["passed"]) == (expected, evaluated, expected == 0)
+    assert report["max_error"] < 1e-10
+
+
+def per_trial_pairs(trials, seed, bound):
+    # the reference draw: one call per generator, six entries of a then six
+    # of b in each trial; the sweep's one array must read the same stream
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(trials):
+        ca = rng.uniform(-bound, bound, size=6)
+        cb = rng.uniform(-bound, bound, size=6)
+        pairs.append((so4_from_coeffs(ca), so4_from_coeffs(cb)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("bound", [0.3, 2.0])
+def test_sweep_draw_is_the_per_trial_stream(seed, bound):
+    def as_bytes(pairs):
+        return [(a.tobytes(), b.tobytes()) for a, b in pairs]
+
+    expected = as_bytes(per_trial_pairs(300, seed, bound))
+    assert as_bytes(_sample_generator_pairs(300, seed, bound)) == expected
+
+
+# 3.13's argparse wraps bch's mutually exclusive group in the usage line
+# differently; every other line is the same on 3.10 to 3.13
+BCH_USAGE = (
+    """\
+usage: magicbch bch [-h] [--mode {corrected,paper}] [--entries-path |
+                    --oracle] [--output FILE]
+"""
+    if sys.version_info >= (3, 13)
+    else """\
+usage: magicbch bch [-h] [--mode {corrected,paper}]
+                    [--entries-path | --oracle] [--output FILE]
+"""
+)
+MODE_HELP = """\
+  --mode {corrected,paper}
+                        branch handling of the composition law (default:
+                        corrected)
+"""
+SWEEP_HELP = """\
+options:
+  -h, --help            show this help message and exit
+  --trials TRIALS
+  --seed SEED
+  --bound BOUND         entry bound for sampled generators
+""" + MODE_HELP
+OUTPUT_HELP = "  --output FILE         write the result here instead of stdout\n"
+HELP = {
+    "bch": BCH_USAGE + """\
+                    a b
+
+positional arguments:
+  a
+  b
+
+options:
+  -h, --help            show this help message and exit
+""" + MODE_HELP + """\
+  --entries-path        evaluate through the expanded entry formulas (so4
+                        inputs only)
+  --oracle              use the series oracle instead
+""" + OUTPUT_HELP,
+    "verify": """\
+usage: magicbch verify [-h] [--trials TRIALS] [--seed SEED] [--bound BOUND]
+                       [--mode {corrected,paper}] [--tol TOL] [--output FILE]
+
+""" + SWEEP_HELP + """\
+  --tol TOL             pass threshold on the max error (default 1e-10)
+""" + OUTPUT_HELP,
+    "bench": """\
+usage: magicbch bench [-h] [--trials TRIALS] [--seed SEED] [--bound BOUND]
+                      [--mode {corrected,paper}] [--output FILE]
+
+""" + SWEEP_HELP + OUTPUT_HELP,
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_mode_commands_help_bytes(capsys, monkeypatch, command):
+    # the --mode choices come from BranchMode; the help text is pinned whole
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
+
+
 def test_verify_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--trials", "0"])
@@ -868,6 +967,13 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     before, after = map(json.loads, proc.stdout.splitlines())
     assert before == {"numpy": False, "dataclasses": False, "inspect": False}
     assert after == {"codes": [0] * len(commands), "numpy": True}
+
+
+def test_package_exports_every_name_its_modules_list():
+    for module, names in magicbch._MODULES.items():
+        listed = getattr(importlib.import_module(f"magicbch.{module}"), "__all__", None)
+        if listed is not None:
+            assert sorted(names) == sorted(listed), module
 
 
 def test_every_public_name_resolves_lazily():

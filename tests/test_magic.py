@@ -23,7 +23,7 @@ from magicbch import (
     to_orthogonal_frame,
     to_tensor_frame,
 )
-from magicbch._scalar import _quaternions_from_rotation, rotation
+from magicbch._scalar import _merge, _quaternions_from_rotation, rotation
 
 
 def random_su2(rng):
@@ -118,6 +118,31 @@ def test_merge_single_channel():
 
 def test_merge_zero():
     np.testing.assert_array_equal(merge(SplitPair(np.zeros(3), np.zeros(3))), np.zeros((4, 4)))
+
+
+NOT_A_PAIR = {
+    "one_half": [[0.1, 0.2, 0.3]],
+    "none": None,
+    "int": 5,
+    "dict": {"a": 1},
+    "three_halves": [[0.1, 0.2, 0.3]] * 3,
+    "3x3_array": np.ones((3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_PAIR))
+def test_merge_refuses_anything_but_two_halves(case):
+    with pytest.raises(ShapeError, match="pair of two 3-vector halves"):
+        merge(NOT_A_PAIR[case])
+
+
+def test_merge_reads_every_form_of_a_pair_alike():
+    # a record, a tuple, a list and a (2, 3) array of the same halves give the
+    # bytes of the scalar merge of their floats
+    a, b = [0.3, -0.2, 0.1], [0.25, -0.15, 0.05]
+    expected = so4_from_coeffs(_merge(a, b)).tobytes()
+    for pair in (SplitPair(np.array(a), np.array(b)), (a, b), [a, b], np.array([a, b])):
+        assert merge(pair).tobytes() == expected, type(pair)
 
 
 def test_merge_output_antisymmetric_exactly():
