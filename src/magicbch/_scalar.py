@@ -268,10 +268,11 @@ def _so4_log(rows):
     return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q)[0])
 
 
-def _bch_so4(ha, hb, mode: BranchMode):
-    # compose the halves ha, hb channel by channel: f12 .. f34 and both BchCoefficients
-    c1, z1 = _in_channel("self-dual", _compose, ha[0], hb[0], mode)
-    c2, z2 = _in_channel("anti-self-dual", _compose, ha[1], hb[1], mode)
+def _bch_so4(f, g, mode: BranchMode):
+    # compose the generators f, g channel by channel: f12 .. f34 and both BchCoefficients
+    (x1, x2), (y1, y2) = _halves(f), _halves(g)
+    c1, z1 = _in_channel("self-dual", _compose, x1, y1, mode)
+    c2, z2 = _in_channel("anti-self-dual", _compose, x2, y2, mode)
     return _merged(z1, z2), c1, c2
 
 

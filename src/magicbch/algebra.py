@@ -12,27 +12,35 @@ Everything in this package is expressed through a small set of carriers:
 The two-qubit basis order is |00>, |01>, |10>, |11> throughout.  The error
 metric used by every module is the Frobenius norm.
 
-Every argument is read once: ``np.asarray``, a cast to float64 (complex128
-for a 2x2), a shape check, then ``.tolist()`` into Python numbers, which
-must all be finite.  Complex entries where reals are due, strings, ragged
-nesting and ints past the float range raise :class:`ShapeError`.  The
-antisymmetry, special-orthogonal and special-unitary gates then run on those
-rows in scalar arithmetic (in :mod:`magicbch._scalar`); they form the
-quantities a NumPy evaluation would, ``max |m_ij + m_ji|``,
-``||M^T M - I||_F`` with ``det M`` by the Laplace expansion in 2x2 minors,
-and ``||U^H U - I||_F`` with ``det U``, against the same tolerances
-(1e-10 for the group gates).
+Every array argument of the public functions here and in :mod:`magicbch.su2`,
+:mod:`magicbch.magic` and :mod:`magicbch.so4` (but :func:`frobenius_norm`,
+which takes any array) is read once, by ``_read_array(m, dtype, shape)``:
+``np.asarray``, a cast to float64 (complex128 for a 2x2 factor and the frame
+changes' 4x4 matrices), a shape check, then ``.tolist()`` into Python
+numbers, which must all be finite.  A wrong shape, a NaN/Inf entry, a
+complex entry where reals are due or a string raises :class:`ShapeError`
+with one message, ``expected finite float64 entries in shape (3,), got
+float64 entries in shape (4,): [...]``; ragged nesting and ints past the
+float range raise ``expected an array of numbers in shape (3,): ...`` with
+NumPy's reason.  The antisymmetry, special-orthogonal and special-unitary
+gates then run on those rows in scalar arithmetic (in
+:mod:`magicbch._scalar`); they form the quantities a NumPy evaluation would,
+``max |m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the Laplace
+expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U``, against the
+same tolerances (1e-10 for the group gates).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import reprlib
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from ._scalar import _antisymmetric_rows, _coeffs, _special_orthogonal_rows
+from ._scalar import _antisymmetric_rows, _coeffs, _generator_rows, _special_orthogonal_rows
 from ._scalar import _special_unitary_rows
 from .errors import ShapeError
 
@@ -100,12 +108,13 @@ def tensor_product(a, b) -> np.ndarray:
     Block (i, j) of the result is ``a[i, j] * b``, which places the first
     factor on the first qubit under the |00>, |01>, |10>, |11> ordering.
     """
-    return np.kron(np.array(_complex_2x2_rows(a)), np.array(_complex_2x2_rows(b)))
+    a, b = _read_array(a, _COMPLEX, (2, 2)), _read_array(b, _COMPLEX, (2, 2))
+    return np.kron(np.array(a), np.array(b))
 
 
 def hermitian_from_vec(v) -> np.ndarray:
     """Map a real 3-vector to the traceless Hermitian matrix ``v . sigma``."""
-    v = _finite_floats(v, 3)
+    v = _read_array(v, _REAL, (3,))
     return np.array(
         [
             [v[2], v[0] - 1j * v[1]],
@@ -125,20 +134,20 @@ def vec_from_hermitian(m) -> np.ndarray:
     ``[0, 0, 0]``, while its Hermitian part ``[[0, 0.5], [0.5, 0]]`` reads
     as ``[0.5, 0, 0]``.
     """
-    (a, _), (c, d) = _complex_2x2_rows(m)
+    (a, _), (c, d) = _read_array(m, _COMPLEX, (2, 2))
     return np.array([c.real, c.imag, 0.5 * (a.real - d.real)])
 
 
 def so4_from_coeffs(c) -> np.ndarray:
     """Build the antisymmetric 4x4 matrix with upper triangle ``f12 .. f34``."""
-    return _antisymmetric(*_finite_floats(c, 6))
+    return _box(_generator_rows(*_read_array(c, _REAL, (6,))))
 
 
-def _antisymmetric(f12, f13, f14, f23, f24, f34) -> np.ndarray:
-    # boxed from one flat list, which NumPy reads faster than four nested rows
-    return np.array(
-        [0.0, f12, f13, f14, -f12, 0.0, f23, f24, -f13, -f23, 0.0, f34, -f14, -f24, -f34, 0.0]
-    ).reshape(4, 4)
+def _box(rows) -> np.ndarray:
+    # four rows of four floats as a 4x4 array, boxed from one flat list:
+    # np.fromiter of sixteen floats beats np.array of it, or of the rows
+    r0, r1, r2, r3 = rows
+    return np.fromiter([*r0, *r1, *r2, *r3], float, 16).reshape(4, 4)
 
 
 def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
@@ -153,13 +162,13 @@ def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
 
 def _generator_floats(m, tol: float = 1e-12) -> tuple[float, ...]:
     # the six floats of coeffs_from_so4, for callers that need no record
-    return _coeffs(_real_4x4_rows(m), tol)
+    return _coeffs(_read_array(m, _REAL, (4, 4)), tol)
 
 
 def is_antisymmetric(m, tol: float = 1e-12) -> bool:
     """Whether ``m`` is a finite real 4x4 matrix with ``max |m + m.T| <= tol``."""
     try:
-        return _antisymmetric_rows(_real_4x4_rows(m), tol)
+        return _antisymmetric_rows(_read_array(m, _REAL, (4, 4)), tol)
     except ShapeError:
         return False
 
@@ -167,7 +176,7 @@ def is_antisymmetric(m, tol: float = 1e-12) -> bool:
 def is_special_orthogonal(m) -> bool:
     """Whether ``||m.T m - I||_F`` and ``|det m - 1|`` are both within 1e-10."""
     try:
-        return _special_orthogonal_rows(_real_4x4_rows(m))
+        return _special_orthogonal_rows(_read_array(m, _REAL, (4, 4)))
     except ShapeError:
         return False
 
@@ -175,7 +184,7 @@ def is_special_orthogonal(m) -> bool:
 def is_special_unitary(u) -> bool:
     """Whether ``||u^H u - I||_F`` and ``|det u - 1|`` are both within 1e-10."""
     try:
-        return _special_unitary_rows(_complex_2x2_rows(u))
+        return _special_unitary_rows(_read_array(u, _COMPLEX, (2, 2)))
     except ShapeError:
         return False
 
@@ -184,48 +193,24 @@ _REAL = np.dtype(float)
 _COMPLEX = np.dtype(complex)
 
 
-def _array(m, dtype: np.dtype) -> np.ndarray:
-    # m cast to _REAL or _COMPLEX from bool, int, float (or complex) entries;
-    # anything else is a ShapeError, never a cast that drops an imaginary part
+def _read_array(m, dtype: np.dtype, shape: tuple[int, ...]) -> list:
+    # m as nested lists of finite Python floats (complex for _COMPLEX) in
+    # the given shape, read once; every refusal is a ShapeError, and no cast
+    # from complex to real drops an imaginary part
     try:
         a = np.asarray(m)
-        if a.dtype is dtype:
-            return a
-        if a.dtype.kind in ("biufcO" if dtype is _COMPLEX else "biufO"):
-            return a.astype(dtype)
+        if a.dtype is not dtype and a.dtype.kind in ("biufcO" if dtype is _COMPLEX else "biufO"):
+            a = a.astype(dtype)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ShapeError(f"expected an array of numbers: {exc}") from None
-    raise ShapeError(f"expected entries that cast to {dtype}, got {a.dtype}")
-
-
-def _finite_floats(v, n: int) -> list[float]:
-    v = _array(v, _REAL)
-    if v.shape != (n,):
-        raise ShapeError(f"expected a real {n}-vector, got shape {v.shape}")
-    # math.isfinite on the Python floats costs a fifth of np.isfinite(v).all()
-    floats = v.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise ShapeError(f"expected finite entries, got {floats!r}")
-    return floats
-
-
-def _real_4x4_rows(m) -> list[list[float]]:
-    # read a real 4x4 matrix once, as four rows of finite Python floats
-    m = _array(m, _REAL)
-    if m.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
-    rows = m.tolist()
-    if not all(map(math.isfinite, [*rows[0], *rows[1], *rows[2], *rows[3]])):
-        raise ShapeError(f"expected finite entries, got {rows!r}")
-    return rows
-
-
-def _complex_2x2_rows(u) -> list[list[complex]]:
-    # read a 2x2 matrix once, as two rows of finite Python complex numbers
-    u = _array(u, _COMPLEX)
-    if u.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
-    rows = u.tolist()
-    if not all(map(cmath.isfinite, rows[0] + rows[1])):
-        raise ShapeError(f"expected finite entries, got {rows!r}")
-    return rows
+        raise ShapeError(f"expected an array of numbers in shape {shape}: {exc}") from None
+    if a.dtype is dtype and a.shape == shape:
+        entries = a.tolist()
+        # math.isfinite on the Python numbers costs a fifth of np.isfinite(a).all()
+        isfinite = cmath.isfinite if dtype is _COMPLEX else math.isfinite
+        if all(map(isfinite, chain.from_iterable(entries) if len(shape) > 1 else entries)):
+            return entries
+    # reprlib cuts a long list or a long complex repr short, so the message stays small
+    raise ShapeError(
+        f"expected finite {dtype} entries in shape {shape}, "
+        f"got {a.dtype} entries in shape {a.shape}: {reprlib.repr(a.tolist())}"
+    )

@@ -72,12 +72,6 @@ def load_document(path: str) -> tuple[str, list]:
     return _payload(_read_json(path), source=path)
 
 
-def validate_document(doc, source: str = "<document>") -> dict:
-    """Check the kind tag and payload shape, returning the document unchanged."""
-    _payload(doc, source)
-    return doc
-
-
 def _payload(doc, source: str) -> tuple[str, list]:
     # the kind and its payload as nested floats; a payload off its kind's
     # shape is refused at its first offending position, named in the message
@@ -233,10 +227,7 @@ def _cmd_bch(args) -> int:
             product = _series_exp("so4_coeffs", fa) @ _series_exp("so4_coeffs", fb)
             out = _document("so4_coeffs", _series_log("so4_coeffs", product))
         else:
-            if args.entries_path:
-                f, c1, c2 = _scalar._bch_entries(fa, fb, mode)
-            else:
-                f, c1, c2 = _scalar._bch_so4(_scalar._halves(fa), _scalar._halves(fb), mode)
+            f, c1, c2 = (_scalar._bch_entries if args.entries_path else _scalar._bch_so4)(fa, fb, mode)
             coefficients = {
                 "self_dual": c1._asdict(),
                 "anti_self_dual": c2._asdict(),
@@ -285,24 +276,19 @@ def _cmd_merge(args) -> int:
 
 
 def _sample_generator_pairs(trials: int, seed: int, bound: float):
-    """One seeded stream; per trial the six entries of a, then of b."""
+    """One seeded stream as Python floats; per trial the six entries of a, then of b."""
     import numpy as np
 
-    from . import algebra
-
-    draws = np.random.default_rng(seed).uniform(-bound, bound, size=(trials, 2, 6))
-    return [(algebra.so4_from_coeffs(ca), algebra.so4_from_coeffs(cb)) for ca, cb in draws]
+    return np.random.default_rng(seed).uniform(-bound, bound, size=(trials, 2, 6)).tolist()
 
 
-def _compose_within_limits(a, b, mode):
-    """``bch_so4`` of the pair, or None at the antipode or where the paper's arcsine folds."""
-    from . import so4
-
+def _compose_within_limits(f, g, mode):
+    """``_bch_so4`` of the pair, or None at the antipode or where the paper's arcsine folds."""
     try:
-        r = so4.bch_so4(a, b, mode)
+        r = _scalar._bch_so4(f, g, mode)
     except AntipodalSingularityError:
         return None
-    if mode is BranchMode.PAPER_FAITHFUL and max(r.coeffs1.theta, r.coeffs2.theta) > math.pi / 2:
+    if mode is BranchMode.PAPER_FAITHFUL and max(r[1].theta, r[2].theta) > math.pi / 2:
         return None
     return r
 
@@ -326,19 +312,20 @@ def _sweep_report(args, operation: str, errors, timings: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    from . import algebra, so4
+    from . import algebra
+
+    def rotation(f):
+        return algebra._box(_scalar._so4_exp(f))
 
     mode = BranchMode(args.mode)
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
     start = time.perf_counter_ns()
     errors = []
-    for a, b in pairs:
-        r = _compose_within_limits(a, b, mode)
+    for f, g in pairs:
+        r = _compose_within_limits(f, g, mode)
         if r is not None:
-            errors.append(
-                algebra.frobenius_norm(so4.so4_exp(r.result) - so4.so4_exp(a) @ so4.so4_exp(b))
-            )
+            errors.append(algebra.frobenius_norm(rotation(r[0]) - rotation(f) @ rotation(g)))
     wall = time.perf_counter_ns() - start
 
     timings = {"wall_time_ns": wall, "ns_per_trial": wall // max(args.trials, 1)}
@@ -357,12 +344,12 @@ def _cmd_bench(args) -> int:
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
     usable = []
-    for a, b in pairs:
-        r = _compose_within_limits(a, b, mode)
+    for f, g in pairs:
+        r = _compose_within_limits(f, g, mode)
         # past theta1 + theta2 = pi the principal log of the product lies on
         # another branch than the composition, so the two are not comparable
-        if r is not None and r.coeffs1.theta + r.coeffs2.theta < math.pi:
-            usable.append((a, b))
+        if r is not None and r[1].theta + r[2].theta < math.pi:
+            usable.append((algebra.so4_from_coeffs(f), algebra.so4_from_coeffs(g)))
 
     start = time.perf_counter_ns()
     closed = [so4.bch_so4(a, b, mode).result for a, b in usable]

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scalar import _halves, _merge, _quaternion_of, _special_unitary_rows, rotation
-from .algebra import _COMPLEX, _antisymmetric, _array, _complex_2x2_rows, _finite_floats, _generator_floats
+from ._scalar import _generator_rows, _halves, _merge, _quaternion_of, _special_unitary_rows, rotation
+from .algebra import _COMPLEX, _REAL, _box, _generator_floats, _read_array
 from .errors import DomainError, ShapeError
 
 __all__ = [
@@ -89,12 +89,12 @@ def magic_matrix() -> np.ndarray:
 
 def to_orthogonal_frame(m) -> np.ndarray:
     """Conjugate ``R^dag m R``, carrying tensor-product operators to the real frame."""
-    return _MAGIC_DAG @ _as_4x4_complex(m) @ _MAGIC
+    return _MAGIC_DAG @ np.array(_read_array(m, _COMPLEX, (4, 4))) @ _MAGIC
 
 
 def to_tensor_frame(m) -> np.ndarray:
     """Conjugate ``R m R^dag``, the inverse of :func:`to_orthogonal_frame`."""
-    return _MAGIC @ _as_4x4_complex(m) @ _MAGIC_DAG
+    return _MAGIC @ np.array(_read_array(m, _COMPLEX, (4, 4))) @ _MAGIC_DAG
 
 
 def split(a) -> SplitPair:
@@ -120,7 +120,8 @@ def merge(pair) -> np.ndarray:
         a, b = pair
     except (TypeError, ValueError):
         raise ShapeError(f"expected a pair of two 3-vector halves, got {pair!r}") from None
-    return _antisymmetric(*_merge(_finite_floats(a, 3), _finite_floats(b, 3)))
+    a, b = _read_array(a, _REAL, (3,)), _read_array(b, _REAL, (3,))
+    return _box(_generator_rows(*_merge(a, b)))
 
 
 def su2su2_to_so4(u, v) -> np.ndarray:
@@ -132,16 +133,7 @@ def su2su2_to_so4(u, v) -> np.ndarray:
     with a wrong shape or a NaN/Inf entry raises :class:`ShapeError`, and
     one off SU(2) by more than 1e-10 :class:`DomainError`.
     """
-    factors = _complex_2x2_rows(u), _complex_2x2_rows(v)
+    factors = _read_array(u, _COMPLEX, (2, 2)), _read_array(v, _COMPLEX, (2, 2))
     if not all(map(_special_unitary_rows, factors)):
         raise DomainError("factors must be special unitary 2x2 matrices")
-    return np.array(rotation(*map(_quaternion_of, factors)))
-
-
-def _as_4x4_complex(m) -> np.ndarray:
-    m = _array(m, _COMPLEX)
-    if m.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ShapeError(f"expected finite entries, got {m.tolist()!r}")
-    return m
+    return _box(rotation(*map(_quaternion_of, factors)))

@@ -4,10 +4,13 @@ Every operation checks its input once, then runs the kernels of
 :mod:`magicbch._scalar` on floats: an antisymmetric matrix splits into two
 commuting 3-vector channels, each handled in closed form, and merges back.
 Exponential and logarithm carry each channel as a real unit quaternion, so
-no complex 4x4 conjugation is involved.  Two independent evaluation paths
-are provided for the composition law: the channel path (:func:`bch_so4`)
-and a direct transcription of the six expanded matrix entries
-(:func:`bch_so4_entries`) used to cross-check it.
+no complex 4x4 conjugation is involved.  Two evaluation paths are provided
+for the composition law: the channel path (:func:`bch_so4`) and a
+transcription of the six expanded matrix entries (:func:`bch_so4_entries`)
+used to cross-check it.  Both get alpha, beta and gamma of each channel
+from the same scalar composition ``_compose``; the entries path is
+independent only from the halves onward, in forming the half-sums and
+half-differences and in assembling the six entries from them.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _halves, _so4_exp, _so4_log
-from .algebra import So4Coeffs, _antisymmetric, _finite_floats, _generator_floats, _real_4x4_rows
+from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _so4_exp, _so4_log
+from ._scalar import _generator_rows
+from .algebra import _REAL, So4Coeffs, _box, _generator_floats, _read_array
 
 __all__ = [
     "So4BchResult",
@@ -49,8 +53,7 @@ def so4_exp(a) -> np.ndarray:
     exponentiated in closed form as unit quaternions and mapped to the
     rotation bilinearly, so no matrix series is summed.
     """
-    r0, r1, r2, r3 = _so4_exp(_generator_floats(a))
-    return np.array([*r0, *r1, *r2, *r3]).reshape(4, 4)
+    return _box(_so4_exp(_generator_floats(a)))
 
 
 def so4_log(o) -> np.ndarray:
@@ -64,29 +67,31 @@ def so4_log(o) -> np.ndarray:
     recoverable direction: once its theta comes within ``1e-8`` of pi an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised.
     """
-    return _antisymmetric(*_so4_log(_real_4x4_rows(o)))
+    return _box(_generator_rows(*_so4_log(_read_array(o, _REAL, (4, 4)))))
 
 
 def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResult:
     """Closed composition: ``so4_exp(result) = so4_exp(a) @ so4_exp(b)``.
 
-    Both inputs are split, the two channels are composed independently by
-    the scalar law, and the halves are merged.  Validity mirrors the 2x2
-    case per channel: theta <= pi/2 in ``PAPER_FAITHFUL`` mode, theta < pi
-    in ``BRANCH_CORRECTED`` mode.
+    Both inputs are read, then both are split, the two channels are
+    composed independently by the scalar law, and the halves are merged.
+    Validity mirrors the 2x2 case per channel: theta <= pi/2 in
+    ``PAPER_FAITHFUL`` mode, theta < pi in ``BRANCH_CORRECTED`` mode.
     """
-    ha = _halves(_generator_floats(a))
-    f, c1, c2 = _bch_so4(ha, _halves(_generator_floats(b)), mode)
-    return So4BchResult(_antisymmetric(*f), c1, c2, mode)
+    f, c1, c2 = _bch_so4(_generator_floats(a), _generator_floats(b), mode)
+    return So4BchResult(_box(_generator_rows(*f)), c1, c2, mode)
 
 
 def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4Coeffs:
     """Entry-wise form of :func:`bch_so4` on coefficient six-tuples.
 
     The six output entries are written out fully in terms of the half-sum
-    and half-difference combinations of the inputs.  This is a second,
-    independently transcribed evaluation path; it must agree with the
+    and half-difference combinations of the inputs.  The coefficients
+    alpha, beta and gamma of each channel come from the same scalar
+    composition as in :func:`bch_so4`, so this path is an independent
+    transcription only from the halves onward; it must agree with the
     channel path to well below composite rounding error and is used as a
     cross-check of both.
     """
-    return So4Coeffs(*_bch_entries(_finite_floats(f, 6), _finite_floats(g, 6), mode)[0])
+    f, g = _read_array(f, _REAL, (6,)), _read_array(g, _REAL, (6,))
+    return So4Coeffs(*_bch_entries(f, g, mode)[0])

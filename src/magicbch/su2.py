@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._scalar import BchCoefficients, BranchMode, _compose, _quaternion, _su2_log, _unitary
-from .algebra import _complex_2x2_rows, _finite_floats
+from .algebra import _COMPLEX, _REAL, _read_array
 
 __all__ = [
     "BchCoefficients",
@@ -56,7 +56,7 @@ __all__ = [
 
 def su2_exp(v) -> np.ndarray:
     """Exponential ``exp(i v . sigma)`` of a real 3-vector, a 2x2 unitary."""
-    return np.array(_unitary(_quaternion(_finite_floats(v, 3))))
+    return np.array(_unitary(_quaternion(_read_array(v, _REAL, (3,)))))
 
 
 def su2_log(u) -> np.ndarray:
@@ -71,7 +71,7 @@ def su2_log(u) -> np.ndarray:
     :class:`~magicbch.errors.ShapeError`, and a matrix off SU(2) by more
     than 1e-10 :class:`~magicbch.errors.DomainError`.
     """
-    return np.array(_su2_log(_complex_2x2_rows(u)))
+    return np.array(_su2_log(_read_array(u, _COMPLEX, (2, 2))))
 
 
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:
@@ -82,7 +82,7 @@ def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> Bc
     the scalar part.  Raises :class:`~magicbch.errors.AntipodalSingularityError`
     once theta comes within ``1e-8`` of pi, in either mode.
     """
-    return _compose(_finite_floats(x, 3), _finite_floats(y, 3), mode)[0]
+    return _compose(_read_array(x, _REAL, (3,)), _read_array(y, _REAL, (3,)), mode)[0]
 
 
 def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
@@ -91,4 +91,4 @@ def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:
     In ``PAPER_FAITHFUL`` mode this identity holds on the principal domain
     theta <= pi/2 only; ``BRANCH_CORRECTED`` extends it to theta < pi.
     """
-    return np.array(_compose(_finite_floats(x, 3), _finite_floats(y, 3), mode)[1])
+    return np.array(_compose(_read_array(x, _REAL, (3,)), _read_array(y, _REAL, (3,)), mode)[1])

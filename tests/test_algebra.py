@@ -6,15 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicbch import (
+    DomainError,
     So4Coeffs,
     ShapeError,
+    bch_coefficients,
+    bch_so4,
     bch_so4_entries,
+    bch_su2,
     coeffs_from_so4,
     frobenius_norm,
     hermitian_from_vec,
+    merge,
     pauli,
+    so4_exp,
     so4_from_coeffs,
+    so4_log,
+    split,
+    su2_exp,
+    su2_log,
+    su2su2_to_so4,
     tensor_product,
+    to_orthogonal_frame,
+    to_tensor_frame,
     vec_from_hermitian,
 )
 
@@ -192,6 +205,55 @@ def test_coeffs_from_so4_rejects_wrong_shape():
     ):
         with pytest.raises(ShapeError):
             call()
+
+
+# every public function that reads an array, as a call on one argument that
+# it reads, and a valid value of that argument
+READS = {
+    "su2_exp": (su2_exp, np.zeros(3)),
+    "su2_log": (su2_log, np.eye(2, dtype=complex)),
+    "bch_coefficients": (lambda x: bch_coefficients(np.zeros(3), x), np.zeros(3)),
+    "bch_su2": (lambda x: bch_su2(x, np.zeros(3)), np.zeros(3)),
+    "so4_exp": (so4_exp, np.zeros((4, 4))),
+    "so4_log": (so4_log, np.eye(4)),
+    "bch_so4": (lambda a: bch_so4(np.zeros((4, 4)), a), np.zeros((4, 4))),
+    "bch_so4_entries": (lambda f: bch_so4_entries(f, np.zeros(6)), np.zeros(6)),
+    "split": (split, np.zeros((4, 4))),
+    "merge": (lambda z: merge((np.zeros(3), z)), np.zeros(3)),
+    "su2su2_to_so4": (lambda u: su2su2_to_so4(np.eye(2), u), np.eye(2, dtype=complex)),
+    "to_orthogonal_frame": (to_orthogonal_frame, np.eye(4, dtype=complex)),
+    "to_tensor_frame": (to_tensor_frame, np.eye(4, dtype=complex)),
+    "tensor_product": (lambda u: tensor_product(u, np.eye(2)), np.eye(2, dtype=complex)),
+    "vec_from_hermitian": (vec_from_hermitian, np.eye(2, dtype=complex)),
+    "hermitian_from_vec": (hermitian_from_vec, np.zeros(3)),
+    "so4_from_coeffs": (so4_from_coeffs, np.zeros(6)),
+    "coeffs_from_so4": (coeffs_from_so4, np.zeros((4, 4))),
+}
+
+
+@pytest.mark.parametrize("name", READS)
+def test_every_reader_names_the_shapes_and_refuses_a_nan(name):
+    call, valid = READS[name]
+    call(valid)
+    wrong = valid.shape[:-1] + (valid.shape[-1] + 1,)
+    with pytest.raises(ShapeError) as info:
+        call(np.zeros(wrong, dtype=valid.dtype))
+    assert f"in shape {valid.shape}" in str(info.value)
+    assert f"in shape {wrong}" in str(info.value)
+    bad = valid.copy()
+    bad.flat[1] = np.nan
+    with pytest.raises(ShapeError, match="finite.*nan"):
+        call(bad)
+
+
+def test_bch_so4_reads_both_arguments_before_it_splits_either():
+    # the halves of a overflow; a b of the wrong shape is refused first
+    a = so4_from_coeffs([1e308, 0.0, 0.0, 0.0, 0.0, 1e308])
+    for compose, first in ((bch_so4, a), (bch_so4_entries, coeffs_from_so4(a))):
+        with pytest.raises(ShapeError, match=r"in shape \(3,\)"):
+            compose(first, np.zeros(3))
+        with pytest.raises(DomainError):
+            compose(first, np.zeros_like(first))
 
 
 def test_cross_product_bilinearity_and_orthogonality():
