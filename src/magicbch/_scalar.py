@@ -4,7 +4,11 @@ Nothing here imports NumPy.  The kernels take tuples or lists of finite
 Python floats that a caller has already read and checked (the public
 functions of :mod:`magicbch.su2`, :mod:`magicbch.magic`, :mod:`magicbch.so4`
 and :mod:`magicbch.algebra` read arrays, the command line reads JSON), and
-they return floats in tuples and lists; the callers box them.
+they return floats in tuples and lists; the callers box them.  The
+compositions return their scalar data as a plain ``(alpha, beta, gamma, rho,
+theta)`` tuple; only the callers that hand it out build a
+:class:`BchCoefficients` record of it (``su2.bch_coefficients``,
+``so4.bch_so4`` and the ``coefficients`` blocks of ``magicbch bch``).
 
 A real 3-vector ``v`` stands for the unit quaternion
 ``p = (cos |v|, sinc(|v|) v)`` of ``exp(i v . sigma)``, and a generator of
@@ -132,7 +136,7 @@ def _compose(x, y, mode: BranchMode):
     w2 = a * x2 + b * y2 - g * (x3 * y1 - x1 * y3)
     w3 = a * x3 + b * y3 - g * (x1 * y2 - x2 * y1)
     z, k, rho, theta = _quaternion_log((c, w1, w2, w3), mode)
-    return BchCoefficients(k * a, k * b, k * g, rho, theta), z
+    return (k * a, k * b, k * g, rho, theta), z
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def _so4_log(rows):
 
 
 def _bch_so4(f, g, mode: BranchMode):
-    # compose the generators f, g channel by channel: f12 .. f34 and both BchCoefficients
+    # compose the generators f, g channel by channel: f12 .. f34 and both coefficient tuples
     (x1, x2), (y1, y2) = _halves(f), _halves(g)
     c1, z1 = _in_channel("self-dual", _compose, x1, y1, mode)
     c2, z2 = _in_channel("anti-self-dual", _compose, x2, y2, mode)
@@ -278,7 +282,7 @@ def _bch_so4(f, g, mode: BranchMode):
 
 def _bch_entries(f, g, mode: BranchMode):
     # the six entries of the composition written out in the half-sums and
-    # half-differences of f and g, with the BchCoefficients of both channels;
+    # half-differences of f and g, with the coefficient tuples of both channels;
     # the halves equal _halves bit for bit (negating a float is exact), so
     # the coefficients are those _bch_so4 reports
     f12, f13, f14, f23, f24, f34 = f
@@ -291,8 +295,8 @@ def _bch_entries(f, g, mode: BranchMode):
 
     c1, _ = _in_channel("self-dual", _compose, (fp1, fp2, fp3), (gp1, gp2, gp3), mode)
     c2, _ = _in_channel("anti-self-dual", _compose, (fm1, -fm2, fm3), (gm1, -gm2, gm3), mode)
-    a1, b1, g1 = c1.alpha, c1.beta, c1.gamma
-    a2, b2, g2 = c2.alpha, c2.beta, c2.gamma
+    a1, b1, g1, _, _ = c1
+    a2, b2, g2, _, _ = c2
 
     e12 = (
         a1 * fp1 + b1 * gp1 - g1 * (fp2 * gp3 - fp3 * gp2)

@@ -14,20 +14,22 @@ metric used by every module is the Frobenius norm.
 
 Every array argument of the public functions here and in :mod:`magicbch.su2`,
 :mod:`magicbch.magic` and :mod:`magicbch.so4` (but :func:`frobenius_norm`,
-which takes any array) is read once, by ``_read_array(m, dtype, shape)``:
-``np.asarray``, a cast to float64 (complex128 for a 2x2 factor and the frame
-changes' 4x4 matrices), a shape check, then ``.tolist()`` into Python
-numbers, which must all be finite.  A wrong shape, a NaN/Inf entry, a
-complex entry where reals are due or a string raises :class:`ShapeError`
-with one message, ``expected finite float64 entries in shape (3,), got
-float64 entries in shape (4,): [...]``; ragged nesting and ints past the
-float range raise ``expected an array of numbers in shape (3,): ...`` with
-NumPy's reason.  The antisymmetry, special-orthogonal and special-unitary
-gates then run on those rows in scalar arithmetic (in
-:mod:`magicbch._scalar`); they form the quantities a NumPy evaluation would,
-``max |m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the Laplace
-expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U``, against the
-same tolerances (1e-10 for the group gates).
+which takes an array of numbers of any shape) is read once, by
+``_read_array(m, dtype, shape)``: ``np.asarray``, a cast to float64
+(complex128 for a 2x2 factor and the frame changes' 4x4 matrices), a shape
+check, then ``.tolist()`` into Python numbers, which must all be finite.
+Their sum is tested first: a running sum that meets an inf or a NaN never
+turns finite again, so only a non-finite sum is looked at entry by entry.  A
+wrong shape, a NaN/Inf entry, a complex entry where reals are due or a
+string raises :class:`ShapeError` with one message, ``expected finite
+float64 entries in shape (3,), got float64 entries in shape (4,): [...]``;
+ragged nesting and ints past the float range raise ``expected an array of
+numbers in shape (3,): ...`` with NumPy's reason.  The antisymmetry,
+special-orthogonal and special-unitary gates then run on those rows in
+scalar arithmetic (in :mod:`magicbch._scalar`); they form the quantities a
+NumPy evaluation would, ``max |m_ij + m_ji|``, ``||M^T M - I||_F`` with
+``det M`` by the Laplace expansion in 2x2 minors, and ``||U^H U - I||_F``
+with ``det U``, against the same tolerances (1e-10 for the group gates).
 """
 
 from __future__ import annotations
@@ -90,16 +92,23 @@ def pauli(k: int) -> np.ndarray:
 def frobenius_norm(m) -> float:
     """Frobenius norm, the uniform error metric of this package.
 
-    Bit for bit ``float(np.linalg.norm(m))`` on float64, complex128, int and bool input.
+    Bit for bit ``float(np.linalg.norm(m))`` on float64, complex128, int and
+    bool input.  Input that is not an array of numbers (ragged nesting,
+    strings, ``None`` entries, ints past the float range) raises
+    :class:`ShapeError`; NaN and Inf entries give a NaN or Inf norm.
     """
-    x = np.asarray(m)
-    if x.dtype.kind not in "fcO":
-        x = x.astype(float)
-    x = x.ravel("K")  # memory order, as np.linalg.norm sums
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    try:
+        x = np.asarray(m)
+        if x.dtype.kind not in "fcO":
+            # ints and bools are cast as np.linalg.norm casts them; strings are not parsed
+            x = x.astype(float, casting="safe")
+        x = x.ravel("K")  # memory order, as np.linalg.norm sums
+        if x.dtype.kind == "c":
+            re, im = x.real, x.imag
+            return math.sqrt(re.dot(re) + im.dot(im))
+        return math.sqrt(x.dot(x))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"expected an array of numbers: {exc}") from None
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -205,9 +214,13 @@ def _read_array(m, dtype: np.dtype, shape: tuple[int, ...]) -> list:
         raise ShapeError(f"expected an array of numbers in shape {shape}: {exc}") from None
     if a.dtype is dtype and a.shape == shape:
         entries = a.tolist()
-        # math.isfinite on the Python numbers costs a fifth of np.isfinite(a).all()
-        isfinite = cmath.isfinite if dtype is _COMPLEX else math.isfinite
-        if all(map(isfinite, chain.from_iterable(entries) if len(shape) > 1 else entries)):
+        # a finite sum proves every entry finite; only a non-finite one (a bad
+        # entry, or finite entries whose sum overflows) is looked at entry by
+        # entry.  Both cost a fraction of np.isfinite(a).all()
+        if len(shape) > 1:
+            if cmath.isfinite(sum(chain(*entries))) or all(map(cmath.isfinite, chain(*entries))):
+                return entries
+        elif cmath.isfinite(sum(entries)) or all(map(cmath.isfinite, entries)):
             return entries
     # reprlib cuts a long list or a long complex repr short, so the message stays small
     raise ShapeError(

@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import _scalar
-from ._scalar import BranchMode
+from ._scalar import BchCoefficients, BranchMode
 from .errors import AntipodalSingularityError, DomainError, InternalConsistencyError, ShapeError
 
 EXIT_OK = 0
@@ -128,6 +128,11 @@ def _document(kind: str, data, **extra) -> dict:
     return {"kind": kind, "data": data, **extra}
 
 
+def _coefficients(c) -> dict:
+    # a coefficients block: a kernel's (alpha, beta, gamma, rho, theta) by field name
+    return dict(zip(BchCoefficients._fields, c))
+
+
 def emit(doc: dict, path) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
@@ -220,7 +225,7 @@ def _cmd_bch(args) -> int:
             out = _document("su2_vec", _series_log("su2_vec", product))
         else:
             co, z = _scalar._compose(a, b, mode)
-            out = _document("su2_vec", z, coefficients=co._asdict())
+            out = _document("su2_vec", z, coefficients=_coefficients(co))
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
         fa, fb = _generator(ka, a), _generator(kb, b)
         if args.oracle:
@@ -228,10 +233,7 @@ def _cmd_bch(args) -> int:
             out = _document("so4_coeffs", _series_log("so4_coeffs", product))
         else:
             f, c1, c2 = (_scalar._bch_entries if args.entries_path else _scalar._bch_so4)(fa, fb, mode)
-            coefficients = {
-                "self_dual": c1._asdict(),
-                "anti_self_dual": c2._asdict(),
-            }
+            coefficients = {"self_dual": _coefficients(c1), "anti_self_dual": _coefficients(c2)}
             out = _document("so4_coeffs", f, coefficients=coefficients)
     else:
         raise ShapeError(f"bch expects two documents of one kind family, got {ka!r} and {kb!r}")
@@ -288,7 +290,8 @@ def _compose_within_limits(f, g, mode):
         r = _scalar._bch_so4(f, g, mode)
     except AntipodalSingularityError:
         return None
-    if mode is BranchMode.PAPER_FAITHFUL and max(r[1].theta, r[2].theta) > math.pi / 2:
+    # theta closes each channel's (alpha, beta, gamma, rho, theta)
+    if mode is BranchMode.PAPER_FAITHFUL and max(r[1][4], r[2][4]) > math.pi / 2:
         return None
     return r
 
@@ -348,7 +351,7 @@ def _cmd_bench(args) -> int:
         r = _compose_within_limits(f, g, mode)
         # past theta1 + theta2 = pi the principal log of the product lies on
         # another branch than the composition, so the two are not comparable
-        if r is not None and r[1].theta + r[2].theta < math.pi:
+        if r is not None and r[1][4] + r[2][4] < math.pi:
             usable.append((algebra.so4_from_coeffs(f), algebra.so4_from_coeffs(g)))
 
     start = time.perf_counter_ns()

@@ -79,7 +79,9 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
     ``PAPER_FAITHFUL`` mode, theta < pi in ``BRANCH_CORRECTED`` mode.
     """
     f, c1, c2 = _bch_so4(_generator_floats(a), _generator_floats(b), mode)
-    return So4BchResult(_box(_generator_rows(*f)), c1, c2, mode)
+    return So4BchResult(
+        _box(_generator_rows(*f)), BchCoefficients._make(c1), BchCoefficients._make(c2), mode
+    )
 
 
 def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4Coeffs:

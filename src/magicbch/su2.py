@@ -82,7 +82,8 @@ def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> Bc
     the scalar part.  Raises :class:`~magicbch.errors.AntipodalSingularityError`
     once theta comes within ``1e-8`` of pi, in either mode.
     """
-    return _compose(_read_array(x, _REAL, (3,)), _read_array(y, _REAL, (3,)), mode)[0]
+    x, y = _read_array(x, _REAL, (3,)), _read_array(y, _REAL, (3,))
+    return BchCoefficients._make(_compose(x, y, mode)[0])
 
 
 def bch_su2(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> np.ndarray:

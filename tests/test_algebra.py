@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -254,6 +255,70 @@ def test_bch_so4_reads_both_arguments_before_it_splits_either():
             compose(first, np.zeros(3))
         with pytest.raises(DomainError):
             compose(first, np.zeros_like(first))
+
+
+# one argument of each shape read, through a public entry point, and a valid
+# value of it; the reader first tests the sum of the entries for finiteness
+SUMMED = {
+    "(3,)": (lambda v: bch_su2(np.zeros(3), v), np.zeros(3)),
+    "(6,)": (lambda f: bch_so4_entries(np.zeros(6), f), np.zeros(6)),
+    "(4, 4)": (so4_log, np.eye(4)),
+    "(2, 2)": (su2_log, np.eye(2, dtype=complex)),
+}
+
+
+def parts(a):
+    # the real views of a's entries: a itself, or its real and imaginary parts
+    return (a.real, a.imag) if a.dtype.kind == "c" else (a,)
+
+
+@pytest.mark.parametrize("shape", SUMMED)
+def test_a_non_finite_entry_anywhere_is_refused(shape):
+    call, valid = SUMMED[shape]
+    call(valid)
+    for k in range(valid.size):
+        for p in range(len(parts(valid))):
+            for value in (np.nan, np.inf, -np.inf):
+                bad = valid.copy()
+                parts(bad)[p].flat[k] = value
+                with pytest.raises(ShapeError, match="finite"):
+                    call(bad)
+
+
+@pytest.mark.parametrize("shape", SUMMED)
+def test_an_inf_and_a_minus_inf_are_refused(shape):
+    # their sum is nan, as is every running sum past them
+    call, valid = SUMMED[shape]
+    for i, j in itertools.permutations(range(valid.size), 2):
+        for p, q in itertools.product(range(len(parts(valid))), repeat=2):
+            bad = valid.copy()
+            parts(bad)[p].flat[i] = np.inf
+            parts(bad)[q].flat[j] = -np.inf
+            with pytest.raises(ShapeError, match="finite"):
+                call(bad)
+
+
+def test_finite_entries_whose_sum_overflows_are_read():
+    # the total is inf, so each entry is tested; all are finite, and the
+    # operation itself then refuses the input
+    for call in (
+        lambda: su2_exp([1e308] * 3),
+        lambda: so4_log(np.full((4, 4), 1e308)),
+        lambda: su2_log(np.full((2, 2), 1e308 - 1e308j)),
+        lambda: bch_so4_entries([1e308] * 6, np.zeros(6)),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1.0, 2.0], [3.0]], [0.1, None], [10**400, 1.0], ["0.1", "0.5", "0.2"], np.array([b"1"])],
+    ids=["ragged", "none", "int-past-float", "strings", "bytes"],
+)
+def test_frobenius_norm_refuses_what_is_not_an_array_of_numbers(m):
+    with pytest.raises(ShapeError, match="expected an array of numbers"):
+        frobenius_norm(m)
 
 
 def test_cross_product_bilinearity_and_orthogonality():

@@ -266,6 +266,7 @@ def test_result_records_are_named_tuples(tmp_path, capsys):
     co, r = bch_coefficients(x, y), bch_so4(so4_from_coeffs(f), so4_from_coeffs(g))
     assert type(co)._fields == ("alpha", "beta", "gamma", "rho", "theta")
     assert type(r)._fields == ("result", "coeffs1", "coeffs2", "mode")
+    assert type(r.coeffs1) is type(r.coeffs2) is type(co)
     assert tuple(co) == (co.alpha, co.beta, co.gamma, co.rho, co.theta)
     for record, field in ((co, "theta"), (r, "mode")):
         with pytest.raises(AttributeError):
@@ -735,8 +736,8 @@ def test_sweep_keeps_corrected_trials_near_the_cut():
     f, g = coeffs_from_so4(a), coeffs_from_so4(b)
     r = _compose_within_limits(f, g, BranchMode.BRANCH_CORRECTED)
     assert r is not None
-    h, c1, _ = r
-    assert math.pi - c1.theta == pytest.approx(1e-4, rel=1e-6)
+    h, (*_, theta1), _ = r  # the kernel's plain (alpha, beta, gamma, rho, theta)
+    assert math.pi - theta1 == pytest.approx(1e-4, rel=1e-6)
     assert frobenius_norm(so4_exp(so4_from_coeffs(h)) - so4_exp(a) @ so4_exp(b)) <= 1e-13
     assert _compose_within_limits(f, g, BranchMode.PAPER_FAITHFUL) is None
 
