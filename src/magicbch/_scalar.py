@@ -31,6 +31,7 @@ from .errors import AntipodalSingularityError, DomainError, InternalConsistencyE
 # Distance from the branch point at which direction recovery is refused.
 _ANTIPODAL_TOL = 1e-8
 _GROUP_TOL = 1e-10  # Frobenius and determinant slack of the SU(2)/SO(4) gates
+_ANTISYMMETRY_TOL = 1e-12  # max |m_ij + m_ji| of a generator matrix
 
 
 class BranchMode(enum.Enum):

@@ -42,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scalar import _antisymmetric_rows, _coeffs, _generator_rows, _special_orthogonal_rows
-from ._scalar import _special_unitary_rows
-from .errors import ShapeError
+from ._scalar import _ANTISYMMETRY_TOL, _antisymmetric_rows, _coeffs, _generator_rows
+from ._scalar import _special_orthogonal_rows, _special_unitary_rows
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "So4Coeffs",
@@ -84,17 +84,21 @@ class So4Coeffs(NamedTuple):
 
 def pauli(k: int) -> np.ndarray:
     """Return the Pauli matrix sigma_k for any ``k`` equal to 1, 2 or 3."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2, or 3, got {k!r}")
-    return _SIGMA[(1, 2, 3).index(k)].copy()
+    try:
+        return _SIGMA[(1, 2, 3).index(k)].copy()
+    except ValueError:  # no match, or an array compared to an index
+        raise ShapeError(f"Pauli index must be 1, 2, or 3, got {k!r}") from None
 
 
 def frobenius_norm(m) -> float:
     """Frobenius norm, the uniform error metric of this package.
 
     Bit for bit ``float(np.linalg.norm(m))`` on float64, complex128, int and
-    bool input.  Input that is not an array of numbers (ragged nesting,
-    strings, ``None`` entries, ints past the float range) raises
+    bool input.  On float32 and complex64 input it is NumPy's norm before its
+    final rounding: the square root of the same single-precision sum of
+    squares, taken in double precision, so ``np.float32`` of it is
+    ``np.linalg.norm(m)``.  Input that is not an array of numbers (ragged
+    nesting, strings, ``None`` entries, ints past the float range) raises
     :class:`ShapeError`; NaN and Inf entries give a NaN or Inf norm.
     """
     try:
@@ -116,9 +120,10 @@ def tensor_product(a, b) -> np.ndarray:
 
     Block (i, j) of the result is ``a[i, j] * b``, which places the first
     factor on the first qubit under the |00>, |01>, |10>, |11> ordering.
+    A product that overflows a float raises :class:`DomainError`.
     """
     a, b = _read_array(a, _COMPLEX, (2, 2)), _read_array(b, _COMPLEX, (2, 2))
-    return np.kron(np.array(a), np.array(b))
+    return _finite(lambda: np.kron(np.array(a), np.array(b)))
 
 
 def hermitian_from_vec(v) -> np.ndarray:
@@ -141,15 +146,26 @@ def vec_from_hermitian(m) -> np.ndarray:
     of ``m[0, 0]`` and ``m[1, 1]``.  The input is not projected onto the
     traceless Hermitian matrices first: ``[[0, 1], [0, 0]]`` reads as
     ``[0, 0, 0]``, while its Hermitian part ``[[0, 0.5], [0.5, 0]]`` reads
-    as ``[0.5, 0, 0]``.
+    as ``[0.5, 0, 0]``.  A difference that overflows a float raises
+    :class:`DomainError`.
     """
     (a, _), (c, d) = _read_array(m, _COMPLEX, (2, 2))
-    return np.array([c.real, c.imag, 0.5 * (a.real - d.real)])
+    return _finite(lambda: np.array([c.real, c.imag, 0.5 * (a.real - d.real)]))
 
 
 def so4_from_coeffs(c) -> np.ndarray:
     """Build the antisymmetric 4x4 matrix with upper triangle ``f12 .. f34``."""
     return _box(_generator_rows(*_read_array(c, _REAL, (6,))))
+
+
+def _finite(compute) -> np.ndarray:
+    # compute() on entries already read finite: a non-finite result means a
+    # product or a sum overflowed, refused as DomainError, with NumPy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if not np.isfinite(out).all():
+        raise DomainError(f"the result overflows a float: {reprlib.repr(out.tolist())}")
+    return out
 
 
 def _box(rows) -> np.ndarray:
@@ -159,7 +175,7 @@ def _box(rows) -> np.ndarray:
     return np.fromiter([*r0, *r1, *r2, *r3], float, 16).reshape(4, 4)
 
 
-def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
+def coeffs_from_so4(m, tol: float = _ANTISYMMETRY_TOL) -> So4Coeffs:
     """Read the upper-triangle entries of an antisymmetric 4x4 matrix.
 
     Raises :class:`ShapeError` unless ``m + m.T`` vanishes to ``tol`` in
@@ -169,12 +185,12 @@ def coeffs_from_so4(m, tol: float = 1e-12) -> So4Coeffs:
     return So4Coeffs(*_generator_floats(m, tol))
 
 
-def _generator_floats(m, tol: float = 1e-12) -> tuple[float, ...]:
+def _generator_floats(m, tol: float = _ANTISYMMETRY_TOL) -> tuple[float, ...]:
     # the six floats of coeffs_from_so4, for callers that need no record
     return _coeffs(_read_array(m, _REAL, (4, 4)), tol)
 
 
-def is_antisymmetric(m, tol: float = 1e-12) -> bool:
+def is_antisymmetric(m, tol: float = _ANTISYMMETRY_TOL) -> bool:
     """Whether ``m`` is a finite real 4x4 matrix with ``max |m + m.T| <= tol``."""
     try:
         return _antisymmetric_rows(_read_array(m, _REAL, (4, 4)), tol)

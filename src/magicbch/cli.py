@@ -1,16 +1,16 @@
 """JSON command-line front end.
 
 Single matrices travel as one JSON object per file with a ``kind`` tag and a
-``data`` payload of a fixed shape: ``su2_vec`` (3 reals), ``su2_matrix``
-(2x2 complex entries as ``[re, im]`` pairs), ``so4_coeffs`` (6 reals) and
-``so4_matrix`` (4x4 reals, antisymmetric unless marked ``orthogonal``).  Each
-payload is read once, in pure Python, top-down against its kind's shape into
-nested floats, and refused at its first list of the wrong length or entry that
-is not a finite number.  Subcommands: ``exp``, ``log``, ``bch``, ``split``,
-``merge``, ``verify``, ``bench``.  The closed forms of ``exp``, ``log``,
-``bch``, ``split`` and ``merge`` run the kernels of :mod:`magicbch._scalar`
-on those floats and never import NumPy; ``--oracle``, ``verify`` and
-``bench`` load it with the series oracle and the array API.
+``data`` payload of a fixed shape: ``su2_vec`` (3 reals), ``su2_matrix`` (2x2
+complex entries as ``[re, im]`` pairs), ``so4_coeffs`` (6 reals) and
+``so4_matrix`` (4x4 reals, a generator or a rotation).  Each payload is read
+once, in pure Python, top-down against its kind's shape into nested floats, and
+refused at its first list of the wrong length or entry that is not a finite
+number; the command that uses a matrix checks it once.  Subcommands: ``exp``,
+``log``, ``bch``, ``split``, ``merge``, ``verify``, ``bench``.  The closed
+forms of ``exp``, ``log``, ``bch``, ``split`` and ``merge`` run the kernels of
+:mod:`magicbch._scalar` on those floats and never import NumPy; ``--oracle``,
+``verify`` and ``bench`` load it with the series oracle and the array API.
 
 Exit codes: 0 success, 1 failed verification, 2 input or schema error,
 3 math-domain error, 4 internal-consistency error.
@@ -46,7 +46,6 @@ _PAIR_KEYS = ("self_dual", "anti_self_dual")
 RNG_ALGORITHM = "numpy-pcg64"
 
 _DEFAULT_TOL = 1e-10
-_INGEST_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +86,6 @@ def _payload(doc, source: str) -> tuple[str, list]:
         data = _read(doc.get("data"), shape, "data payload")
     except ShapeError as exc:
         raise ShapeError(f"{source}: {exc}; a {kind} payload has shape {shape}") from None
-    if kind == "so4_matrix" and not doc.get("orthogonal", False):
-        if not _scalar._antisymmetric_rows(data, _INGEST_TOL):
-            raise ShapeError(
-                f"{source}: so4_matrix payload must be antisymmetric "
-                "unless the document is marked orthogonal"
-            )
     return kind, data
 
 
@@ -118,10 +111,15 @@ def _read(data, shape: tuple[int, ...], where: str):
     return value
 
 
-def _generator(kind: str, data):
-    # a generator as its six upper-triangle floats; a matrix is read through
-    # its upper triangle, so every path sees the numbers of a so4_coeffs document
-    return _scalar._coeffs(data, _INGEST_TOL) if kind == "so4_matrix" else data
+def _generator(source: str, kind: str, data):
+    # a generator as its six upper-triangle floats; a matrix antisymmetric to the
+    # library's tolerance is read through its upper triangle, as a so4_coeffs is
+    if kind != "so4_matrix":
+        return data
+    try:
+        return _scalar._coeffs(data, _scalar._ANTISYMMETRY_TOL)
+    except ShapeError as exc:
+        raise ShapeError(f"{source}: {exc}") from None
 
 
 def _document(kind: str, data, **extra) -> dict:
@@ -176,7 +174,7 @@ def _cmd_exp(args) -> int:
             u = _scalar._unitary(_scalar._quaternion(data))
         out = _document("su2_matrix", [[[z.real, z.imag] for z in row] for row in u])
     elif kind in _SO4_GENERATORS:
-        f = _generator(kind, data)
+        f = _generator(args.input, kind, data)
         if args.oracle:
             o = _series_exp("so4_coeffs", f).tolist()
         else:
@@ -227,7 +225,7 @@ def _cmd_bch(args) -> int:
             co, z = _scalar._compose(a, b, mode)
             out = _document("su2_vec", z, coefficients=_coefficients(co))
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
-        fa, fb = _generator(ka, a), _generator(kb, b)
+        fa, fb = _generator(args.a, ka, a), _generator(args.b, kb, b)
         if args.oracle:
             product = _series_exp("so4_coeffs", fa) @ _series_exp("so4_coeffs", fb)
             out = _document("so4_coeffs", _series_log("so4_coeffs", product))
@@ -246,7 +244,7 @@ def _cmd_split(args) -> int:
     kind, data = load_document(args.input)
     if kind not in _SO4_GENERATORS:
         raise ShapeError("split expects a so4_coeffs or antisymmetric so4_matrix input")
-    pair = _scalar._halves(_generator(kind, data))
+    pair = _scalar._halves(_generator(args.input, kind, data))
     emit({key: _document("su2_vec", v) for key, v in zip(_PAIR_KEYS, pair)}, args.output)
     return EXIT_OK
 

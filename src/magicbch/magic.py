@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._scalar import _generator_rows, _halves, _merge, _quaternion_of, _special_unitary_rows, rotation
-from .algebra import _COMPLEX, _REAL, _box, _generator_floats, _read_array
+from .algebra import _COMPLEX, _REAL, _box, _finite, _generator_floats, _read_array
 from .errors import DomainError, ShapeError
 
 __all__ = [
@@ -88,13 +88,21 @@ def magic_matrix() -> np.ndarray:
 
 
 def to_orthogonal_frame(m) -> np.ndarray:
-    """Conjugate ``R^dag m R``, carrying tensor-product operators to the real frame."""
-    return _MAGIC_DAG @ np.array(_read_array(m, _COMPLEX, (4, 4))) @ _MAGIC
+    """Conjugate ``R^dag m R``, carrying tensor-product operators to the real frame.
+
+    A result that overflows a float raises :class:`DomainError`.
+    """
+    m = np.array(_read_array(m, _COMPLEX, (4, 4)))
+    return _finite(lambda: _MAGIC_DAG @ m @ _MAGIC)
 
 
 def to_tensor_frame(m) -> np.ndarray:
-    """Conjugate ``R m R^dag``, the inverse of :func:`to_orthogonal_frame`."""
-    return _MAGIC @ np.array(_read_array(m, _COMPLEX, (4, 4))) @ _MAGIC_DAG
+    """Conjugate ``R m R^dag``, the inverse of :func:`to_orthogonal_frame`.
+
+    A result that overflows a float raises :class:`DomainError`.
+    """
+    m = np.array(_read_array(m, _COMPLEX, (4, 4)))
+    return _finite(lambda: _MAGIC @ m @ _MAGIC_DAG)
 
 
 def split(a) -> SplitPair:

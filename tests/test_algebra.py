@@ -1,4 +1,5 @@
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -44,9 +45,11 @@ def test_pauli_entries():
         np.testing.assert_array_equal(pauli(k), pauli(int(k.real)))
 
 
-@pytest.mark.parametrize("k", [0, 4, -1, 0.0, 1.5, np.float64(2.5), 4.0, "1", None])
+@pytest.mark.parametrize(
+    "k", [0, 4, -1, 0.0, 1.5, np.float64(2.5), 4.0, math.nan, "1", None, np.array([1, 2])]
+)
 def test_pauli_rejects_bad_index(k):
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match="Pauli index must be 1, 2, or 3"):
         pauli(k)
 
 
@@ -87,6 +90,17 @@ def test_frobenius_norm_is_numpys_bit_for_bit():
         assert type(got) is float
         # packed, so that NaN results compare by their bytes
         assert struct.pack("<d", got) == struct.pack("<d", expected), m
+
+
+def test_frobenius_norm_on_single_precision_is_numpys_before_rounding():
+    # the float32 sum of squares is NumPy's; its square root is taken in double
+    # precision, and rounding that to float32 gives NumPy's float32 square root
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        a = (10.0 ** rng.uniform(-15, 15) * rng.normal(size=(4, 4))).astype(np.float32)
+        z = 10.0 ** rng.uniform(-15, 15) * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for m in (a, z.astype(np.complex64)):
+            assert np.float32(frobenius_norm(m)) == np.linalg.norm(m), m
 
 
 def test_tensor_product_identity():
@@ -309,6 +323,21 @@ def test_finite_entries_whose_sum_overflows_are_read():
     ):
         with pytest.raises(DomainError):
             call()
+
+
+OVERFLOWING = {
+    "vec_from_hermitian": lambda: vec_from_hermitian([[1e308, 0], [0, -1e308]]),
+    "tensor_product": lambda: tensor_product(np.full((2, 2), 1e200), np.full((2, 2), 1e200)),
+    "to_orthogonal_frame": lambda: to_orthogonal_frame(np.full((4, 4), 1.7e308)),
+    "to_tensor_frame": lambda: to_tensor_frame(np.full((4, 4), 1.7e308 + 1.7e308j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_a_result_that_overflows_is_refused(name):
+    # finite entries, an overflowing result: DomainError, and no NumPy warning
+    with pytest.raises(DomainError, match="overflows a float"):
+        OVERFLOWING[name]()
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from magicbch import (
     su2_exp,
     su2_log,
 )
-from magicbch.algebra import is_antisymmetric
 from magicbch.cli import _compose_within_limits, _payload, _sample_generator_pairs, main
 
 
@@ -399,6 +398,46 @@ def test_non_antisymmetric_matrix_doc_exits_2(tmp_path, capsys):
     assert "antisymmetric" in err
 
 
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("asymmetry", [0.0, 1e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-3])
+def test_generator_matrix_is_checked_as_the_library_checks_it(tmp_path, capsys, asymmetry, marked):
+    # f34 is 0, so the lower entry m[3][2] carries the asymmetry exactly; the
+    # "orthogonal" mark is no input rule, so it changes nothing
+    m = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.0]).tolist()
+    m[3][2] = asymmetry
+    doc = {"kind": "so4_matrix", "data": m, **({"orthogonal": True} if marked else {})}
+    pm = write_doc(tmp_path / "m.json", doc)
+    pg = write_doc(tmp_path / "g.json", so4_coeffs_doc([0.2, 0.1, 0, 0, 0, -0.1]))
+    try:
+        coeffs_from_so4(np.array(m))
+        accepted = True
+    except ShapeError:
+        accepted = False
+    for args in (("exp", pm), ("split", pm), ("bch", pm, pg), ("bch", pg, pm)):
+        code, out, err = run_cli(capsys, *args)
+        if accepted:
+            assert (code, err) == (0, ""), args
+        else:
+            assert (code, out) == (2, ""), args
+            assert err == f"error: {pm}: matrix is not antisymmetric to 1e-12 in max-norm\n"
+
+
+def test_log_of_an_unmarked_rotation_is_the_log_of_the_marked_one(tmp_path, capsys):
+    o = so4_exp(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])).tolist()
+    marked = write_doc(tmp_path / "o.json", {"kind": "so4_matrix", "data": o, "orthogonal": True})
+    unmarked = write_doc(tmp_path / "u.json", {"kind": "so4_matrix", "data": o})
+    for oracle in ([], ["--oracle"]):
+        expected = run_cli(capsys, "log", marked, *oracle)
+        assert expected[0] == 0
+        assert run_cli(capsys, "log", unmarked, *oracle) == expected
+    # neither a generator nor a rotation: refused by the group gate alone
+    m = np.eye(4)
+    m[0, 1] = 1.0
+    p = write_doc(tmp_path / "m.json", {"kind": "so4_matrix", "data": m.tolist()})
+    code, out, err = run_cli(capsys, "log", p)
+    assert (code, out, err) == (3, "", "error: input is not special orthogonal to tolerance\n")
+
+
 def test_nan_rejected_on_ingest(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"kind": "su2_vec", "data": [1.0, NaN, 0.0]}')
@@ -430,11 +469,6 @@ def numpy_payload(doc, source):
         return f"{source}: data payload has shape {data.shape}, expected {SHAPES[kind]}"
     if not np.all(np.isfinite(data)):
         return f"{source}: data payload contains non-finite entries"
-    if kind == "so4_matrix" and not is_antisymmetric(data, 1e-10):
-        return (
-            f"{source}: so4_matrix payload must be antisymmetric "
-            "unless the document is marked orthogonal"
-        )
     return kind, repr(data.tolist())
 
 
@@ -645,6 +679,13 @@ MALFORMED = {
     ),
     "merge_vector_and_generator": (["merge", "x", "f"], f"/f.json: {MERGE_WRONG_KIND}"),
     "merge_generator_and_vector": (["merge", "f", "x"], f"/f.json: {MERGE_WRONG_KIND}"),
+    # a matrix is refused for its kind, whatever its entries
+    "merge_asymmetric_matrix": (
+        ["merge", "x", "asym"],
+        "/asym.json: merge expects su2_vec documents, got so4_matrix",
+    ),
+    # bch reads both documents before it checks either
+    "bch_reads_b_before_checking_a": (["bch", "asym", "inf"], "/inf.json: data payload[0]"),
     "merge_three_inputs": (["merge", "x", "x", "x"], "one pair document or two"),
     "bch_oracle_entries_su2": (["bch", "x", "x", "--oracle", "--entries-path"], "not allowed"),
     "bch_oracle_entries_so4": (["bch", "f", "f", "--oracle", "--entries-path"], "not allowed"),
@@ -667,6 +708,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "wrong_pair": {"self_dual": x, "anti_self_dual": f},
         "strings": {"kind": "su2_vec", "data": ["0.5", "0", "0"]},
         "string_matrix": {"kind": "su2_matrix", "data": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "asym": {"kind": "so4_matrix", "data": np.eye(4).tolist()},
     }
     paths = {key: write_doc(tmp_path / f"{key}.json", doc) for key, doc in docs.items()}
     # json parses the literal 1e400 to inf, which no document may carry
