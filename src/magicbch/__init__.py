@@ -12,6 +12,7 @@ the package, or the NumPy-free command line behind it, does not import NumPy.
 
 import importlib
 
+# the one list of public names: each submodule's __all__ is its entry here
 _MODULES = {
     "algebra": (
         "So4Coeffs",

@@ -13,8 +13,9 @@ theta)`` tuple; only the callers that hand it out build a
 A real 3-vector ``v`` stands for the unit quaternion
 ``p = (cos |v|, sinc(|v|) v)`` of ``exp(i v . sigma)``, and a generator of
 so(4) for its six upper-triangle entries ``f12 .. f34``, whose self-dual and
-anti-self-dual halves are two such 3-vectors.  A rotation is the pair of
-unit quaternions of its two 2x2 tensor factors: :func:`rotation` writes out
+anti-self-dual halves are two such 3-vectors, taken by both so(4)
+compositions from the one :func:`_halves`.  A rotation is the pair of unit
+quaternions of its two 2x2 tensor factors: :func:`rotation` writes out
 ``R^dag (u (x) v) R = sum_ij p_i q_j E_ij`` entry by entry, and
 :func:`_quaternions_from_rotation` factors it back.  Every composition and
 every logarithm ends in the one principal log :func:`_quaternion_log`.
@@ -113,9 +114,7 @@ def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED):
 
 def _su2_log(rows):
     # the principal log of a 2x2 special unitary given as two rows of complex numbers
-    if not _special_unitary_rows(rows):
-        raise DomainError("input is not special unitary to tolerance")
-    return _quaternion_log(_quaternion_of(rows))[0]
+    return _quaternion_log(_quaternion_of(_in_su2(rows)))[0]
 
 
 def _compose(x, y, mode: BranchMode):
@@ -203,6 +202,20 @@ def _special_unitary_rows(r) -> bool:
     return math.hypot(det.real - 1.0, det.imag) <= _GROUP_TOL
 
 
+def _in_su2(rows):
+    # the rows of a 2x2 matrix that passes the SU(2) gate, or DomainError
+    if not _special_unitary_rows(rows):
+        raise DomainError("input is not special unitary to tolerance")
+    return rows
+
+
+def _in_so4(rows):
+    # the rows of a 4x4 matrix that passes the SO(4) gate, or DomainError
+    if not _special_orthogonal_rows(rows):
+        raise DomainError("input is not special orthogonal to tolerance")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # so(4): six-tuples, halves and the channel-wise closed forms
 
@@ -266,9 +279,7 @@ def _so4_exp(f):
 
 def _so4_log(rows):
     # the principal log f12 .. f34 of a rotation given as four rows of floats
-    if not _special_orthogonal_rows(rows):
-        raise DomainError("input is not special orthogonal to tolerance")
-    p, q = _quaternions_from_rotation(rows)
+    p, q = _quaternions_from_rotation(_in_so4(rows))
     z1 = _in_channel("self-dual", _quaternion_log, p)[0]
     return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q)[0])
 
@@ -284,18 +295,13 @@ def _bch_so4(f, g, mode: BranchMode):
 def _bch_entries(f, g, mode: BranchMode):
     # the six entries of the composition written out in the half-sums and
     # half-differences of f and g, with the coefficient tuples of both channels;
-    # the halves equal _halves bit for bit (negating a float is exact), so
-    # the coefficients are those _bch_so4 reports
-    f12, f13, f14, f23, f24, f34 = f
-    g12, g13, g14, g23, g24, g34 = g
-
-    fp1, fp2, fp3 = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
-    fm1, fm2, fm3 = 0.5 * (f12 - f34), 0.5 * (f13 + f24), 0.5 * (f14 - f23)
-    gp1, gp2, gp3 = 0.5 * (g12 + g34), 0.5 * (g13 - g24), 0.5 * (g14 + g23)
-    gm1, gm2, gm3 = 0.5 * (g12 - g34), 0.5 * (g13 + g24), 0.5 * (g14 - g23)
-
-    c1, _ = _in_channel("self-dual", _compose, (fp1, fp2, fp3), (gp1, gp2, gp3), mode)
-    c2, _ = _in_channel("anti-self-dual", _compose, (fm1, -fm2, fm3), (gm1, -gm2, gm3), mode)
+    # the halves and coefficients are _bch_so4's; the formulas take the middle
+    # anti-self-dual entry negated back to 0.5 * (f13 + f24), which is exact
+    (x1, x2), (y1, y2) = _halves(f), _halves(g)
+    c1, _ = _in_channel("self-dual", _compose, x1, y1, mode)
+    c2, _ = _in_channel("anti-self-dual", _compose, x2, y2, mode)
+    (fp1, fp2, fp3), (fm1, fm2, fm3), (gp1, gp2, gp3), (gm1, gm2, gm3) = x1, x2, y1, y2
+    fm2, gm2 = -fm2, -gm2
     a1, b1, g1, _, _ = c1
     a2, b2, g2, _, _ = c2
 

@@ -42,23 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _MODULES
 from ._scalar import _ANTISYMMETRY_TOL, _antisymmetric_rows, _coeffs, _generator_rows
 from ._scalar import _special_orthogonal_rows, _special_unitary_rows
 from .errors import DomainError, ShapeError
 
-__all__ = [
-    "So4Coeffs",
-    "coeffs_from_so4",
-    "frobenius_norm",
-    "hermitian_from_vec",
-    "is_antisymmetric",
-    "is_special_orthogonal",
-    "is_special_unitary",
-    "pauli",
-    "so4_from_coeffs",
-    "tensor_product",
-    "vec_from_hermitian",
-]
+__all__ = list(_MODULES["algebra"])
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -99,7 +88,9 @@ def frobenius_norm(m) -> float:
     squares, taken in double precision, so ``np.float32`` of it is
     ``np.linalg.norm(m)``.  Input that is not an array of numbers (ragged
     nesting, strings, ``None`` entries, ints past the float range) raises
-    :class:`ShapeError`; NaN and Inf entries give a NaN or Inf norm.
+    :class:`ShapeError`; NaN and Inf entries give a NaN or Inf norm.  Finite
+    entries whose norm overflows give ``inf`` with NumPy's ``RuntimeWarning``,
+    as ``np.linalg.norm`` does.
     """
     try:
         x = np.asarray(m)

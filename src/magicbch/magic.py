@@ -26,21 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _MODULES
 from ._scalar import _generator_rows, _halves, _merge, _quaternion_of, _special_unitary_rows, rotation
 from .algebra import _COMPLEX, _REAL, _box, _finite, _generator_floats, _read_array
 from .errors import DomainError, ShapeError
 
-__all__ = [
-    "BellBasis",
-    "SplitPair",
-    "bell_basis",
-    "magic_matrix",
-    "merge",
-    "split",
-    "su2su2_to_so4",
-    "to_orthogonal_frame",
-    "to_tensor_frame",
-]
+__all__ = list(_MODULES["magic"])
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

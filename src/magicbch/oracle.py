@@ -23,14 +23,11 @@ import numbers
 
 import numpy as np
 
+from . import _MODULES
 from .algebra import frobenius_norm
 from .errors import ConvergenceError, DomainError, ShapeError
 
-__all__ = [
-    "bch_trunc3",
-    "mat_exp_taylor",
-    "mat_log_near_identity",
-]
+__all__ = list(_MODULES["oracle"])
 
 # Series, inverse-scaling and Denman-Beavers budgets.
 _TOL = 1e-16

@@ -7,10 +7,10 @@ Exponential and logarithm carry each channel as a real unit quaternion, so
 no complex 4x4 conjugation is involved.  Two evaluation paths are provided
 for the composition law: the channel path (:func:`bch_so4`) and a
 transcription of the six expanded matrix entries (:func:`bch_so4_entries`)
-used to cross-check it.  Both get alpha, beta and gamma of each channel
-from the same scalar composition ``_compose``; the entries path is
-independent only from the halves onward, in forming the half-sums and
-half-differences and in assembling the six entries from them.
+used to cross-check it.  Both take the halves of each generator from the
+one ``_halves`` and alpha, beta and gamma of each channel from the same
+scalar composition ``_compose``; the entries path is independent only in
+assembling the six entries from them.
 """
 
 from __future__ import annotations
@@ -19,17 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _so4_exp, _so4_log
-from ._scalar import _generator_rows
+from . import _MODULES
+from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _generator_rows, _so4_exp, _so4_log
 from .algebra import _REAL, So4Coeffs, _box, _generator_floats, _read_array
 
-__all__ = [
-    "So4BchResult",
-    "bch_so4",
-    "bch_so4_entries",
-    "so4_exp",
-    "so4_log",
-]
+__all__ = list(_MODULES["so4"])
 
 
 class So4BchResult(NamedTuple):
@@ -88,12 +82,13 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     """Entry-wise form of :func:`bch_so4` on coefficient six-tuples.
 
     The six output entries are written out fully in terms of the half-sum
-    and half-difference combinations of the inputs.  The coefficients
-    alpha, beta and gamma of each channel come from the same scalar
-    composition as in :func:`bch_so4`, so this path is an independent
-    transcription only from the halves onward; it must agree with the
-    channel path to well below composite rounding error and is used as a
-    cross-check of both.
+    and half-difference combinations of the inputs.  The halves, and the
+    coefficients alpha, beta and gamma of each channel, come from the same
+    kernels as in :func:`bch_so4`, so a half that overflows a float is
+    refused with the same :class:`~magicbch.errors.DomainError`, and this
+    path is an independent transcription only in assembling the entries; it
+    must agree with the channel path to well below composite rounding error
+    and is used as a cross-check of both.
     """
     f, g = _read_array(f, _REAL, (6,)), _read_array(g, _REAL, (6,))
     return So4Coeffs(*_bch_entries(f, g, mode)[0])

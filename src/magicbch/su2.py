@@ -41,17 +41,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _MODULES
 from ._scalar import BchCoefficients, BranchMode, _compose, _quaternion, _su2_log, _unitary
 from .algebra import _COMPLEX, _REAL, _read_array
 
-__all__ = [
-    "BchCoefficients",
-    "BranchMode",
-    "bch_coefficients",
-    "bch_su2",
-    "su2_exp",
-    "su2_log",
-]
+__all__ = list(_MODULES["su2"])
 
 
 def su2_exp(v) -> np.ndarray:

@@ -103,6 +103,13 @@ def test_frobenius_norm_on_single_precision_is_numpys_before_rounding():
             assert np.float32(frobenius_norm(m)) == np.linalg.norm(m), m
 
 
+def test_frobenius_norm_overflows_as_numpys_norm_does():
+    # finite entries whose norm overflows: inf with NumPy's RuntimeWarning,
+    # as np.linalg.norm gives; the norm is not refused
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert frobenius_norm(np.full((4, 4), 1e200)) == math.inf
+
+
 def test_tensor_product_identity():
     eye = np.eye(2, dtype=complex)
     np.testing.assert_array_equal(tensor_product(eye, eye), np.eye(4))

@@ -933,6 +933,16 @@ def test_bench_smoke(capsys):
     assert report["max_error"] < 1e-11
 
 
+def test_bench_with_no_evaluated_pair_reports_no_rate(capsys):
+    # the one pair at this bound is skipped, so the walls time empty loops
+    code, out, _ = run_cli(capsys, "bench", "--trials", "1", "--seed", "0", "--bound", "3")
+    assert code == 0
+    report = read_json(out)
+    assert report["evaluated"] == 0
+    timings = report["timings"]
+    assert (timings["speedup"], timings["closed_ns_per_call"], timings["oracle_ns_per_call"]) == (0.0, 0, 0)
+
+
 def test_bench_skips_pairs_past_the_principal_log(capsys):
     # at this bound some compositions reach theta1 + theta2 >= pi, where the
     # oracle's principal log lies on another branch; those pairs are skipped
@@ -1014,6 +1024,18 @@ def test_package_exports_every_name_its_modules_list():
         listed = getattr(importlib.import_module(f"magicbch.{module}"), "__all__", None)
         if listed is not None:
             assert sorted(names) == sorted(listed), module
+
+
+@pytest.mark.parametrize("module", sorted(magicbch._MODULES))
+def test_a_star_import_of_a_submodule_gives_its_table_entry(module):
+    # each submodule's __all__ is its table entry, in order; errors has no
+    # __all__, and its star import gives its public names, the table's too
+    namespace = {}
+    exec(f"from magicbch.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(magicbch._MODULES[module])
+    listed = getattr(importlib.import_module(f"magicbch.{module}"), "__all__", None)
+    assert listed in (None, list(magicbch._MODULES[module]))
 
 
 def test_every_public_name_resolves_lazily():

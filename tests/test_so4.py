@@ -131,6 +131,28 @@ def test_log_rejects_non_orthogonal():
         so4_log(1.1 * np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        [1.5e308, 0.0, 0.0, 0.0, 0.0, 1.5e308],  # self-dual half
+        [1.5e308, 0.0, 0.0, 0.0, 0.0, -1.5e308],  # anti-self-dual half
+        [0.0, 0.0, 1.5e308, 1.5e308, 0.0, 0.0],
+        [0.0, -1.5e308, 0.0, 0.0, -1.5e308, 0.0],
+    ],
+)
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_both_paths_refuse_an_overflowing_half_alike(f, mode):
+    # both compositions take their halves from one kernel, so an overflowing
+    # half of either argument is refused with one message
+    for a, b in ((f, [0.1] * 6), ([0.1] * 6, f)):
+        with pytest.raises(DomainError) as via_channels:
+            bch_so4(so4_from_coeffs(a), so4_from_coeffs(b), mode)
+        with pytest.raises(DomainError) as via_entries:
+            bch_so4_entries(a, b, mode)
+        assert str(via_entries.value) == str(via_channels.value)
+        assert str(via_entries.value).startswith("a half of the generator overflows a float")
+
+
 def test_log_antipodal_channel_is_labeled():
     # one factor lands on -I: rotation by 2*(pi - tiny) in one channel
     delta = 1e-9
