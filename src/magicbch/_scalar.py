@@ -18,7 +18,8 @@ compositions from the one :func:`_halves`.  A rotation is the pair of unit
 quaternions of its two 2x2 tensor factors: :func:`rotation` writes out
 ``R^dag (u (x) v) R = sum_ij p_i q_j E_ij`` entry by entry, and
 :func:`_quaternions_from_rotation` factors it back.  Every composition and
-every logarithm ends in the one principal log :func:`_quaternion_log`.
+every logarithm ends in the one principal log :func:`_quaternion_log`, which
+raises the antipodal refusal, naming the so(4) channel it was given.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import AntipodalSingularityError, DomainError, InternalConsistencyE
 _ANTIPODAL_TOL = 1e-8
 _GROUP_TOL = 1e-10  # Frobenius and determinant slack of the SU(2)/SO(4) gates
 _ANTISYMMETRY_TOL = 1e-12  # max |m_ij + m_ji| of a generator matrix
+_SELF_DUAL, _ANTI_SELF_DUAL = "self-dual channel: ", "anti-self-dual channel: "
 
 
 class BranchMode(enum.Enum):
@@ -98,15 +100,16 @@ def _quaternion_of(rows):
     return 0.5 * (a.real + d.real), 0.5 * (b.imag + c.imag), 0.5 * (b.real - c.real), 0.5 * (a.imag - d.imag)
 
 
-def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED):
+def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED, channel: str = ""):
     # principal log z = k w of the unit quaternion p = (c, w), with k, rho = |w|
     # and theta = atan2(rho, c).  Paper mode's asin(rho) folds theta > pi/2
-    # back; atan2(rho, |c|) is that angle without the arcsine's infinite slope
+    # back; atan2(rho, |c|) is that angle without the arcsine's infinite slope.
+    # An so(4) channel passes its name, _SELF_DUAL or _ANTI_SELF_DUAL, to prefix the antipodal refusal
     c, w1, w2, w3 = p
     rho = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     theta = math.atan2(rho, c)
     if theta > math.pi - _ANTIPODAL_TOL:
-        raise AntipodalSingularityError("rotation is numerically antipodal; no log direction")
+        raise AntipodalSingularityError(f"{channel}rotation is numerically antipodal; no log direction")
     angle = math.atan2(rho, abs(c)) if mode is _PAPER else theta
     k = angle / rho if rho else 1.0
     return (k * w1, k * w2, k * w3), k, rho, theta
@@ -117,7 +120,7 @@ def _su2_log(rows):
     return _quaternion_log(_quaternion_of(_in_su2(rows)))[0]
 
 
-def _compose(x, y, mode: BranchMode):
+def _compose(x, y, mode: BranchMode, channel: str = ""):
     # exp(x) exp(y) of two float triples as the quaternion product (c, w) in
     # scalars, then its log (a, b, g are alpha, beta, gamma before the ratio
     # k); np.cross and np.linalg.norm cost more than the rest on 3-vectors
@@ -135,7 +138,7 @@ def _compose(x, y, mode: BranchMode):
     w1 = a * x1 + b * y1 - g * (x2 * y3 - x3 * y2)
     w2 = a * x2 + b * y2 - g * (x3 * y1 - x1 * y3)
     w3 = a * x3 + b * y3 - g * (x1 * y2 - x2 * y1)
-    z, k, rho, theta = _quaternion_log((c, w1, w2, w3), mode)
+    z, k, rho, theta = _quaternion_log((c, w1, w2, w3), mode, channel)
     return (k * a, k * b, k * g, rho, theta), z
 
 
@@ -147,13 +150,13 @@ def _compose(x, y, mode: BranchMode):
 # take complex moduli by math.hypot, which never does.
 
 
-def _antisymmetric_rows(r, tol: float) -> bool:
+def _antisymmetric_rows(r) -> bool:
     # max |m_ij + m_ji| over the upper triangle and the diagonal
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r
     return max(
         abs(a0 + a0), abs(a1 + b0), abs(a2 + c0), abs(a3 + d0), abs(b1 + b1),
         abs(b2 + c1), abs(b3 + d1), abs(c2 + c2), abs(c3 + d2), abs(d3 + d3),
-    ) <= tol
+    ) <= _ANTISYMMETRY_TOL
 
 
 def _special_orthogonal_rows(r) -> bool:
@@ -220,10 +223,10 @@ def _in_so4(rows):
 # so(4): six-tuples, halves and the channel-wise closed forms
 
 
-def _coeffs(rows, tol: float):
-    # the upper triangle f12 .. f34 of a 4x4 matrix antisymmetric to tol, copied
-    if not _antisymmetric_rows(rows, tol):
-        raise ShapeError(f"matrix is not antisymmetric to {tol:g} in max-norm")
+def _coeffs(rows):
+    # the upper triangle f12 .. f34 of a 4x4 matrix antisymmetric to 1e-12, copied
+    if not _antisymmetric_rows(rows):
+        raise ShapeError(f"matrix is not antisymmetric to {_ANTISYMMETRY_TOL:g} in max-norm")
     (_, f12, f13, f14), (_, _, f23, f24), (_, _, _, f34), _ = rows
     return f12, f13, f14, f23, f24, f34
 
@@ -264,14 +267,6 @@ def _merge(z1, z2):
     return f
 
 
-def _in_channel(channel, fn, *args):
-    # name the channel in an antipodal singularity raised by fn
-    try:
-        return fn(*args)
-    except AntipodalSingularityError as exc:
-        raise AntipodalSingularityError(f"{channel} channel: {exc}") from exc
-
-
 def _so4_exp(f):
     # the rotation exp(f) as four rows: each half as a unit quaternion
     return rotation(*map(_quaternion, _halves(f)))
@@ -280,15 +275,15 @@ def _so4_exp(f):
 def _so4_log(rows):
     # the principal log f12 .. f34 of a rotation given as four rows of floats
     p, q = _quaternions_from_rotation(_in_so4(rows))
-    z1 = _in_channel("self-dual", _quaternion_log, p)[0]
-    return _merged(z1, _in_channel("anti-self-dual", _quaternion_log, q)[0])
+    z1 = _quaternion_log(p, channel=_SELF_DUAL)[0]
+    return _merged(z1, _quaternion_log(q, channel=_ANTI_SELF_DUAL)[0])
 
 
 def _bch_so4(f, g, mode: BranchMode):
     # compose the generators f, g channel by channel: f12 .. f34 and both coefficient tuples
     (x1, x2), (y1, y2) = _halves(f), _halves(g)
-    c1, z1 = _in_channel("self-dual", _compose, x1, y1, mode)
-    c2, z2 = _in_channel("anti-self-dual", _compose, x2, y2, mode)
+    c1, z1 = _compose(x1, y1, mode, _SELF_DUAL)
+    c2, z2 = _compose(x2, y2, mode, _ANTI_SELF_DUAL)
     return _merged(z1, z2), c1, c2
 
 
@@ -298,8 +293,8 @@ def _bch_entries(f, g, mode: BranchMode):
     # the halves and coefficients are _bch_so4's; the formulas take the middle
     # anti-self-dual entry negated back to 0.5 * (f13 + f24), which is exact
     (x1, x2), (y1, y2) = _halves(f), _halves(g)
-    c1, _ = _in_channel("self-dual", _compose, x1, y1, mode)
-    c2, _ = _in_channel("anti-self-dual", _compose, x2, y2, mode)
+    c1, _ = _compose(x1, y1, mode, _SELF_DUAL)
+    c2, _ = _compose(x2, y2, mode, _ANTI_SELF_DUAL)
     (fp1, fp2, fp3), (fm1, fm2, fm3), (gp1, gp2, gp3), (gm1, gm2, gm3) = x1, x2, y1, y2
     fm2, gm2 = -fm2, -gm2
     a1, b1, g1, _, _ = c1

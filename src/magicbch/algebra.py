@@ -13,29 +13,31 @@ The two-qubit basis order is |00>, |01>, |10>, |11> throughout.  The error
 metric used by every module is the Frobenius norm.
 
 Every array argument of the public functions here and in :mod:`magicbch.su2`,
-:mod:`magicbch.magic` and :mod:`magicbch.so4` (but :func:`frobenius_norm`,
-which takes an array of numbers of any shape) is read once, by
-``_read_array(m, dtype, shape)``: ``np.asarray``, a cast to float64
-(complex128 for a 2x2 factor and the frame changes' 4x4 matrices), a shape
-check, then ``.tolist()`` into Python numbers, which must all be finite.
-Their sum is tested first: a running sum that meets an inf or a NaN never
-turns finite again, so only a non-finite sum is looked at entry by entry.  A
-wrong shape, a NaN/Inf entry, a complex entry where reals are due or a
-string raises :class:`ShapeError` with one message, ``expected finite
-float64 entries in shape (3,), got float64 entries in shape (4,): [...]``;
-ragged nesting and ints past the float range raise ``expected an array of
-numbers in shape (3,): ...`` with NumPy's reason.  The antisymmetry,
-special-orthogonal and special-unitary gates then run on those rows in
-scalar arithmetic (in :mod:`magicbch._scalar`); they form the quantities a
-NumPy evaluation would, ``max |m_ij + m_ji|``, ``||M^T M - I||_F`` with
-``det M`` by the Laplace expansion in 2x2 minors, and ``||U^H U - I||_F``
-with ``det U``, against the same tolerances (1e-10 for the group gates).
+:mod:`magicbch.magic` and :mod:`magicbch.so4` is read once, by
+``_read_array(m, dtype, shape)``: ``np.asarray``, the number rule
+``_numbers``, a cast to float64 (complex128 for a 2x2 factor and the frame
+changes' 4x4 matrices), a shape check, then ``.tolist()`` into Python
+numbers, which must all be finite (their sum is tested first: a running sum
+that meets an inf or a NaN never turns finite again).  ``_numbers``, the
+rule of :func:`frobenius_norm` and the oracle too, reads bools and ints as
+float64, float and complex arrays as they are, and an object array only if
+every entry is a number, as complex128 if one is complex; it never parses a
+string.  A wrong shape, a NaN/Inf entry or a complex entry where reals are
+due raises :class:`ShapeError` with one message, ``expected finite float64
+entries in shape (3,), got float64 entries in shape (4,): [...]``; anything
+else ``expected an array of numbers in shape (3,): `` and the reason.  The
+antisymmetry (fixed at 1e-12), special-orthogonal and special-unitary gates
+then run on those rows in scalar arithmetic (in :mod:`magicbch._scalar`),
+forming ``max |m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the
+Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` as
+NumPy would (1e-10 for the group gates).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import reprlib
 from itertools import chain
 from typing import NamedTuple
@@ -43,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _MODULES
-from ._scalar import _ANTISYMMETRY_TOL, _antisymmetric_rows, _coeffs, _generator_rows
+from ._scalar import _antisymmetric_rows, _coeffs, _generator_rows
 from ._scalar import _special_orthogonal_rows, _special_unitary_rows
 from .errors import DomainError, ShapeError
 
@@ -86,17 +88,16 @@ def frobenius_norm(m) -> float:
     bool input.  On float32 and complex64 input it is NumPy's norm before its
     final rounding: the square root of the same single-precision sum of
     squares, taken in double precision, so ``np.float32`` of it is
-    ``np.linalg.norm(m)``.  Input that is not an array of numbers (ragged
-    nesting, strings, ``None`` entries, ints past the float range) raises
-    :class:`ShapeError`; NaN and Inf entries give a NaN or Inf norm.  Finite
-    entries whose norm overflows give ``inf`` with NumPy's ``RuntimeWarning``,
-    as ``np.linalg.norm`` does.
+    ``np.linalg.norm(m)``.  Input is read by the number rule of every array
+    reader: ragged nesting, strings, ``None`` entries and ints past the float
+    range raise :class:`ShapeError`; NaN and Inf entries give a NaN or Inf
+    norm.  Finite entries whose norm overflows give ``inf`` with NumPy's
+    ``RuntimeWarning``, as ``np.linalg.norm`` does.
     """
     try:
         x = np.asarray(m)
-        if x.dtype.kind not in "fcO":
-            # ints and bools are cast as np.linalg.norm casts them; strings are not parsed
-            x = x.astype(float, casting="safe")
+        if x.dtype.kind not in "fc":
+            x = _numbers(x)
         x = x.ravel("K")  # memory order, as np.linalg.norm sums
         if x.dtype.kind == "c":
             re, im = x.real, x.imag
@@ -151,7 +152,7 @@ def so4_from_coeffs(c) -> np.ndarray:
 
 def _finite(compute) -> np.ndarray:
     # compute() on entries already read finite: a non-finite result means a
-    # product or a sum overflowed, refused as DomainError, with NumPy's warning
+    # product or a sum overflowed, refused as DomainError; NumPy's warnings are off
     with np.errstate(over="ignore", invalid="ignore"):
         out = compute()
     if not np.isfinite(out).all():
@@ -166,25 +167,25 @@ def _box(rows) -> np.ndarray:
     return np.fromiter([*r0, *r1, *r2, *r3], float, 16).reshape(4, 4)
 
 
-def coeffs_from_so4(m, tol: float = _ANTISYMMETRY_TOL) -> So4Coeffs:
+def coeffs_from_so4(m) -> So4Coeffs:
     """Read the upper-triangle entries of an antisymmetric 4x4 matrix.
 
-    Raises :class:`ShapeError` unless ``m + m.T`` vanishes to ``tol`` in
-    max-norm.  The entries are copied without arithmetic, so a round trip
-    through :func:`so4_from_coeffs` is bit-exact.
+    Raises :class:`ShapeError` unless ``m + m.T`` vanishes to 1e-12 in
+    max-norm; the tolerance is fixed.  The entries are copied without
+    arithmetic, so a round trip through :func:`so4_from_coeffs` is bit-exact.
     """
-    return So4Coeffs(*_generator_floats(m, tol))
+    return So4Coeffs(*_generator_floats(m))
 
 
-def _generator_floats(m, tol: float = _ANTISYMMETRY_TOL) -> tuple[float, ...]:
+def _generator_floats(m) -> tuple[float, ...]:
     # the six floats of coeffs_from_so4, for callers that need no record
-    return _coeffs(_read_array(m, _REAL, (4, 4)), tol)
+    return _coeffs(_read_array(m, _REAL, (4, 4)))
 
 
-def is_antisymmetric(m, tol: float = _ANTISYMMETRY_TOL) -> bool:
-    """Whether ``m`` is a finite real 4x4 matrix with ``max |m + m.T| <= tol``."""
+def is_antisymmetric(m) -> bool:
+    """Whether ``m`` is a finite real 4x4 matrix with ``max |m + m.T| <= 1e-12``, a fixed tolerance."""
     try:
-        return _antisymmetric_rows(_read_array(m, _REAL, (4, 4)), tol)
+        return _antisymmetric_rows(_read_array(m, _REAL, (4, 4)))
     except ShapeError:
         return False
 
@@ -209,14 +210,31 @@ _REAL = np.dtype(float)
 _COMPLEX = np.dtype(complex)
 
 
+def _numbers(m) -> np.ndarray:
+    # m by the number rule of the module docstring, shared by the three array
+    # readers; a refusal raises TypeError, ValueError or OverflowError with its reason
+    a = np.asarray(m)
+    if a.dtype.kind == "O":
+        for x in a.flat:
+            if not isinstance(x, numbers.Number):
+                raise TypeError(f"{reprlib.repr(x)} is not a number")
+        imaginary = any(isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real) for x in a.flat)
+        return a.astype(complex if imaginary else float)
+    if a.dtype.kind not in "biufc":
+        raise TypeError(f"{a.dtype} entries are not numbers")
+    return a if a.dtype.kind in "fc" else a.astype(float)
+
+
 def _read_array(m, dtype: np.dtype, shape: tuple[int, ...]) -> list:
     # m as nested lists of finite Python floats (complex for _COMPLEX) in
     # the given shape, read once; every refusal is a ShapeError, and no cast
     # from complex to real drops an imaginary part
     try:
         a = np.asarray(m)
-        if a.dtype is not dtype and a.dtype.kind in ("biufcO" if dtype is _COMPLEX else "biufO"):
-            a = a.astype(dtype)
+        if a.dtype is not dtype:
+            a = _numbers(a)
+            if a.dtype.kind == "f" or dtype is _COMPLEX:  # a complex array stays complex
+                a = a.astype(dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"expected an array of numbers in shape {shape}: {exc}") from None
     if a.dtype is dtype and a.shape == shape:

@@ -117,7 +117,7 @@ def _generator(source: str, kind: str, data):
     if kind != "so4_matrix":
         return data
     try:
-        return _scalar._coeffs(data, _scalar._ANTISYMMETRY_TOL)
+        return _scalar._coeffs(data)
     except ShapeError as exc:
         raise ShapeError(f"{source}: {exc}") from None
 

@@ -33,20 +33,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = list(_MODULES["magic"])
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Columns are (psi1, -i psi2, -psi3, -i psi4) in the Bell notation below.
-_MAGIC = _INV_SQRT2 * np.array(
-    [
-        [1.0, 0.0, 0.0, -1.0j],
-        [0.0, -1.0j, -1.0, 0.0],
-        [0.0, -1.0j, 1.0, 0.0],
-        [1.0, 0.0, 0.0, 1.0j],
-    ]
-)
-_MAGIC_DAG = _MAGIC.conj().T
-
-
 class BellBasis(NamedTuple):
     """The four maximally entangled two-qubit states, basis order |00>,|01>,|10>,|11>."""
 
@@ -64,13 +50,21 @@ class SplitPair(NamedTuple):
 
 
 def bell_basis() -> BellBasis:
-    s = _INV_SQRT2
+    s = 1.0 / math.sqrt(2.0)
     return BellBasis(
         psi1=np.array([s, 0.0, 0.0, s], dtype=complex),
         psi2=np.array([0.0, s, s, 0.0], dtype=complex),
         psi3=np.array([0.0, s, -s, 0.0], dtype=complex),
         psi4=np.array([s, 0.0, 0.0, -s], dtype=complex),
     )
+
+
+# Makhlin's magic matrix, whose columns are the phased Bell states
+# (psi1, -i psi2, -psi3, -i psi4); the + 0.0 turns the negative zeros that
+# the negations leave into +0.0
+_BELL = bell_basis()
+_MAGIC = np.column_stack([_BELL.psi1, -1j * _BELL.psi2, -_BELL.psi3, -1j * _BELL.psi4]) + 0.0
+_MAGIC_DAG = _MAGIC.conj().T
 
 
 def magic_matrix() -> np.ndarray:

@@ -7,24 +7,25 @@ scaling with Denman-Beavers square roots followed by a Mercator series, and
 slower and only serve as independent ground truth in tests, benchmarks,
 and the ``--oracle`` flag of the command line.  Their budgets are fixed:
 a series stops at a term under 1e-16 in Frobenius norm or fails after 64
-terms, and the logarithm takes at most 32 square roots.  An entry that is
-not a bool, int, float or complex number (a string, say), an int past the
-float range, ragged nesting or a NaN/Inf entry raises ``ShapeError``, and a
-norm that overflows a float ``DomainError``, as does an exponential argument
-with Frobenius norm above 1e4: each squaring doubles the rounding error, and
-past that norm the result drifts off the group by more than the 1e-10 that
-the special-orthogonal gate allows.
+terms, and the logarithm takes at most 32 square roots.  A matrix is read by
+the array API's number rule: a string or ``None`` entry (also in an object
+array), an int past the float range, ragged nesting or a NaN/Inf entry
+raises ``ShapeError``, and a complex entry makes the matrix complex.  A norm
+that overflows a float raises ``DomainError``, as does a result that
+overflows one (with no NumPy warning) and an exponential argument with
+Frobenius norm above 1e4: each squaring doubles the rounding error, and past
+that norm the result drifts off the group by more than the 1e-10 that the
+special-orthogonal gate allows.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from . import _MODULES
-from .algebra import frobenius_norm
+from .algebra import _finite, _numbers, frobenius_norm
 from .errors import ConvergenceError, DomainError, ShapeError
 
 __all__ = list(_MODULES["oracle"])
@@ -45,24 +46,20 @@ def mat_exp_taylor(m) -> np.ndarray:
 
     The argument is halved until its Frobenius norm drops below 0.5, the
     series is summed until the term norm falls under 1e-16, and the
-    result is squared back up.  A Frobenius norm above 1e4 raises
-    :class:`~magicbch.errors.DomainError`.
+    result is squared back up.  A Frobenius norm above 1e4, or a result
+    that overflows a float, raises :class:`~magicbch.errors.DomainError`.
     """
     m = _as_square(m)
-    n = m.shape[0]
     norm = frobenius_norm(m)
     if norm > _MAX_EXP_NORM:
         raise DomainError(
             f"Frobenius norm {norm:.3e} exceeds {_MAX_EXP_NORM:g}; squaring back up "
             "would lose the group property"
         )
-    steps = 0
-    if norm >= 0.5:
-        steps = int(math.floor(math.log2(norm / 0.5))) + 1
+    steps = math.floor(math.log2(norm / 0.5)) + 1 if norm >= 0.5 else 0
     x = m / float(2**steps)
 
-    term = np.eye(n, dtype=x.dtype)
-    acc = np.eye(n, dtype=x.dtype)
+    term = acc = np.eye(len(m), dtype=x.dtype)
     for k in range(1, _MAX_TERMS + 1):
         term = term @ x / k
         acc = acc + term
@@ -72,9 +69,8 @@ def mat_exp_taylor(m) -> np.ndarray:
         raise ConvergenceError(
             f"exponential series did not reach tol {_TOL:g} in {_MAX_TERMS} terms"
         )
-    for _ in range(steps):
-        acc = acc @ acc
-    return acc
+    # acc ** (2 ** steps) is acc squared steps times over
+    return _finite(lambda: np.linalg.matrix_power(acc, 2**steps))
 
 
 def mat_log_near_identity(m) -> np.ndarray:
@@ -86,9 +82,11 @@ def mat_log_near_identity(m) -> np.ndarray:
     identity (a rotation through pi in some plane, say) fail with a domain
     error.
     """
-    m = _as_square(m)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=m.dtype)
+    return _finite(lambda: _log_near_identity(_as_square(m)))
+
+
+def _log_near_identity(m):
+    eye = np.eye(len(m), dtype=m.dtype)
 
     x = m
     steps = 0
@@ -101,8 +99,7 @@ def mat_log_near_identity(m) -> np.ndarray:
         steps += 1
 
     d = x - eye
-    power = d.copy()
-    acc = d.copy()
+    power = acc = d
     for k in range(2, _MAX_TERMS + 1):
         power = power @ d
         acc = acc + (-1.0) ** (k + 1) / k * power
@@ -120,21 +117,21 @@ def bch_trunc3(a, b) -> np.ndarray:
 
     ``a + b + [a,b]/2 + ([[a,b],b] + [a,[a,b]])/12``; the remainder is
     order 4 in the inputs, which makes this a convergence-order probe for
-    the closed forms rather than a ground truth.
+    the closed forms rather than a ground truth.  A result that overflows a
+    float raises :class:`~magicbch.errors.DomainError`.
     """
     a = _as_square(a)
     b = _as_square(b)
     if a.shape != b.shape:
         raise ShapeError(f"arguments must share a shape, got {a.shape} and {b.shape}")
-    c = a @ b - b @ a
-    return a + b + 0.5 * c + ((c @ b - b @ c) + (a @ c - c @ a)) / 12.0
+    # c is the commutator [a, b], bound on first use
+    return _finite(lambda: a + b + 0.5 * (c := a @ b - b @ a) + ((c @ b - b @ c) + (a @ c - c @ a)) / 12.0)
 
 
 def _sqrt_denman_beavers(m):
     # coupled Newton iteration for the principal square root
-    n = m.shape[0]
     y = m
-    z = np.eye(n, dtype=m.dtype)
+    z = np.eye(len(m), dtype=m.dtype)
     try:
         for _ in range(_DB_MAX_ITER):
             y_next = 0.5 * (y + np.linalg.inv(z))
@@ -153,18 +150,12 @@ def _sqrt_denman_beavers(m):
 
 
 def _as_square(m) -> np.ndarray:
-    # bool, int, float and complex entries only: a string is never parsed, and
-    # an int past the float range or ragged nesting raises ShapeError
+    # a finite 2x2 or 4x4 matrix of numbers by the array API's number rule,
+    # whose Frobenius norm does not overflow a float
     try:
-        m = np.asarray(m)
-        if m.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in m.flat):
-            m = m.astype(float)
+        m = _numbers(m)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"expected a matrix of numbers: {exc}") from None
-    if m.dtype.kind in "biu":
-        m = m.astype(float)
-    if m.dtype.kind not in "fc":
-        raise ShapeError(f"expected a matrix of numbers, got entries of dtype {m.dtype}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise ShapeError(f"expected a square 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

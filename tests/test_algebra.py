@@ -1,6 +1,8 @@
 import itertools
 import math
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from magicbch import (
     coeffs_from_so4,
     frobenius_norm,
     hermitian_from_vec,
+    mat_exp_taylor,
     merge,
     pauli,
     so4_exp,
@@ -355,6 +358,48 @@ def test_a_result_that_overflows_is_refused(name):
 def test_frobenius_norm_refuses_what_is_not_an_array_of_numbers(m):
     with pytest.raises(ShapeError, match="expected an array of numbers"):
         frobenius_norm(m)
+
+
+# the three array readers share one rule of what an array of numbers is: the
+# reader of su2, magic and so4, frobenius_norm and the oracle's reader
+OBJECT_READERS = {
+    "su2_exp": (su2_exp, [0.5, 0.25, 0.1]),
+    "so4_from_coeffs": (so4_from_coeffs, [0.1, -0.2, 0.3, 0.4, -0.5, 0.6]),
+    "su2_log": (su2_log, su2_exp([0.3, -0.2, 0.5])),
+    "frobenius_norm": (frobenius_norm, [0.5, 0.25, 0.1]),
+    "mat_exp_taylor": (mat_exp_taylor, [[0.1, -0.2], [0.3, 0.4]]),
+}
+
+
+@pytest.mark.parametrize("name", OBJECT_READERS)
+@pytest.mark.parametrize("entry", ["0.25", b"0.25", None], ids=["str", "bytes", "none"])
+def test_an_object_array_with_an_entry_that_is_not_a_number_is_refused(name, entry):
+    call, valid = OBJECT_READERS[name]
+    m = np.array(valid, dtype=object)
+    call(m)  # an object array of numbers is read
+    m.flat[1] = entry
+    with pytest.raises(ShapeError, match=r"expected an? (array|matrix) of numbers.*is not a number"):
+        call(m)
+
+
+@pytest.mark.parametrize("name", ["su2_log", "frobenius_norm", "mat_exp_taylor"])
+def test_a_complex_object_array_reads_as_its_complex128_array(name):
+    call = OBJECT_READERS[name][0]
+    u = su2_exp([0.3, -0.2, 0.5])
+    got, want = np.asarray(call(u.astype(object))), np.asarray(call(u))
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def test_frobenius_norm_reads_an_object_array_of_any_numbers():
+    m = np.array([Decimal("0.5"), Fraction(1, 4), 0.1, True], dtype=object)
+    assert frobenius_norm(m) == frobenius_norm([0.5, 0.25, 0.1, 1.0])
+
+
+@pytest.mark.parametrize("name", OBJECT_READERS)
+def test_a_string_array_is_never_parsed(name):
+    call, valid = OBJECT_READERS[name]
+    with pytest.raises(ShapeError, match="entries are not numbers"):
+        call(np.array(valid, dtype=object).astype(str))
 
 
 def test_cross_product_bilinearity_and_orthogonality():

@@ -190,6 +190,22 @@ def test_bch_antipodal_so4_names_channel(tmp_path, capsys):
     assert "channel" in err
 
 
+@pytest.mark.parametrize("sign, channel", [(1.0, "self-dual"), (-1.0, "anti-self-dual")])
+@pytest.mark.parametrize("route", [[], ["--entries-path"]], ids=["channels", "entries"])
+def test_bch_antipodal_so4_exits_3_naming_its_channel(tmp_path, capsys, sign, channel, route):
+    a = write_doc(tmp_path / "a.json", so4_coeffs_doc([math.pi / 2, 0, 0, 0, 0, sign * math.pi / 2]))
+    code, out, err = run_cli(capsys, "bch", a, a, *route)
+    assert (code, out) == (3, "")
+    assert err == f"error: {channel} channel: rotation is numerically antipodal; no log direction\n"
+
+
+def test_log_of_minus_identity_exits_3_naming_its_channel(tmp_path, capsys):
+    p = write_doc(tmp_path / "o.json", {"kind": "so4_matrix", "data": (-np.eye(4)).tolist()})
+    code, out, err = run_cli(capsys, "log", p)
+    assert (code, out) == (3, "")
+    assert err == "error: anti-self-dual channel: rotation is numerically antipodal; no log direction\n"
+
+
 def test_split_then_merge_round_trip(tmp_path, capsys):
     coeffs = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05]
     p = write_doc(tmp_path / "c.json", so4_coeffs_doc(coeffs))

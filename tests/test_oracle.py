@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,3 +156,21 @@ def test_bch_trunc3_term_scaling():
 def test_bch_trunc3_shape_mismatch():
     with pytest.raises(ShapeError):
         bch_trunc3(np.zeros((2, 2)), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mat_exp_taylor(np.full((4, 4), 2000.0)),
+        lambda: bch_trunc3(np.full((4, 4), 1e110), np.triu(np.full((4, 4), 1e110))),
+        lambda: mat_log_near_identity(np.eye(4) + 1e100 * np.triu(np.ones((4, 4)), 1)),
+    ],
+    ids=["exp", "trunc3", "log"],
+)
+def test_finite_input_whose_arithmetic_overflows_is_a_package_error(call):
+    # no non-finite result and no NumPy warning: DomainError, or its
+    # subclass ConvergenceError, with warnings raised as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()

@@ -87,17 +87,26 @@ def test_special_orthogonal_gate_checks_the_determinant():
         assert not is_special_orthogonal(o @ np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-10])
-def test_antisymmetry_gate_matches_numpy(tol):
+def test_antisymmetry_gate_matches_numpy():
+    # the tolerance is fixed at 1e-12; noise log-uniform from 1e-15 to 1e-10
+    # puts it near the middle of max |m + m.T|, so the samples straddle it
     rng = np.random.default_rng(304)
     verdicts = []
-    for eps in noise_scales(rng, SAMPLES):
+    for eps in 10.0 ** rng.uniform(-15.0, -10.0, size=SAMPLES):
         m = so4_from_coeffs(rng.uniform(-2.0, 2.0, size=6)) + eps * rng.normal(size=(4, 4))
-        expected = float(np.abs(m + m.T).max()) <= tol
-        assert is_antisymmetric(m, tol) == expected, m.tolist()
+        expected = float(np.abs(m + m.T).max()) <= 1e-12
+        assert is_antisymmetric(m) == expected, m.tolist()
         verdicts.append(expected)
-    if tol == 1e-10:
-        assert_straddles(verdicts)
+    assert_straddles(verdicts)
+
+
+def test_the_antisymmetry_tolerance_is_no_argument():
+    m = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])
+    for call in (is_antisymmetric, coeffs_from_so4):
+        with pytest.raises(TypeError):
+            call(m, 1e-10)
+        with pytest.raises(TypeError):
+            call(m, tol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -163,8 +163,9 @@ def test_log_antipodal_channel_is_labeled():
 
 
 def test_log_of_minus_identity_is_antipodal():
-    with pytest.raises(AntipodalSingularityError):
+    with pytest.raises(AntipodalSingularityError) as info:
         so4_log(-np.eye(4))
+    assert str(info.value) == "anti-self-dual channel: rotation is numerically antipodal; no log direction"
 
 
 def test_bch_identity_case():
@@ -240,6 +241,18 @@ def test_bch_antipodal_channel_is_labeled():
     with pytest.raises(AntipodalSingularityError) as excinfo:
         bch_so4(a, a)
     assert "self-dual channel" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("sign, channel", [(1.0, "self-dual"), (-1.0, "anti-self-dual")])
+def test_every_antipodal_composition_names_its_channel(sign, channel):
+    # f has the half (pi/2, 0, 0) in the named channel and 0 in the other, so
+    # f composed with itself turns that channel's factor through pi
+    f = [math.pi / 2, 0.0, 0.0, 0.0, 0.0, sign * math.pi / 2]
+    for compose, a in ((bch_so4, so4_from_coeffs(f)), (bch_so4_entries, f)):
+        with pytest.raises(AntipodalSingularityError) as info:
+            compose(a, a)
+        assert str(info.value) == f"{channel} channel: rotation is numerically antipodal; no log direction"
+        assert info.value.__cause__ is None  # raised where it is found
 
 
 def test_entries_identity_case():
