@@ -116,8 +116,8 @@ def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED, channel: 
 
 
 def _su2_log(rows):
-    # the principal log of a 2x2 special unitary given as two rows of complex numbers
-    return _quaternion_log(_quaternion_of(_in_su2(rows)))[0]
+    # the principal log of a 2x2 matrix, given as two rows of complex numbers, that passed _in_su2
+    return _quaternion_log(_quaternion_of(rows))[0]
 
 
 def _compose(x, y, mode: BranchMode, channel: str = ""):
@@ -147,16 +147,23 @@ def _compose(x, y, mode: BranchMode, channel: str = ""):
 #
 # A product that overflows is inf and fails the comparison, so no gate raises
 # on finite rows; they square as x * x, as x ** 2 raises OverflowError, and
-# take complex moduli by math.hypot, which never does.
+# take complex moduli by math.hypot, which never does.  Every gate is false on
+# rows with a NaN or Inf entry (each entry meets its own comparison, or is
+# squared into a diagonal Gram term), so rows that pass a gate are finite:
+# algebra._read_array leaves the finiteness proof of a gated read to its gate.
 
 
 def _antisymmetric_rows(r) -> bool:
-    # max |m_ij + m_ji| over the upper triangle and the diagonal
+    # |m_ij + m_ji| <= tol over the upper triangle and the diagonal, one test
+    # per sum: every entry is in a sum, so a NaN or Inf entry fails its test
+    # (max would skip a NaN that is not in its first argument)
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r
-    return max(
-        abs(a0 + a0), abs(a1 + b0), abs(a2 + c0), abs(a3 + d0), abs(b1 + b1),
-        abs(b2 + c1), abs(b3 + d1), abs(c2 + c2), abs(c3 + d2), abs(d3 + d3),
-    ) <= _ANTISYMMETRY_TOL
+    t = _ANTISYMMETRY_TOL
+    return (
+        abs(a0 + a0) <= t and abs(a1 + b0) <= t and abs(a2 + c0) <= t and abs(a3 + d0) <= t
+        and abs(b1 + b1) <= t and abs(b2 + c1) <= t and abs(b3 + d1) <= t
+        and abs(c2 + c2) <= t and abs(c3 + d2) <= t and abs(d3 + d3) <= t
+    )
 
 
 def _special_orthogonal_rows(r) -> bool:
@@ -273,8 +280,8 @@ def _so4_exp(f):
 
 
 def _so4_log(rows):
-    # the principal log f12 .. f34 of a rotation given as four rows of floats
-    p, q = _quaternions_from_rotation(_in_so4(rows))
+    # the principal log f12 .. f34 of a rotation, given as four rows of floats, that passed _in_so4
+    p, q = _quaternions_from_rotation(rows)
     z1 = _quaternion_log(p, channel=_SELF_DUAL)[0]
     return _merged(z1, _quaternion_log(q, channel=_ANTI_SELF_DUAL)[0])
 

@@ -14,23 +14,31 @@ metric used by every module is the Frobenius norm.
 
 Every array argument of the public functions here and in :mod:`magicbch.su2`,
 :mod:`magicbch.magic` and :mod:`magicbch.so4` is read once, by
-``_read_array(m, dtype, shape)``: ``np.asarray``, the number rule
+``_read_array(m, dtype, shape, gate=None)``: ``np.asarray``, the number rule
 ``_numbers``, a cast to float64 (complex128 for a 2x2 factor and the frame
 changes' 4x4 matrices), a shape check, then ``.tolist()`` into Python
-numbers, which must all be finite (their sum is tested first: a running sum
-that meets an inf or a NaN never turns finite again).  ``_numbers``, the
-rule of :func:`frobenius_norm` and the oracle too, reads bools and ints as
-float64, float and complex arrays as they are, and an object array only if
-every entry is a number, as complex128 if one is complex; it never parses a
-string.  A wrong shape, a NaN/Inf entry or a complex entry where reals are
-due raises :class:`ShapeError` with one message, ``expected finite float64
-entries in shape (3,), got float64 entries in shape (4,): [...]``; anything
-else ``expected an array of numbers in shape (3,): `` and the reason.  The
-antisymmetry (fixed at 1e-12), special-orthogonal and special-unitary gates
-then run on those rows in scalar arithmetic (in :mod:`magicbch._scalar`),
-forming ``max |m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the
+numbers, which must all be finite.  ``_numbers``, the rule of
+:func:`frobenius_norm` and the oracle too, reads bools (NumPy's too) and
+ints as float64, float and complex arrays as they are, and an object array
+only if every entry is a number, as complex128 if one is complex; it never
+parses a string.  A wrong shape, a NaN/Inf entry or a complex entry where
+reals are due raises :class:`ShapeError` with one message, ``expected finite
+float64 entries in shape (3,), got float64 entries in shape (4,): [...]``;
+anything else ``expected an array of numbers in shape (3,): `` and the
+reason.
+
+The antisymmetry (fixed at 1e-12), special-orthogonal and special-unitary
+gates run on those rows in scalar arithmetic (in :mod:`magicbch._scalar`),
+testing each ``|m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the
 Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` as
-NumPy would (1e-10 for the group gates).
+NumPy would (1e-10 for the group gates).  Each gate is false on a NaN or
+Inf entry, so a read that a gate follows (the generator of
+:func:`coeffs_from_so4`, ``split``, ``so4_exp`` and ``bch_so4``, the
+rotation of ``so4_log``, the unitary of ``su2_log``) runs the gate first,
+and rows that pass it are proved finite in that one pass.  Every other read,
+and rows a gate refuses, are tested for finiteness on the sum of their
+entries first (a running sum that meets an inf or a NaN never turns finite
+again), so a non-finite entry is refused as such before any gate's refusal.
 """
 
 from __future__ import annotations
@@ -179,7 +187,7 @@ def coeffs_from_so4(m) -> So4Coeffs:
 
 def _generator_floats(m) -> tuple[float, ...]:
     # the six floats of coeffs_from_so4, for callers that need no record
-    return _coeffs(_read_array(m, _REAL, (4, 4)))
+    return _read_array(m, _REAL, (4, 4), _coeffs)
 
 
 def is_antisymmetric(m) -> bool:
@@ -216,7 +224,7 @@ def _numbers(m) -> np.ndarray:
     a = np.asarray(m)
     if a.dtype.kind == "O":
         for x in a.flat:
-            if not isinstance(x, numbers.Number):
+            if not isinstance(x, (numbers.Number, np.bool_)):  # np.bool_ is no numbers.Number
                 raise TypeError(f"{reprlib.repr(x)} is not a number")
         imaginary = any(isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real) for x in a.flat)
         return a.astype(complex if imaginary else float)
@@ -225,10 +233,12 @@ def _numbers(m) -> np.ndarray:
     return a if a.dtype.kind in "fc" else a.astype(float)
 
 
-def _read_array(m, dtype: np.dtype, shape: tuple[int, ...]) -> list:
+def _read_array(m, dtype: np.dtype, shape: tuple[int, ...], gate=None):
     # m as nested lists of finite Python floats (complex for _COMPLEX) in
-    # the given shape, read once; every refusal is a ShapeError, and no cast
-    # from complex to real drops an imaginary part
+    # the given shape, read once, or gate(those lists) if a gate is given
+    # (_coeffs, _in_so4 or _in_su2, which return or raise); every reader
+    # refusal is a ShapeError, and no cast from complex to real drops an
+    # imaginary part
     try:
         a = np.asarray(m)
         if a.dtype is not dtype:
@@ -239,12 +249,22 @@ def _read_array(m, dtype: np.dtype, shape: tuple[int, ...]) -> list:
         raise ShapeError(f"expected an array of numbers in shape {shape}: {exc}") from None
     if a.dtype is dtype and a.shape == shape:
         entries = a.tolist()
-        # a finite sum proves every entry finite; only a non-finite one (a bad
-        # entry, or finite entries whose sum overflows) is looked at entry by
-        # entry.  Both cost a fraction of np.isfinite(a).all()
+        if gate is not None:
+            # a gate is false on any NaN or Inf entry, so it proves the rows it
+            # passes finite, and a gated read takes one pass.  Rows it refuses
+            # take the finiteness test below first, so that a non-finite entry
+            # is refused as such, and only then get the gate's own refusal
+            try:
+                return gate(entries)
+            except (ShapeError, DomainError):
+                pass
+        # the finiteness test of an ungated read: a finite sum proves every
+        # entry finite; only a non-finite one (a bad entry, or finite entries
+        # whose sum overflows) is looked at entry by entry.  Both cost a
+        # fraction of np.isfinite(a).all()
         if len(shape) > 1:
             if cmath.isfinite(sum(chain(*entries))) or all(map(cmath.isfinite, chain(*entries))):
-                return entries
+                return entries if gate is None else gate(entries)
         elif cmath.isfinite(sum(entries)) or all(map(cmath.isfinite, entries)):
             return entries
     # reprlib cuts a long list or a long complex repr short, so the message stays small

@@ -189,11 +189,12 @@ def _cmd_exp(args) -> int:
 def _cmd_log(args) -> int:
     kind, data = load_document(args.input)
     if kind == "su2_matrix":
-        u = [[complex(re, im) for re, im in row] for row in data]
-        v = _series_log("su2_vec", _scalar._in_su2(u)) if args.oracle else _scalar._su2_log(u)
+        u = _scalar._in_su2([[complex(re, im) for re, im in row] for row in data])
+        v = _series_log("su2_vec", u) if args.oracle else _scalar._su2_log(u)
         out = _document("su2_vec", v)
     elif kind == "so4_matrix":
-        f = _series_log("so4_coeffs", _scalar._in_so4(data)) if args.oracle else _scalar._so4_log(data)
+        o = _scalar._in_so4(data)
+        f = _series_log("so4_coeffs", o) if args.oracle else _scalar._so4_log(o)
         out = _document("so4_coeffs", f)
     else:
         raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")

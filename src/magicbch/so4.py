@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _MODULES
-from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _generator_rows, _so4_exp, _so4_log
+from ._scalar import BchCoefficients, BranchMode, _bch_entries, _bch_so4, _generator_rows
+from ._scalar import _in_so4, _so4_exp, _so4_log
 from .algebra import _REAL, So4Coeffs, _box, _generator_floats, _read_array
 
 __all__ = list(_MODULES["so4"])
@@ -61,7 +62,7 @@ def so4_log(o) -> np.ndarray:
     recoverable direction: once its theta comes within ``1e-8`` of pi an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised.
     """
-    return _box(_generator_rows(*_so4_log(_read_array(o, _REAL, (4, 4)))))
+    return _box(_generator_rows(*_so4_log(_read_array(o, _REAL, (4, 4), _in_so4))))
 
 
 def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResult:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _MODULES
-from ._scalar import BchCoefficients, BranchMode, _compose, _quaternion, _su2_log, _unitary
+from ._scalar import BchCoefficients, BranchMode, _compose, _in_su2, _quaternion, _su2_log, _unitary
 from .algebra import _COMPLEX, _REAL, _read_array
 
 __all__ = list(_MODULES["su2"])
@@ -65,7 +65,7 @@ def su2_log(u) -> np.ndarray:
     :class:`~magicbch.errors.ShapeError`, and a matrix off SU(2) by more
     than 1e-10 :class:`~magicbch.errors.DomainError`.
     """
-    return np.array(_su2_log(_read_array(u, _COMPLEX, (2, 2))))
+    return np.array(_su2_log(_read_array(u, _COMPLEX, (2, 2), _in_su2)))
 
 
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:

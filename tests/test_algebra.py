@@ -281,13 +281,50 @@ def test_bch_so4_reads_both_arguments_before_it_splits_either():
             compose(first, np.zeros_like(first))
 
 
+GENERATOR = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])
+
+# every argument that a gate checks after the read, through its public entry
+# point, with a value that passes the gate, the gate's refusal, and a finite
+# value off the gate: past 1e-12 for the antisymmetry gate, past 1e-10 for the group gates
+GATED = {
+    "so4_exp": (so4_exp, GENERATOR),
+    "bch_so4-a": (lambda a: bch_so4(a, GENERATOR), GENERATOR),
+    "bch_so4-b": (lambda b: bch_so4(GENERATOR, b), GENERATOR),
+    "split": (split, GENERATOR),
+    "coeffs_from_so4": (coeffs_from_so4, GENERATOR),
+    "so4_log": (so4_log, so4_exp(GENERATOR)),
+    "su2_log": (su2_log, su2_exp([0.3, -0.2, 0.5])),
+}
+REFUSAL = {
+    "so4_log": (DomainError, "input is not special orthogonal to tolerance"),
+    "su2_log": (DomainError, "input is not special unitary to tolerance"),
+}
+
+
+def off_gate(name, valid):
+    # finite values the gate refuses: just past its tolerance, and with entries
+    # near 1e308 whose sum overflows, so the reader tests each entry first
+    if name in REFUSAL:
+        yield valid * (1.0 + 2e-10)
+        yield valid * 1e308
+    else:
+        for eps in (2e-12, 1e-10):
+            nudged = valid.copy()
+            nudged[1, 0] += eps
+            yield nudged
+        yield np.full((4, 4), 1e308)
+
+
 # one argument of each shape read, through a public entry point, and a valid
-# value of it; the reader first tests the sum of the entries for finiteness
+# value of it, then each gated argument; an ungated read tests the sum of the
+# entries for finiteness first, a gated one runs its gate first, which is
+# false on a NaN or Inf entry, and both refuse that entry as non-finite
 SUMMED = {
     "(3,)": (lambda v: bch_su2(np.zeros(3), v), np.zeros(3)),
     "(6,)": (lambda f: bch_so4_entries(np.zeros(6), f), np.zeros(6)),
     "(4, 4)": (so4_log, np.eye(4)),
     "(2, 2)": (su2_log, np.eye(2, dtype=complex)),
+    **{name: GATED[name] for name in GATED if name not in ("so4_log", "su2_log")},
 }
 
 
@@ -305,7 +342,7 @@ def test_a_non_finite_entry_anywhere_is_refused(shape):
             for value in (np.nan, np.inf, -np.inf):
                 bad = valid.copy()
                 parts(bad)[p].flat[k] = value
-                with pytest.raises(ShapeError, match="finite"):
+                with pytest.raises(ShapeError, match="expected finite"):
                     call(bad)
 
 
@@ -318,8 +355,58 @@ def test_an_inf_and_a_minus_inf_are_refused(shape):
             bad = valid.copy()
             parts(bad)[p].flat[i] = np.inf
             parts(bad)[q].flat[j] = -np.inf
-            with pytest.raises(ShapeError, match="finite"):
+            with pytest.raises(ShapeError, match="expected finite"):
                 call(bad)
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_a_finite_argument_off_its_gate_gets_the_gates_refusal(name):
+    call, valid = GATED[name]
+    call(valid)
+    error, message = REFUSAL.get(name, (ShapeError, "matrix is not antisymmetric to 1e-12 in max-norm"))
+    for m in off_gate(name, valid):
+        with pytest.raises(error) as info:
+            call(m)
+        assert type(info.value) is error and str(info.value) == message, m.tolist()
+
+
+def layouts(valid):
+    # the same matrix as a list, in Fortran order, as a transposed view, big-endian,
+    # in single precision and as an object array
+    yield valid.tolist()
+    yield np.asfortranarray(valid)
+    yield valid.T.copy().T
+    yield valid.astype(valid.dtype.newbyteorder(">"))
+    yield valid.astype(np.float32 if valid.dtype.kind == "f" else np.complex64)
+    yield valid.astype(object)
+
+
+def result_bytes(r):
+    # the bytes of every float a result carries, in order
+    if isinstance(r, np.ndarray):
+        return r.tobytes()
+    if isinstance(r, tuple):
+        return b"".join(map(result_bytes, r))
+    return struct.pack("<d", r) if isinstance(r, float) else repr(r).encode()
+
+
+def outcome(call, m):
+    # the bytes of call(m), or the class and text of its refusal
+    try:
+        return result_bytes(call(m))
+    except (ShapeError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_a_gated_argument_in_any_layout_gives_the_c_order_result(name):
+    # every layout and dtype gives the bytes of the result on its C-order
+    # float64 (complex128) array; in single precision a rotation or a unitary
+    # is off its group gate, and both refuse it alike
+    call, valid = GATED[name]
+    for m in layouts(valid):
+        c_order = np.ascontiguousarray(m, dtype=valid.dtype)
+        assert outcome(call, m) == outcome(call, c_order), type(m)
 
 
 def test_finite_entries_whose_sum_overflows_are_read():
@@ -388,6 +475,15 @@ def test_a_complex_object_array_reads_as_its_complex128_array(name):
     u = su2_exp([0.3, -0.2, 0.5])
     got, want = np.asarray(call(u.astype(object))), np.asarray(call(u))
     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+@pytest.mark.parametrize("name", ["su2_exp", "so4_from_coeffs", "frobenius_norm", "mat_exp_taylor"])
+def test_a_numpy_bool_in_an_object_array_reads_as_a_bool(name):
+    # np.bool_ is no numbers.Number, yet a bool array and a Python True are read
+    call, valid = OBJECT_READERS[name]
+    m, ones = np.array(valid, dtype=object), np.array(valid, dtype=float)
+    m.flat[1], ones.flat[1] = np.True_, 1.0
+    assert result_bytes(call(m)) == result_bytes(call(ones))
 
 
 def test_frobenius_norm_reads_an_object_array_of_any_numbers():

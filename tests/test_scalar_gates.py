@@ -29,6 +29,7 @@ from magicbch import (
     su2su2_to_so4,
 )
 from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
+from magicbch._scalar import _antisymmetric_rows, _special_orthogonal_rows, _special_unitary_rows
 from magicbch._scalar import _isoclinic_products, _quaternion_of, _quaternions_from_rotation, rotation
 from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
 from magicbch.errors import InternalConsistencyError
@@ -109,8 +110,33 @@ def test_the_antisymmetry_tolerance_is_no_argument():
             call(m, tol=1e-10)
 
 
+def with_entry(rows, k, part, bad):
+    # rows with entry k, row-major, replaced in its real (part 0) or imaginary part
+    rows = [list(row) for row in rows]
+    i, j = divmod(k, len(rows))
+    z = rows[i][j]
+    rows[i][j] = (complex(bad, z.imag) if part == 0 else complex(z.real, bad)) if type(z) is complex else bad
+    return rows
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gates_reject_non_finite_entries(bad):
+    # each gate is false on a NaN or Inf in any position and any part of a
+    # matrix that passes it, so rows that pass a gate are finite: the array
+    # reader leaves the finiteness proof of a gated read to the gate.  max over
+    # the antisymmetry sums skipped a NaN that was not in the first one
+    u = su2_exp([0.3, -0.2, 0.5]).tolist()
+    o = so4_exp(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])).tolist()
+    a = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]).tolist()
+    for gate, rows, parts in (
+        (_special_unitary_rows, u, 2),
+        (_special_orthogonal_rows, o, 1),
+        (_antisymmetric_rows, a, 1),
+    ):
+        assert gate(rows)
+        for k in range(len(rows) ** 2):
+            for part in range(parts):
+                assert not gate(with_entry(rows, k, part, bad)), (gate.__name__, k, part)
     u = np.eye(2, dtype=complex)
     u[1, 0] = bad
     o = np.eye(4)
