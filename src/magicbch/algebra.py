@@ -34,8 +34,9 @@ Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` as
 NumPy would (1e-10 for the group gates).  Each gate is false on a NaN or
 Inf entry, so a read that a gate follows (the generator of
 :func:`coeffs_from_so4`, ``split``, ``so4_exp`` and ``bch_so4``, the
-rotation of ``so4_log``, the unitary of ``su2_log``) runs the gate first,
-and rows that pass it are proved finite in that one pass.  Every other read,
+rotation of ``so4_log``, the unitary of ``su2_log``, and the argument of
+each predicate) runs the gate first, and rows that pass it are proved
+finite in that one pass.  Every other read,
 and rows a gate refuses, are tested for finiteness on the sum of their
 entries first (a running sum that meets an inf or a NaN never turns finite
 again), so a non-finite entry is refused as such before any gate's refusal.
@@ -53,8 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _MODULES
-from ._scalar import _antisymmetric_rows, _coeffs, _generator_rows
-from ._scalar import _special_orthogonal_rows, _special_unitary_rows
+from ._scalar import _coeffs, _generator_rows, _in_so4, _in_su2
 from .errors import DomainError, ShapeError
 
 __all__ = list(_MODULES["algebra"])
@@ -192,26 +192,26 @@ def _generator_floats(m) -> tuple[float, ...]:
 
 def is_antisymmetric(m) -> bool:
     """Whether ``m`` is a finite real 4x4 matrix with ``max |m + m.T| <= 1e-12``, a fixed tolerance."""
-    try:
-        return _antisymmetric_rows(_read_array(m, _REAL, (4, 4)))
-    except ShapeError:
-        return False
+    return _reads(m, _REAL, (4, 4), _coeffs)
 
 
 def is_special_orthogonal(m) -> bool:
     """Whether ``||m.T m - I||_F`` and ``|det m - 1|`` are both within 1e-10."""
-    try:
-        return _special_orthogonal_rows(_read_array(m, _REAL, (4, 4)))
-    except ShapeError:
-        return False
+    return _reads(m, _REAL, (4, 4), _in_so4)
 
 
 def is_special_unitary(u) -> bool:
     """Whether ``||u^H u - I||_F`` and ``|det u - 1|`` are both within 1e-10."""
+    return _reads(u, _COMPLEX, (2, 2), _in_su2)
+
+
+def _reads(m, dtype, shape, gate) -> bool:
+    # whether the gated read of m succeeds: the gate proves the rows finite in one pass
     try:
-        return _special_unitary_rows(_read_array(u, _COMPLEX, (2, 2)))
-    except ShapeError:
+        _read_array(m, dtype, shape, gate)
+    except (ShapeError, DomainError):
         return False
+    return True
 
 
 _REAL = np.dtype(float)

@@ -5,12 +5,9 @@ Every operation checks its input once, then runs the kernels of
 commuting 3-vector channels, each handled in closed form, and merges back.
 Exponential and logarithm carry each channel as a real unit quaternion, so
 no complex 4x4 conjugation is involved.  Two evaluation paths are provided
-for the composition law: the channel path (:func:`bch_so4`) and a
-transcription of the six expanded matrix entries (:func:`bch_so4_entries`)
-used to cross-check it.  Both take the halves of each generator from the
-one ``_halves`` and alpha, beta and gamma of each channel from the same
-scalar composition ``_compose``; the entries path is independent only in
-assembling the six entries from them.
+for the composition law, sharing no kernel: the channel path
+(:func:`bch_so4`) and the law stated on the six generator entries
+(:func:`bch_so4_entries`), each the other's cross-check.
 """
 
 from __future__ import annotations
@@ -60,7 +57,10 @@ def so4_log(o) -> np.ndarray:
     structurally nonzero entry of the first factor), and each factor is
     logged on the principal branch.  A factor at the antipode has no
     recoverable direction: once its theta comes within ``1e-8`` of pi an
-    :class:`~magicbch.errors.AntipodalSingularityError` is raised.
+    :class:`~magicbch.errors.AntipodalSingularityError` is raised.  The
+    SO(4) gate holds ``o`` to 1e-10 in any dtype, so a float32 rotation that
+    single precision cannot hold exactly raises
+    :class:`~magicbch.errors.DomainError`.
     """
     return _box(_generator_rows(*_so4_log(_read_array(o, _REAL, (4, 4), _in_so4))))
 
@@ -82,14 +82,12 @@ def bch_so4(a, b, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4BchResul
 def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4Coeffs:
     """Entry-wise form of :func:`bch_so4` on coefficient six-tuples.
 
-    The six output entries are written out fully in terms of the half-sum
-    and half-difference combinations of the inputs.  The halves, and the
-    coefficients alpha, beta and gamma of each channel, come from the same
-    kernels as in :func:`bch_so4`, so a half that overflows a float is
-    refused with the same :class:`~magicbch.errors.DomainError`, and this
-    path is an independent transcription only in assembling the entries; it
-    must agree with the channel path to well below composite rounding error
-    and is used as a cross-check of both.
+    The law stated on the entries, with no kernel of :func:`bch_so4`: each
+    channel ``F+- = (F +- *F) / 2`` of the Hodge dual ``*F = (f34, -f24, f23,
+    f14, -f13, f12)`` is fixed by its entries (1,2), (1,3) and (1,4), and
+    composes to ``k (a F+- + b G+- + (g/2) [F, G]+-)``, ``k = theta / rho``.
+    It agrees with :func:`bch_so4` to about ``eps k max(1, |f| |g|)``, and
+    refuses what it refuses with the same error classes and message prefixes.
     """
     f, g = _read_array(f, _REAL, (6,)), _read_array(g, _REAL, (6,))
     return So4Coeffs(*_bch_entries(f, g, mode)[0])

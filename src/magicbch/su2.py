@@ -63,7 +63,8 @@ def su2_log(u) -> np.ndarray:
     :class:`~magicbch.errors.AntipodalSingularityError` is raised instead.
     A wrong shape or a NaN/Inf entry raises
     :class:`~magicbch.errors.ShapeError`, and a matrix off SU(2) by more
-    than 1e-10 :class:`~magicbch.errors.DomainError`.
+    than 1e-10 in any dtype :class:`~magicbch.errors.DomainError`, so does a
+    complex64 unitary that single precision cannot hold exactly.
     """
     return np.array(_su2_log(_read_array(u, _COMPLEX, (2, 2), _in_su2)))
 

@@ -12,6 +12,7 @@ import pytest
 
 import magicbch
 from magicbch import (
+    BchCoefficients,
     BranchMode,
     ShapeError,
     SplitPair,
@@ -29,6 +30,7 @@ from magicbch import (
     su2_exp,
     su2_log,
 )
+from magicbch._scalar import _bch_entries
 from magicbch.cli import _compose_within_limits, _payload, _sample_generator_pairs, main
 
 
@@ -253,17 +255,17 @@ def test_exp_oracle_refuses_a_generator_past_its_norm_bound(tmp_path, capsys):
 
 
 def test_bch_entries_path_output_bytes(tmp_path, capsys):
-    # the route composes once; its coefficients block is the one bch_so4
-    # reports, so the bytes are those of the route that composed twice
+    # the route composes once; its coefficients block is the entries route's
+    # own, which differs from bch_so4's by rounding
     rng = np.random.default_rng(72)
     f, g = rng.uniform(-1.5, 1.5, 6).tolist(), rng.uniform(-1.5, 1.5, 6).tolist()
-    r = bch_so4(so4_from_coeffs(f), so4_from_coeffs(g))
+    _, c1, c2 = _bch_entries(f, g, BranchMode.BRANCH_CORRECTED)
     expected = {
         "kind": "so4_coeffs",
         "data": [float(t) for t in bch_so4_entries(f, g)],
         "coefficients": {
-            "self_dual": r.coeffs1._asdict(),
-            "anti_self_dual": r.coeffs2._asdict(),
+            "self_dual": BchCoefficients._make(c1)._asdict(),
+            "anti_self_dual": BchCoefficients._make(c2)._asdict(),
         },
         "mode": "corrected",
     }

@@ -124,7 +124,7 @@ def test_bch_so4_agrees_with_the_entries_path(x1, z1, x2, z2, mode):
     r = bch_so4(a, b, mode)
     channels = np.array(coeffs_from_so4(r.result))
     entries = np.array(bch_so4_entries(coeffs_from_so4(a), coeffs_from_so4(b), mode))
-    # both paths share the coefficients and differ in the rounding of the last
-    # sums, whose terms grow with the log's condition number near the cut
+    # the paths share no kernel and differ by rounding, which grows with the
+    # log's condition number near the cut
     kappa = max([1.0] + [t / math.sin(t) for t in (r.coeffs1.theta, r.coeffs2.theta) if t])
     assert float(np.abs(channels - entries).max()) <= 1e-13 * kappa

@@ -22,9 +22,11 @@ from magicbch import (
     so4_log,
     split,
     su2_exp,
+    su2_log,
     tensor_product,
     to_orthogonal_frame,
 )
+from magicbch import _scalar
 from magicbch.magic import SplitPair
 from magicbch._scalar import _bch_entries
 
@@ -131,6 +133,16 @@ def test_log_rejects_non_orthogonal():
         so4_log(1.1 * np.eye(4))
 
 
+def test_logs_refuse_a_single_precision_group_element():
+    # float32 and complex64 round the entries by about 6e-8, far past the
+    # 1e-10 group gates, which hold every dtype alike
+    a = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])
+    with pytest.raises(DomainError, match="^input is not special orthogonal to tolerance$"):
+        so4_log(so4_exp(a).astype(np.float32))
+    with pytest.raises(DomainError, match="^input is not special unitary to tolerance$"):
+        su2_log(su2_exp([0.3, -0.2, 0.5]).astype(np.complex64))
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -142,15 +154,24 @@ def test_log_rejects_non_orthogonal():
 )
 @pytest.mark.parametrize("mode", list(BranchMode))
 def test_both_paths_refuse_an_overflowing_half_alike(f, mode):
-    # both compositions take their halves from one kernel, so an overflowing
-    # half of either argument is refused with one message
+    # an overflowing half of either argument is refused by one class and one
+    # message prefix on both paths; each path shows the halves as it holds them
     for a, b in ((f, [0.1] * 6), ([0.1] * 6, f)):
-        with pytest.raises(DomainError) as via_channels:
+        with pytest.raises(DomainError, match="^a half of the generator overflows a float"):
             bch_so4(so4_from_coeffs(a), so4_from_coeffs(b), mode)
-        with pytest.raises(DomainError) as via_entries:
+        with pytest.raises(DomainError, match="^a half of the generator overflows a float"):
             bch_so4_entries(a, b, mode)
-        assert str(via_entries.value) == str(via_channels.value)
-        assert str(via_entries.value).startswith("a half of the generator overflows a float")
+
+
+@pytest.mark.parametrize("f", [[1e200] * 6, [1e308, 0.0, 0.0, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_both_paths_refuse_an_overflowing_half_norm_alike(f, mode):
+    # every half of f is finite, but the norm of its self-dual half overflows
+    for a, b in ((f, [0.1] * 6), ([0.1] * 6, f)):
+        with pytest.raises(DomainError, match="^generator norm overflows a float"):
+            bch_so4(so4_from_coeffs(a), so4_from_coeffs(b), mode)
+        with pytest.raises(DomainError, match="^generator norm overflows a float"):
+            bch_so4_entries(a, b, mode)
 
 
 def test_log_antipodal_channel_is_labeled():
@@ -281,17 +302,52 @@ def test_entries_agree_with_channel_path():
     assert worst < 1e-13
 
 
+def test_entries_agree_with_channel_path_at_the_largest_halves():
+    # halves of norm just under the overflow of their squares: entries reach
+    # 2.7e154, whose products overflow a float unless [F, G] is scaled down
+    rng = np.random.default_rng(64)
+    for _ in range(200):
+        p, m, q, n = (v * (1.3e154 / np.linalg.norm(v)) for v in rng.normal(size=(4, 3)))
+        a, b = merge(SplitPair(p, m)), merge(SplitPair(q, n))
+        via_entries = np.array(bch_so4_entries(coeffs_from_so4(a), coeffs_from_so4(b)))
+        via_channels = np.array(coeffs_from_so4(bch_so4(a, b).result))
+        assert np.abs(via_entries - via_channels).max() < 1e-13
+
+
 @pytest.mark.parametrize("mode", list(BranchMode))
 def test_entries_coefficients_are_the_channel_coefficients(mode):
-    # the entry formulas' halves equal magic._halves bit for bit, so the
-    # coefficients they return equal the ones bch_so4 reports
+    # the entries route forms each channel's coefficients from its own
+    # products, so they differ from bch_so4's by rounding.  The ratios k a,
+    # k b, k g carry the rounding of k = theta / rho itself, so the gap is
+    # held to 4 eps k^2; on these draws the worst measured 1.2 eps k^2, and
+    # on pairs within 1e-2, 1e-4 and 1e-6 of the cut at most 1.0 eps k^2
     rng = np.random.default_rng(61)
+    eps = np.finfo(float).eps
     for _ in range(500):
         cf, cg = rng.uniform(-1.0, 1.0, size=6), rng.uniform(-1.0, 1.0, size=6)
         r = bch_so4(so4_from_coeffs(cf), so4_from_coeffs(cg), mode)
         entries, c1, c2 = _bch_entries(cf.tolist(), cg.tolist(), mode)
-        assert (c1, c2) == (r.coeffs1, r.coeffs2)
+        for got, want in ((c1, r.coeffs1), (c2, r.coeffs2)):
+            k = want.theta / want.rho if want.rho else 1.0
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 4.0 * eps * k * k
         assert entries == bch_so4_entries(cf, cg, mode)
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_entries_route_calls_no_channel_path_kernel(monkeypatch, mode):
+    # with every kernel of the channel path refusing, the route gives the same bytes
+    rng = np.random.default_rng(63)
+    pairs = [(rng.uniform(-2.0, 2.0, size=6), rng.uniform(-2.0, 2.0, size=6)) for _ in range(200)]
+    unpatched = [np.array(bch_so4_entries(f, g, mode)).tobytes() for f, g in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the entries route called a kernel of the channel path")
+
+    for name in ("_halves", "_compose", "_quaternion_log", "_merged", "_bch_so4"):
+        monkeypatch.setattr(_scalar, name, refuse)
+    with pytest.raises(AssertionError):
+        bch_so4(np.zeros((4, 4)), np.zeros((4, 4)), mode)  # the patches take effect
+    assert [np.array(bch_so4_entries(f, g, mode)).tobytes() for f, g in pairs] == unpatched
 
 
 def test_order3_consistency_slope():

@@ -463,6 +463,19 @@ def test_overflowing_norm_is_a_domain_error():
             call()
 
 
+def test_a_mode_that_is_not_a_branch_mode_is_refused():
+    # the mode's value "paper" is not the mode BranchMode.PAPER_FAITHFUL
+    x, f = [0.3, -0.2, 0.5], [0.3, -0.2, 0.1, 0.25, -0.15, 0.05]
+    for call in (
+        lambda: bch_so4_entries(f, f, "paper"),
+        lambda: bch_so4(so4_from_coeffs(f), so4_from_coeffs(f), "paper"),
+        lambda: bch_su2(x, x, "paper"),
+        lambda: bch_coefficients(x, x, "paper"),
+    ):
+        with pytest.raises(ShapeError, match="^mode must be a BranchMode, got 'paper'$"):
+            call()
+
+
 # Below 1e-4 su2 once switched sin(t)/t and asin(r)/r to these 4-term series;
 # they are kept as the reference that the single quotients are held to.
 SERIES_CUTOFF = 1e-4
