@@ -4,9 +4,13 @@ Nothing here imports NumPy.  The kernels take tuples or lists of finite
 Python floats that a caller has already read and checked (the public
 functions of :mod:`magicbch.su2`, :mod:`magicbch.magic`, :mod:`magicbch.so4`
 and :mod:`magicbch.algebra` read arrays, the command line reads JSON), and
-they return floats in tuples and lists; the callers box them.  The
-compositions return their scalar data as a plain ``(alpha, beta, gamma, rho,
-theta)`` tuple; only the callers that hand it out build a
+they return floats in tuples and flat lists: a 4x4 matrix leaves a kernel as
+its sixteen entries row-major and a 2x2 unitary as the eight floats ``(re,
+im)`` of its entries row-major, which the callers box (or the command line
+nests) only at the end.  Matrices come in nested, as ``.tolist()`` and JSON
+give them, and meet one gate each, which returns what its caller reads or
+raises.  The compositions return their scalar data as a plain ``(alpha,
+beta, gamma, rho, theta)`` tuple; only the callers that hand it out build a
 :class:`BchCoefficients` record of it (``su2.bch_coefficients``,
 ``so4.bch_so4`` and the ``coefficients`` blocks of ``magicbch bch``).
 
@@ -89,9 +93,9 @@ def _quaternion(v):
 
 
 def _unitary(p):
-    # the 2x2 unitary sum_k p_k s_k as two rows of complex entries
+    # the 2x2 unitary sum_k p_k s_k as eight floats, (re, im) of each entry row-major
     p0, p1, p2, p3 = p
-    return [[complex(p0, p3), complex(p2, p1)], [complex(-p2, p1), complex(p0, -p3)]]
+    return [p0, p3, p2, p1, -p2, p1, p0, -p3]
 
 
 def _quaternion_of(rows):
@@ -143,34 +147,39 @@ def _compose(x, y, mode: BranchMode, channel: str = ""):
 
 
 # ---------------------------------------------------------------------------
-# the gates, on rows of finite Python numbers
+# the gates, on rows of Python numbers: each returns what its caller reads, or raises
 #
-# A product that overflows is inf and fails the comparison, so no gate raises
-# on finite rows; they square as x * x, as x ** 2 raises OverflowError, and
-# take complex moduli by math.hypot, which never does.  Every gate is false on
-# rows with a NaN or Inf entry (each entry meets its own comparison, or is
-# squared into a diagonal Gram term), so rows that pass a gate are finite:
-# algebra._read_array leaves the finiteness proof of a gated read to its gate.
+# A product that overflows is inf and fails the comparison, so on finite rows
+# a gate raises only its own refusal; they square as x * x, as x ** 2 raises
+# OverflowError, and take complex moduli by math.hypot, which never does.
+# Every gate raises on rows with a NaN or Inf entry (each entry meets its own
+# comparison, or is squared into a diagonal Gram term), so rows that pass a
+# gate are finite: algebra._read_array leaves the finiteness proof of a gated
+# read to its gate.
 
 
-def _antisymmetric_rows(r) -> bool:
-    # |m_ij + m_ji| <= tol over the upper triangle and the diagonal, one test
-    # per sum: every entry is in a sum, so a NaN or Inf entry fails its test
-    # (max would skip a NaN that is not in its first argument)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r
+def _coeffs(rows):
+    # the upper triangle f12 .. f34 of a 4x4 matrix antisymmetric to 1e-12,
+    # copied, or ShapeError: |m_ij + m_ji| <= tol over the upper triangle and
+    # the diagonal, one test per sum, so a NaN or Inf entry fails the test of
+    # its sum (max would skip a NaN that is not in its first argument)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     t = _ANTISYMMETRY_TOL
-    return (
+    if (
         abs(a0 + a0) <= t and abs(a1 + b0) <= t and abs(a2 + c0) <= t and abs(a3 + d0) <= t
         and abs(b1 + b1) <= t and abs(b2 + c1) <= t and abs(b3 + d1) <= t
         and abs(c2 + c2) <= t and abs(c3 + d2) <= t and abs(d3 + d3) <= t
-    )
+    ):
+        return a1, a2, a3, b2, b3, c3
+    raise ShapeError(f"matrix is not antisymmetric to {_ANTISYMMETRY_TOL:g} in max-norm")
 
 
-def _special_orthogonal_rows(r) -> bool:
+def _in_so4(rows):
+    # the rows of a 4x4 matrix that passes the SO(4) gate, or DomainError:
     # ||M^T M - I||_F from the ten distinct Gram entries (the Gram matrix is
     # symmetric, so each off-diagonal one counts twice), then det M by the
     # Laplace expansion in the 2x2 minors of the first two and last two rows
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     g00 = a0 * a0 + b0 * b0 + c0 * c0 + d0 * d0 - 1.0
     g11 = a1 * a1 + b1 * b1 + c1 * c1 + d1 * d1 - 1.0
     g22 = a2 * a2 + b2 * b2 + c2 * c2 + d2 * d2 - 1.0
@@ -185,79 +194,60 @@ def _special_orthogonal_rows(r) -> bool:
         g00 * g00 + g11 * g11 + g22 * g22 + g33 * g33
         + 2.0 * (g01 * g01 + g02 * g02 + g03 * g03 + g12 * g12 + g13 * g13 + g23 * g23)
     )
-    if not gram <= _GROUP_TOL:
-        return False
-    det = (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
-    return abs(det - 1.0) <= _GROUP_TOL
+    if gram <= _GROUP_TOL:
+        det = (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
+        if abs(det - 1.0) <= _GROUP_TOL:
+            return rows
+    raise DomainError("input is not special orthogonal to tolerance")
 
 
-def _special_unitary_rows(r) -> bool:
+def _in_su2(rows):
+    # the rows of a 2x2 matrix that passes the SU(2) gate, or DomainError:
     # ||U^H U - I||_F and |det U - 1|; U^H U is Hermitian, so its (1, 0)
     # entry is the conjugate of the (0, 1) entry and its diagonal is real
-    (a, b), (c, d) = r
+    (a, b), (c, d) = rows
     g00 = (a.conjugate() * a + c.conjugate() * c).real - 1.0
     g11 = (b.conjugate() * b + d.conjugate() * d).real - 1.0
     g01 = a.conjugate() * b + c.conjugate() * d
     gram = math.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag))
-    if not gram <= _GROUP_TOL:
-        return False
-    det = a * d - b * c
-    return math.hypot(det.real - 1.0, det.imag) <= _GROUP_TOL
-
-
-def _in_su2(rows):
-    # the rows of a 2x2 matrix that passes the SU(2) gate, or DomainError
-    if not _special_unitary_rows(rows):
-        raise DomainError("input is not special unitary to tolerance")
-    return rows
-
-
-def _in_so4(rows):
-    # the rows of a 4x4 matrix that passes the SO(4) gate, or DomainError
-    if not _special_orthogonal_rows(rows):
-        raise DomainError("input is not special orthogonal to tolerance")
-    return rows
+    if gram <= _GROUP_TOL:
+        det = a * d - b * c
+        if math.hypot(det.real - 1.0, det.imag) <= _GROUP_TOL:
+            return rows
+    raise DomainError("input is not special unitary to tolerance")
 
 
 # ---------------------------------------------------------------------------
 # so(4): six-tuples, halves and the channel-wise closed forms
 
 
-def _coeffs(rows):
-    # the upper triangle f12 .. f34 of a 4x4 matrix antisymmetric to 1e-12, copied
-    if not _antisymmetric_rows(rows):
-        raise ShapeError(f"matrix is not antisymmetric to {_ANTISYMMETRY_TOL:g} in max-norm")
-    (_, f12, f13, f14), (_, _, f23, f24), (_, _, _, f34), _ = rows
-    return f12, f13, f14, f23, f24, f34
-
-
 def _generator_rows(f12, f13, f14, f23, f24, f34):
-    # the antisymmetric matrix with upper triangle f12 .. f34, as four rows
+    # the antisymmetric matrix with upper triangle f12 .. f34, sixteen floats row-major
     return [
-        [0.0, f12, f13, f14],
-        [-f12, 0.0, f23, f24],
-        [-f13, -f23, 0.0, f34],
-        [-f14, -f24, -f34, 0.0],
+        0.0, f12, f13, f14,
+        -f12, 0.0, f23, f24,
+        -f13, -f23, 0.0, f34,
+        -f14, -f24, -f34, 0.0,
     ]
 
 
 def _halves(f):
-    # the self-dual and anti-self-dual halves of a generator as float triples
+    # the self-dual and anti-self-dual halves of a generator as float triples.
+    # 0.0 * h is a zero for a finite h and NaN for a NaN or Inf, so the sum of
+    # the six products is 0.0 exactly when every entry of the halves is finite
     f12, f13, f14, f23, f24, f34 = f
-    halves = (
-        (0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)),
-        (0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)),
-    )
-    if not all(map(math.isfinite, halves[0] + halves[1])):
-        raise DomainError(f"{_HALF_OVERFLOWS}{halves!r}")
-    return halves
+    x1, x2, x3 = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
+    y1, y2, y3 = 0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)
+    if 0.0 * x1 + 0.0 * x2 + 0.0 * x3 + 0.0 * y1 + 0.0 * y2 + 0.0 * y3 != 0.0:
+        raise DomainError(f"{_HALF_OVERFLOWS}{((x1, x2, x3), (y1, y2, y3))!r}")
+    return (x1, x2, x3), (y1, y2, y3)
 
 
 def _merged(z1, z2):
@@ -267,16 +257,18 @@ def _merged(z1, z2):
 
 
 def _merge(z1, z2):
-    # _merged of halves read from outside, whose sums may overflow a float
-    f = _merged(z1, z2)
-    if not all(map(math.isfinite, f)):
+    # _merged of halves read from outside, whose sums may overflow a float,
+    # refused by the zero test of _halves
+    f12, f13, f14, f23, f24, f34 = f = _merged(z1, z2)
+    if 0.0 * f12 + 0.0 * f13 + 0.0 * f14 + 0.0 * f23 + 0.0 * f24 + 0.0 * f34 != 0.0:
         raise DomainError(f"a sum of the halves overflows a float: {(z1, z2)!r}")
     return f
 
 
 def _so4_exp(f):
-    # the rotation exp(f) as four rows: each half as a unit quaternion
-    return rotation(*map(_quaternion, _halves(f)))
+    # the rotation exp(f), sixteen floats row-major: each half as a unit quaternion
+    x, y = _halves(f)
+    return rotation(_quaternion(x), _quaternion(y))
 
 
 def _so4_log(rows):
@@ -299,16 +291,18 @@ def _bch_entries(f, g, mode: BranchMode):
     # -f24, f23, f14, -f13, f12), is its entries (1,2), (1,3), (1,4); W = a F+- + b G+- + (e/2) [F, G]+-.
     # [F, G] is formed on G / 32 (q = 8 e): finite half norms bound each entry by 2.7e154, no sum overflows
     (f12, f13, f14, f23, f24, f34), (g12, g13, g14, g23, g24, g34) = f, g
-    fp = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
-    fm = 0.5 * (f12 - f34), 0.5 * (f13 + f24), 0.5 * (f14 - f23)
-    gp = 0.5 * (g12 + g34), 0.5 * (g13 - g24), 0.5 * (g14 + g23)
-    gm = 0.5 * (g12 - g34), 0.5 * (g13 + g24), 0.5 * (g14 - g23)
-    for halves in ((fp, fm), (gp, gm)):
-        if not all(map(math.isfinite, halves[0] + halves[1])):
-            raise DomainError(f"{_HALF_OVERFLOWS}{halves!r}")
+    fp = fp1, fp2, fp3 = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
+    fm = fm1, fm2, fm3 = 0.5 * (f12 - f34), 0.5 * (f13 + f24), 0.5 * (f14 - f23)
+    if 0.0 * fp1 + 0.0 * fp2 + 0.0 * fp3 + 0.0 * fm1 + 0.0 * fm2 + 0.0 * fm3 != 0.0:
+        raise DomainError(f"{_HALF_OVERFLOWS}{(fp, fm)!r}")
+    gp = gp1, gp2, gp3 = 0.5 * (g12 + g34), 0.5 * (g13 - g24), 0.5 * (g14 + g23)
+    gm = gm1, gm2, gm3 = 0.5 * (g12 - g34), 0.5 * (g13 + g24), 0.5 * (g14 - g23)
+    if 0.0 * gp1 + 0.0 * gp2 + 0.0 * gp3 + 0.0 * gm1 + 0.0 * gm2 + 0.0 * gm3 != 0.0:
+        raise DomainError(f"{_HALF_OVERFLOWS}{(gp, gm)!r}")
     if not isinstance(mode, BranchMode):
         raise ShapeError(f"{_NOT_A_MODE}{mode!r}")
-    g12, g13, g14, g23, g24, g34 = [0.03125 * t for t in g]
+    g12, g13, g14 = 0.03125 * g12, 0.03125 * g13, 0.03125 * g14
+    g23, g24, g34 = 0.03125 * g23, 0.03125 * g24, 0.03125 * g34
     h12 = f23 * g13 - f13 * g23 + f24 * g14 - f14 * g24
     h13 = f12 * g23 - f23 * g12 + f34 * g14 - f14 * g34
     h14 = f12 * g24 - f24 * g12 + f13 * g34 - f34 * g13
@@ -341,7 +335,8 @@ def _bch_entries(f, g, mode: BranchMode):
 def rotation(p, q):
     """The rotation ``R^dag (u (x) v) R`` of the unit quaternions ``p``, ``q`` of ``u``, ``v``.
 
-    Returns four rows of four floats.  Entry ``(r, c)`` is
+    Returns the sixteen entries row-major as one flat list of floats, which
+    the callers box or nest.  Entry ``(r, c)``, at ``4 r + c``, is
     ``sum_ij p_i q_j (E_ij)_rc`` with ``E_ij = Re R^dag (s_i (x) s_j) R``
     (``s_0 = I``, ``s_k = i sigma_k``, ``R`` the magic matrix): every
     ``E_ij`` is a signed permutation matrix, so each entry is a signed sum
@@ -351,30 +346,22 @@ def rotation(p, q):
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
     return [
-        [
-            0.0 + p0 * q0 - p1 * q1 + p2 * q2 - p3 * q3,
-            0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
-            0.0 - p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            0.0 + p0 * q3 - p1 * q2 - p2 * q1 + p3 * q0,
-        ],
-        [
-            0.0 - p0 * q1 - p1 * q0 + p2 * q3 + p3 * q2,
-            0.0 + p0 * q0 - p1 * q1 - p2 * q2 + p3 * q3,
-            0.0 - p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-            0.0 - p0 * q2 - p1 * q3 - p2 * q0 - p3 * q1,
-        ],
-        [
-            0.0 + p0 * q2 - p1 * q3 - p2 * q0 + p3 * q1,
-            0.0 + p0 * q3 + p1 * q2 - p2 * q1 - p3 * q0,
-            0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
-            0.0 - p0 * q1 + p1 * q0 - p2 * q3 + p3 * q2,
-        ],
-        [
-            0.0 - p0 * q3 - p1 * q2 - p2 * q1 - p3 * q0,
-            0.0 + p0 * q2 - p1 * q3 + p2 * q0 - p3 * q1,
-            0.0 + p0 * q1 - p1 * q0 - p2 * q3 + p3 * q2,
-            0.0 + p0 * q0 + p1 * q1 - p2 * q2 - p3 * q3,
-        ],
+        0.0 + p0 * q0 - p1 * q1 + p2 * q2 - p3 * q3,
+        0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
+        0.0 - p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        0.0 + p0 * q3 - p1 * q2 - p2 * q1 + p3 * q0,
+        0.0 - p0 * q1 - p1 * q0 + p2 * q3 + p3 * q2,
+        0.0 + p0 * q0 - p1 * q1 - p2 * q2 + p3 * q3,
+        0.0 - p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        0.0 - p0 * q2 - p1 * q3 - p2 * q0 - p3 * q1,
+        0.0 + p0 * q2 - p1 * q3 - p2 * q0 + p3 * q1,
+        0.0 + p0 * q3 + p1 * q2 - p2 * q1 - p3 * q0,
+        0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
+        0.0 - p0 * q1 + p1 * q0 - p2 * q3 + p3 * q2,
+        0.0 - p0 * q3 - p1 * q2 - p2 * q1 - p3 * q0,
+        0.0 + p0 * q2 - p1 * q3 + p2 * q0 - p3 * q1,
+        0.0 + p0 * q1 - p1 * q0 - p2 * q3 + p3 * q2,
+        0.0 + p0 * q0 + p1 * q1 - p2 * q2 - p3 * q3,
     ]
 
 

@@ -31,15 +31,17 @@ The antisymmetry (fixed at 1e-12), special-orthogonal and special-unitary
 gates run on those rows in scalar arithmetic (in :mod:`magicbch._scalar`),
 testing each ``|m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the
 Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` as
-NumPy would (1e-10 for the group gates).  Each gate is false on a NaN or
-Inf entry, so a read that a gate follows (the generator of
-:func:`coeffs_from_so4`, ``split``, ``so4_exp`` and ``bch_so4``, the
-rotation of ``so4_log``, the unitary of ``su2_log``, and the argument of
-each predicate) runs the gate first, and rows that pass it are proved
-finite in that one pass.  Every other read,
-and rows a gate refuses, are tested for finiteness on the sum of their
-entries first (a running sum that meets an inf or a NaN never turns finite
-again), so a non-finite entry is refused as such before any gate's refusal.
+NumPy would (1e-10 for the group gates).  Each gate returns what its caller
+reads or raises its refusal (:class:`ShapeError` for antisymmetry,
+:class:`DomainError` for the groups), and it raises on a NaN or Inf entry,
+so a read that a gate follows (the generator of :func:`coeffs_from_so4`,
+``split``, ``so4_exp`` and ``bch_so4``, the rotation of ``so4_log``, the
+unitary of ``su2_log``, and the argument of each predicate) runs the gate
+first, and rows that pass it are proved finite in that one pass.  Every
+other read, and rows a gate refuses, are tested for finiteness on the sum
+of their entries first (a running sum that meets an inf or a NaN never
+turns finite again), so a non-finite entry is refused as such before any
+gate's refusal.
 """
 
 from __future__ import annotations
@@ -168,11 +170,10 @@ def _finite(compute) -> np.ndarray:
     return out
 
 
-def _box(rows) -> np.ndarray:
-    # four rows of four floats as a 4x4 array, boxed from one flat list:
-    # np.fromiter of sixteen floats beats np.array of it, or of the rows
-    r0, r1, r2, r3 = rows
-    return np.fromiter([*r0, *r1, *r2, *r3], float, 16).reshape(4, 4)
+def _box(entries) -> np.ndarray:
+    # the sixteen floats of a 4x4 matrix, row-major, as the kernels return them
+    # flat, as a 4x4 array: np.fromiter of them beats np.array of the list
+    return np.fromiter(entries, float, 16).reshape(4, 4)
 
 
 def coeffs_from_so4(m) -> So4Coeffs:

@@ -122,6 +122,11 @@ def _generator(source: str, kind: str, data):
         raise ShapeError(f"{source}: {exc}") from None
 
 
+def _rows(entries) -> list:
+    # a kernel's sixteen floats, row-major, as the four rows of a so4_matrix payload
+    return [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
+
+
 def _document(kind: str, data, **extra) -> dict:
     return {"kind": kind, "data": data, **extra}
 
@@ -169,16 +174,17 @@ def _cmd_exp(args) -> int:
     kind, data = load_document(args.input)
     if kind == "su2_vec":
         if args.oracle:
-            u = _series_exp("su2_vec", data).tolist()
+            u = [[[z.real, z.imag] for z in row] for row in _series_exp("su2_vec", data).tolist()]
         else:
             u = _scalar._unitary(_scalar._quaternion(data))
-        out = _document("su2_matrix", [[[z.real, z.imag] for z in row] for row in u])
+            u = [[u[0:2], u[2:4]], [u[4:6], u[6:8]]]
+        out = _document("su2_matrix", u)
     elif kind in _SO4_GENERATORS:
         f = _generator(args.input, kind, data)
         if args.oracle:
             o = _series_exp("so4_coeffs", f).tolist()
         else:
-            o = _scalar._so4_exp(f)
+            o = _rows(_scalar._so4_exp(f))
         out = _document("so4_matrix", o, orthogonal=True)
     else:
         raise ShapeError("exp expects a su2_vec, so4_coeffs, or antisymmetric so4_matrix input")
@@ -258,7 +264,8 @@ def _cmd_merge(args) -> int:
         if kind != "su2_vec":
             raise ShapeError(f"{source}: merge expects su2_vec documents, got {kind}")
         halves.append(v)
-    emit(_document("so4_matrix", _scalar._generator_rows(*_scalar._merge(*halves))), args.output)
+    f = _scalar._merge(*halves)
+    emit(_document("so4_matrix", _rows(_scalar._generator_rows(*f))), args.output)
     return EXIT_OK
 
 

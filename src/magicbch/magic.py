@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _MODULES
-from ._scalar import _generator_rows, _halves, _merge, _quaternion_of, _special_unitary_rows, rotation
+from ._scalar import _generator_rows, _halves, _in_su2, _merge, _quaternion_of, rotation
 from .algebra import _COMPLEX, _REAL, _box, _finite, _generator_floats, _read_array
 from .errors import DomainError, ShapeError
 
@@ -126,7 +126,9 @@ def su2su2_to_so4(u, v) -> np.ndarray:
     with a wrong shape or a NaN/Inf entry raises :class:`ShapeError`, and
     one off SU(2) by more than 1e-10 :class:`DomainError`.
     """
-    factors = _read_array(u, _COMPLEX, (2, 2)), _read_array(v, _COMPLEX, (2, 2))
-    if not all(map(_special_unitary_rows, factors)):
-        raise DomainError("factors must be special unitary 2x2 matrices")
-    return _box(rotation(*map(_quaternion_of, factors)))
+    u, v = _read_array(u, _COMPLEX, (2, 2)), _read_array(v, _COMPLEX, (2, 2))
+    try:
+        p, q = _quaternion_of(_in_su2(u)), _quaternion_of(_in_su2(v))
+    except DomainError:
+        raise DomainError("factors must be special unitary 2x2 matrices") from None
+    return _box(rotation(p, q))

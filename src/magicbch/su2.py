@@ -50,7 +50,8 @@ __all__ = list(_MODULES["su2"])
 
 def su2_exp(v) -> np.ndarray:
     """Exponential ``exp(i v . sigma)`` of a real 3-vector, a 2x2 unitary."""
-    return np.array(_unitary(_quaternion(_read_array(v, _REAL, (3,)))))
+    u = _unitary(_quaternion(_read_array(v, _REAL, (3,))))
+    return np.fromiter(u, float, 8).view(complex).reshape(2, 2)
 
 
 def su2_log(u) -> np.ndarray:

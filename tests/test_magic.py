@@ -257,7 +257,7 @@ def test_isoclinic_table_is_the_conjugated_quaternion_basis():
     for i, si in enumerate(units):
         for j, sj in enumerate(units):
             conj = r.conj().T @ np.kron(si, sj) @ r
-            e = np.array(rotation(basis[i], basis[j]))
+            e = np.array(rotation(basis[i], basis[j])).reshape(4, 4)
             assert float(np.abs(e - conj.real).max()) < 1e-15
             assert float(np.abs(conj.imag).max()) < 1e-15
             # a signed permutation: entries in {0, +-1}, one nonzero per row and column

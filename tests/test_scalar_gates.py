@@ -29,10 +29,11 @@ from magicbch import (
     su2su2_to_so4,
 )
 from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
-from magicbch._scalar import _antisymmetric_rows, _special_orthogonal_rows, _special_unitary_rows
+from magicbch._scalar import _bch_entries, _coeffs, _generator_rows, _halves, _in_so4, _in_su2
+from magicbch._scalar import _merge, _unitary
 from magicbch._scalar import _isoclinic_products, _quaternion_of, _quaternions_from_rotation, rotation
-from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
-from magicbch.errors import InternalConsistencyError
+from magicbch.algebra import _box, is_antisymmetric, is_special_orthogonal, is_special_unitary
+from magicbch.errors import DomainError, InternalConsistencyError, ShapeError
 
 SAMPLES = 2000
 GROUP_TOL = 1e-10
@@ -121,22 +122,23 @@ def with_entry(rows, k, part, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gates_reject_non_finite_entries(bad):
-    # each gate is false on a NaN or Inf in any position and any part of a
+    # each gate raises on a NaN or Inf in any position and any part of a
     # matrix that passes it, so rows that pass a gate are finite: the array
     # reader leaves the finiteness proof of a gated read to the gate.  max over
     # the antisymmetry sums skipped a NaN that was not in the first one
     u = su2_exp([0.3, -0.2, 0.5]).tolist()
     o = so4_exp(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])).tolist()
     a = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]).tolist()
-    for gate, rows, parts in (
-        (_special_unitary_rows, u, 2),
-        (_special_orthogonal_rows, o, 1),
-        (_antisymmetric_rows, a, 1),
+    for gate, rows, parts, refusal, passed in (
+        (_in_su2, u, 2, DomainError, u),
+        (_in_so4, o, 1, DomainError, o),
+        (_coeffs, a, 1, ShapeError, (0.3, -0.2, 0.1, 0.25, -0.15, 0.05)),
     ):
-        assert gate(rows)
+        assert gate(rows) == passed
         for k in range(len(rows) ** 2):
             for part in range(parts):
-                assert not gate(with_entry(rows, k, part, bad)), (gate.__name__, k, part)
+                with pytest.raises(refusal):
+                    gate(with_entry(rows, k, part, bad))
     u = np.eye(2, dtype=complex)
     u[1, 0] = bad
     o = np.eye(4)
@@ -144,6 +146,89 @@ def test_gates_reject_non_finite_entries(bad):
     assert not is_special_unitary(u)
     assert not is_special_orthogonal(o)
     assert not is_antisymmetric(o)
+
+
+def signed_zeros(rng, x, share):
+    # x with about share of its entries replaced by zeros of their sign
+    return np.where(rng.random(x.shape) < share, np.copysign(0.0, x), x)
+
+
+def test_kernels_return_flat_entries_that_box_as_numpys_c_order():
+    # a 4x4 matrix leaves a kernel as its sixteen entries row-major and a 2x2
+    # unitary as the (re, im) of its four entries row-major; boxed, each is the
+    # C-order array NumPy builds from the rows, bit for bit, signed zeros included
+    rng = np.random.default_rng(311)
+    upper = np.triu_indices(4, 1)
+    for _ in range(SAMPLES):
+        c = signed_zeros(rng, rng.uniform(-2.0, 2.0, size=6), 0.3).tolist()
+        p, q = (signed_zeros(rng, rng.normal(size=4), 0.3).tolist() for _ in range(2))
+        flat = _generator_rows(*c), rotation(p, q), _unitary(p)
+        assert [len(e) for e in flat] == [16, 16, 8]
+        assert all(type(x) is float for e in flat for x in e)
+
+        g = np.zeros((4, 4))
+        g[upper], g.T[upper] = c, [-x for x in c]
+        r = blas_rotation(np.array(p), np.array(q))
+        p0, p1, p2, p3 = p
+        u = np.array([[complex(p0, p3), complex(p2, p1)], [complex(-p2, p1), complex(p0, -p3)]])
+        v = np.array(c[:3])
+        for boxed, reference in (
+            (_box(flat[0]), g),
+            (so4_from_coeffs(c), g),
+            (_box(flat[1]), r),
+            (su2_exp(v), np.array(su2_exp(v).tolist())),
+        ):
+            assert boxed.dtype == reference.dtype and boxed.shape == reference.shape
+            assert boxed.flags.c_contiguous and boxed.flags.writeable
+            assert boxed.tobytes() == reference.tobytes(), (c, p, q)
+        boxed = np.fromiter(flat[2], float, 8).view(complex).reshape(2, 2)
+        assert boxed.flags.c_contiguous and boxed.tobytes() == u.tobytes(), p
+
+
+HALF_OVERFLOWS = "a half of the generator overflows a float: "
+
+
+def list_halves(f, sign):
+    # the halves of six floats as the refusals name them: _halves negates the
+    # middle entry of the anti-self-dual half (sign -0.5), _bch_entries names
+    # the entries (1,2), (1,3), (1,4) of (F - *F) / 2 (sign 0.5)
+    f12, f13, f14, f23, f24, f34 = f
+    return (
+        (0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)),
+        (0.5 * (f12 - f34), sign * (f13 + f24), 0.5 * (f14 - f23)),
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_half_and_merge_kernels_refuse_non_finite_entries(bad):
+    # the halves and the sums of halves are held finite by one zero test,
+    # 0.0 * t summed over the six, which is NaN once one t is NaN or Inf;
+    # each refusal names the halves or the sums it found, as it did when
+    # math.isfinite tested every entry
+    f = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05]
+    g = [0.2, 0.1, 0.0, 0.0, 0.0, -0.1]
+    for k in range(6):
+        e = list(f)
+        e[k] = bad
+        with pytest.raises(DomainError) as caught:
+            _halves(e)
+        assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, -0.5))
+        # f is refused before g, and g before the mode
+        for pair in ((e, g), (e, [bad] * 6), (f, e)):
+            with pytest.raises(DomainError) as caught:
+                _bch_entries(*pair, "no mode")
+            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, 0.5))
+        z1, z2 = e[:3], e[3:]
+        with pytest.raises(DomainError) as caught:
+            _merge(z1, z2)
+        assert str(caught.value) == f"a sum of the halves overflows a float: {(z1, z2)!r}"
+    # finite entries whose half or whose sum overflows meet the same test
+    with pytest.raises(DomainError, match="^a half of the generator overflows"):
+        _halves([1e308, 0.0, 0.0, 0.0, 0.0, 1e308])
+    with pytest.raises(DomainError, match="^a sum of the halves overflows"):
+        _merge([0.0, 1e308, 0.0], [0.0, -1e308, 0.0])
+    assert _halves(f) == numpy_halves(so4_from_coeffs(f))
+    assert _merge(*_halves(f)) == tuple(coeffs_from_so4(merge(split(so4_from_coeffs(f)))))
 
 
 def test_gates_reject_overflowing_entries_without_raising():
@@ -176,6 +261,11 @@ def isoclinic_table():
 
 
 ISOCLINIC = isoclinic_table()
+
+
+def rotation_matrix(p, q):
+    # rotation's sixteen floats, row-major, as the 4x4 array they stand for
+    return np.array(rotation(p, q)).reshape(4, 4)
 
 
 def blas_rotation(p, q):
@@ -301,7 +391,7 @@ BASIS = [tuple(float(i == k) for i in range(4)) for k in range(4)]
 # sum of four entries of O
 ISOCLINIC_TERMS = [
     tuple(k for k, e in enumerate(flat) if e) + tuple(0.25 * e for e in flat if e)
-    for flat in ([x for row in rotation(ei, ej) for x in row] for ei in BASIS for ej in BASIS)
+    for flat in (rotation(ei, ej) for ei in BASIS for ej in BASIS)
 ]
 
 
@@ -321,14 +411,14 @@ def subnormal_rotations(rng, n):
     for k in range(n):
         if k % 2:
             i, j = rng.integers(4, size=2)
-            o = np.array(rotation([rng.choice([-1.0, 1.0]) * t for t in BASIS[i]], BASIS[j]))
+            o = rotation_matrix([rng.choice([-1.0, 1.0]) * t for t in BASIS[i]], BASIS[j])
             tiny = rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(5e-324, 2.2e-308, size=(4, 4))
             yield np.where(o == 0.0, tiny, o)
         else:
             p, q = rng.normal(size=4), rng.normal(size=4)
             p[rng.choice(4, size=2, replace=False)] *= 1e-160
             q[rng.choice(4, size=2, replace=False)] *= 1e-160
-            yield np.array(rotation((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist()))
+            yield rotation_matrix((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist())
 
 
 def test_isoclinic_sums_equal_the_table_bit_for_bit():
@@ -394,7 +484,7 @@ def traceless_rotations(rng, n):
         else:
             p[0] = rng.uniform(-5e-13, 5e-13)
         q = rng.normal(size=4)
-        yield np.array(rotation((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist()))
+        yield rotation_matrix((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist())
 
 
 def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
@@ -450,13 +540,13 @@ def tied_rotations():
     yield np.eye(4)
     for ei in BASIS:
         for ej in BASIS:
-            yield np.array(rotation(ei, ej))
+            yield rotation_matrix(ei, ej)
     halves = [np.array(s) - 0.5 for s in np.ndindex(2, 2, 2, 2)]
     pairs = [np.array(BASIS[a]) + np.array(BASIS[b]) for a in range(4) for b in range(a + 1, 4)]
     pairs = [v / math.sqrt(2.0) for v in pairs] + [-v / math.sqrt(2.0) for v in pairs]
     for p in halves + pairs:
         for q in halves[::3] + pairs[::2]:
-            yield np.array(rotation(p.tolist(), q.tolist()))
+            yield rotation_matrix(p.tolist(), q.tolist())
 
 
 def test_unpacked_factorization_equals_the_lists_bit_for_bit():
