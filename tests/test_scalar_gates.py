@@ -153,6 +153,12 @@ def signed_zeros(rng, x, share):
     return np.where(rng.random(x.shape) < share, np.copysign(0.0, x), x)
 
 
+def complex_unitary(p):
+    # sum_k p_k s_k as NumPy builds it from rows of complex entries
+    p0, p1, p2, p3 = p
+    return np.array([[complex(p0, p3), complex(p2, p1)], [complex(-p2, p1), complex(p0, -p3)]])
+
+
 def test_kernels_return_flat_entries_that_box_as_numpys_c_order():
     # a 4x4 matrix leaves a kernel as its sixteen entries row-major and a 2x2
     # unitary as the (re, im) of its four entries row-major; boxed, each is the
@@ -168,21 +174,16 @@ def test_kernels_return_flat_entries_that_box_as_numpys_c_order():
 
         g = np.zeros((4, 4))
         g[upper], g.T[upper] = c, [-x for x in c]
-        r = blas_rotation(np.array(p), np.array(q))
-        p0, p1, p2, p3 = p
-        u = np.array([[complex(p0, p3), complex(p2, p1)], [complex(-p2, p1), complex(p0, -p3)]])
-        v = np.array(c[:3])
         for boxed, reference in (
             (_box(flat[0]), g),
             (so4_from_coeffs(c), g),
-            (_box(flat[1]), r),
-            (su2_exp(v), np.array(su2_exp(v).tolist())),
+            (_box(flat[1]), blas_rotation(np.array(p), np.array(q))),
+            (np.fromiter(flat[2], float, 8).view(complex).reshape(2, 2), complex_unitary(p)),
+            (su2_exp(c[:3]), complex_unitary(_quaternion(c[:3]))),
         ):
             assert boxed.dtype == reference.dtype and boxed.shape == reference.shape
             assert boxed.flags.c_contiguous and boxed.flags.writeable
             assert boxed.tobytes() == reference.tobytes(), (c, p, q)
-        boxed = np.fromiter(flat[2], float, 8).view(complex).reshape(2, 2)
-        assert boxed.flags.c_contiguous and boxed.tobytes() == u.tobytes(), p
 
 
 HALF_OVERFLOWS = "a half of the generator overflows a float: "
@@ -222,11 +223,26 @@ def test_half_and_merge_kernels_refuse_non_finite_entries(bad):
         with pytest.raises(DomainError) as caught:
             _merge(z1, z2)
         assert str(caught.value) == f"a sum of the halves overflows a float: {(z1, z2)!r}"
-    # finite entries whose half or whose sum overflows meet the same test
-    with pytest.raises(DomainError, match="^a half of the generator overflows"):
-        _halves([1e308, 0.0, 0.0, 0.0, 0.0, 1e308])
-    with pytest.raises(DomainError, match="^a sum of the halves overflows"):
-        _merge([0.0, 1e308, 0.0], [0.0, -1e308, 0.0])
+    # finite entries whose sum or difference overflows in exactly one of the
+    # six halves, or in exactly one of the six sums of halves, meet the same test
+    big = 1e308
+    for i, j in ((0, 5), (1, 4), (2, 3)):
+        for sign in (1.0, -1.0):
+            e = [0.0] * 6
+            e[i], e[j] = big, sign * big
+            with pytest.raises(DomainError) as caught:
+                _halves(e)
+            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, -0.5))
+            with pytest.raises(DomainError) as caught:
+                _bch_entries(f, e, "no mode")
+            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, 0.5))
+    for k in range(3):
+        for sign in (1.0, -1.0):
+            z1, z2 = [0.0] * 3, [0.0] * 3
+            z1[k], z2[k] = big, sign * big
+            with pytest.raises(DomainError) as caught:
+                _merge(z1, z2)
+            assert str(caught.value) == f"a sum of the halves overflows a float: {(z1, z2)!r}"
     assert _halves(f) == numpy_halves(so4_from_coeffs(f))
     assert _merge(*_halves(f)) == tuple(coeffs_from_so4(merge(split(so4_from_coeffs(f)))))
 
