@@ -8,10 +8,11 @@ they return floats in tuples and flat lists: a 4x4 matrix leaves a kernel as
 its sixteen entries row-major and a 2x2 unitary as the eight floats ``(re,
 im)`` of its entries row-major, which the callers box (or the command line
 nests) only at the end.  Matrices come in nested, as ``.tolist()`` and JSON
-give them, and meet one gate each, which returns what its caller reads or
-raises.  The compositions return their scalar data as a plain ``(alpha,
-beta, gamma, rho, theta)`` tuple; only the callers that hand it out build a
-:class:`BchCoefficients` record of it (``su2.bch_coefficients``,
+give them, and meet one gate each, which runs once per read and returns what
+its caller reads (the SU(2) gate :func:`_in_su2` the unit quaternion of the
+unitary) or raises.  The compositions return their scalar data as a plain
+``(alpha, beta, gamma, rho, theta)`` tuple; only the callers that hand it
+out build a :class:`BchCoefficients` record of it (``su2.bch_coefficients``,
 ``so4.bch_so4`` and the ``coefficients`` blocks of ``magicbch bch``).
 
 A real 3-vector ``v`` stands for the unit quaternion
@@ -98,13 +99,6 @@ def _unitary(p):
     return [p0, p3, p2, p1, -p2, p1, p0, -p3]
 
 
-def _quaternion_of(rows):
-    # rows of u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]; each
-    # component is read from both entries that carry it
-    (a, b), (c, d) = rows
-    return 0.5 * (a.real + d.real), 0.5 * (b.imag + c.imag), 0.5 * (b.real - c.real), 0.5 * (a.imag - d.imag)
-
-
 def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED, channel: str = ""):
     # principal log z = k w of the unit quaternion p = (c, w), with k, rho = |w| and
     # theta = atan2(rho, c); an so(4) channel's name prefixes the antipodal refusal.  Paper
@@ -117,11 +111,6 @@ def _quaternion_log(p, mode: BranchMode = BranchMode.BRANCH_CORRECTED, channel: 
     angle = math.atan2(rho, abs(c)) if mode is _PAPER else theta
     k = angle / rho if rho else 1.0
     return (k * w1, k * w2, k * w3), k, rho, theta
-
-
-def _su2_log(rows):
-    # the principal log of a 2x2 matrix, given as two rows of complex numbers, that passed _in_su2
-    return _quaternion_log(_quaternion_of(rows))[0]
 
 
 def _compose(x, y, mode: BranchMode, channel: str = ""):
@@ -147,7 +136,8 @@ def _compose(x, y, mode: BranchMode, channel: str = ""):
 
 
 # ---------------------------------------------------------------------------
-# the gates, on rows of Python numbers: each returns what its caller reads, or raises
+# the gates, on rows of Python numbers: each returns what its caller reads (the
+# upper triangle, the rows, the unit quaternion), or raises
 #
 # A product that overflows is inf and fails the comparison, so on finite rows
 # a gate raises only its own refusal; they square as x * x, as x ** 2 raises
@@ -155,7 +145,7 @@ def _compose(x, y, mode: BranchMode, channel: str = ""):
 # Every gate raises on rows with a NaN or Inf entry (each entry meets its own
 # comparison, or is squared into a diagonal Gram term), so rows that pass a
 # gate are finite: algebra._read_array leaves the finiteness proof of a gated
-# read to its gate.
+# read to its gate, which it runs once.
 
 
 def _coeffs(rows):
@@ -209,9 +199,11 @@ def _in_so4(rows):
 
 
 def _in_su2(rows):
-    # the rows of a 2x2 matrix that passes the SU(2) gate, or DomainError:
-    # ||U^H U - I||_F and |det U - 1|; U^H U is Hermitian, so its (1, 0)
-    # entry is the conjugate of the (0, 1) entry and its diagonal is real
+    # the unit quaternion p of a 2x2 matrix u = [[p0 + i p3, p2 + i p1], [-p2 +
+    # i p1, p0 - i p3]] that passes the SU(2) gate, each component read from
+    # both entries that carry it, or DomainError: ||U^H U - I||_F and |det U - 1|;
+    # U^H U is Hermitian, so its (1, 0) entry is the conjugate of the (0, 1)
+    # entry and its diagonal is real
     (a, b), (c, d) = rows
     g00 = (a.conjugate() * a + c.conjugate() * c).real - 1.0
     g11 = (b.conjugate() * b + d.conjugate() * d).real - 1.0
@@ -220,7 +212,7 @@ def _in_su2(rows):
     if gram <= _GROUP_TOL:
         det = a * d - b * c
         if math.hypot(det.real - 1.0, det.imag) <= _GROUP_TOL:
-            return rows
+            return 0.5 * (a.real + d.real), 0.5 * (b.imag + c.imag), 0.5 * (b.real - c.real), 0.5 * (a.imag - d.imag)
     raise DomainError("input is not special unitary to tolerance")
 
 
@@ -288,15 +280,16 @@ def _bch_so4(f, g, mode: BranchMode):
 
 def _bch_entries(f, g, mode: BranchMode):
     # the law on the entries, no kernel of _bch_so4: a channel F+- = (F +- *F) / 2, with *F = (f34,
-    # -f24, f23, f14, -f13, f12), is its entries (1,2), (1,3), (1,4); W = a F+- + b G+- + (e/2) [F, G]+-.
-    # [F, G] is formed on G / 32 (q = 8 e): finite half norms bound each entry by 2.7e154, no sum overflows
+    # -f24, f23, f14, -f13, f12), is its entries (1,2), +-(1,3), (1,4) as _halves signs them; W = a F+-
+    # + b G+- + (e/2) [F, G]+-.  [F, G] is formed on G / 32 (q = 8 e): finite half norms bound each entry
+    # by 2.7e154, no sum overflows.  Entry (2,4) adds the channels' -m2 and -p2, so it is +0.0 at m2 = -p2
     (f12, f13, f14, f23, f24, f34), (g12, g13, g14, g23, g24, g34) = f, g
     fp = fp1, fp2, fp3 = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
-    fm = fm1, fm2, fm3 = 0.5 * (f12 - f34), 0.5 * (f13 + f24), 0.5 * (f14 - f23)
+    fm = fm1, fm2, fm3 = 0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)
     if 0.0 * fp1 + 0.0 * fp2 + 0.0 * fp3 + 0.0 * fm1 + 0.0 * fm2 + 0.0 * fm3 != 0.0:
         raise DomainError(f"{_HALF_OVERFLOWS}{(fp, fm)!r}")
     gp = gp1, gp2, gp3 = 0.5 * (g12 + g34), 0.5 * (g13 - g24), 0.5 * (g14 + g23)
-    gm = gm1, gm2, gm3 = 0.5 * (g12 - g34), 0.5 * (g13 + g24), 0.5 * (g14 - g23)
+    gm = gm1, gm2, gm3 = 0.5 * (g12 - g34), -0.5 * (g13 + g24), 0.5 * (g14 - g23)
     if 0.0 * gp1 + 0.0 * gp2 + 0.0 * gp3 + 0.0 * gm1 + 0.0 * gm2 + 0.0 * gm3 != 0.0:
         raise DomainError(f"{_HALF_OVERFLOWS}{(gp, gm)!r}")
     if not isinstance(mode, BranchMode):
@@ -312,7 +305,7 @@ def _bch_entries(f, g, mode: BranchMode):
     z = []
     for (x1, x2, x3), (y1, y2, y3), h1, h2, h3, channel in (
         (fp, gp, h12 + h34, h13 - h24, h14 + h23, _SELF_DUAL),
-        (fm, gm, h12 - h34, h13 + h24, h14 - h23, _ANTI_SELF_DUAL),
+        (fm, gm, h12 - h34, -(h13 + h24), h14 - h23, _ANTI_SELF_DUAL),
     ):
         nx, ny = _norm(x1, x2, x3), _norm(y1, y2, y3)
         cx, sx, cy, sy = math.cos(nx), _sinc(nx), math.cos(ny), _sinc(ny)
@@ -325,7 +318,7 @@ def _bch_entries(f, g, mode: BranchMode):
         k = (math.atan2(rho, abs(c)) if mode is _PAPER else theta) / rho if rho else 1.0
         z += k * w1, k * w2, k * w3, (k * a, k * b, k * e, rho, theta)
     p1, p2, p3, c1, m1, m2, m3, c2 = z
-    return (p1 + m1, p2 + m2, p3 + m3, p3 - m3, m2 - p2, p1 - m1), c1, c2
+    return (p1 + m1, p2 - m2, p3 + m3, p3 - m3, -m2 - p2, p1 - m1), c1, c2
 
 
 # ---------------------------------------------------------------------------

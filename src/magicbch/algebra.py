@@ -32,16 +32,16 @@ gates run on those rows in scalar arithmetic (in :mod:`magicbch._scalar`),
 testing each ``|m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the
 Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` as
 NumPy would (1e-10 for the group gates).  Each gate returns what its caller
-reads or raises its refusal (:class:`ShapeError` for antisymmetry,
-:class:`DomainError` for the groups), and it raises on a NaN or Inf entry,
-so a read that a gate follows (the generator of :func:`coeffs_from_so4`,
-``split``, ``so4_exp`` and ``bch_so4``, the rotation of ``so4_log``, the
-unitary of ``su2_log``, and the argument of each predicate) runs the gate
-first, and rows that pass it are proved finite in that one pass.  Every
-other read, and rows a gate refuses, are tested for finiteness on the sum
-of their entries first (a running sum that meets an inf or a NaN never
-turns finite again), so a non-finite entry is refused as such before any
-gate's refusal.
+reads (the SU(2) gate the unit quaternion) or raises its refusal
+(:class:`ShapeError` for antisymmetry, :class:`DomainError` for the groups),
+and it raises on a NaN or Inf entry, so a read that a gate follows (the
+generator of :func:`coeffs_from_so4`, ``split``, ``so4_exp`` and
+``bch_so4``, the rotation of ``so4_log``, the unitary of ``su2_log``, and
+the argument of each predicate) runs the gate once, first, and rows that
+pass it are proved finite in that one pass.  Every other read, and rows a
+gate refuses, are tested for finiteness on the sum of their entries first
+(a running sum that meets an inf or a NaN never turns finite again), so a
+non-finite entry is refused as such before the refusal the gate raised.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import cmath
 import math
 import numbers
 import reprlib
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -237,9 +236,9 @@ def _numbers(m) -> np.ndarray:
 def _read_array(m, dtype: np.dtype, shape: tuple[int, ...], gate=None):
     # m as nested lists of finite Python floats (complex for _COMPLEX) in
     # the given shape, read once, or gate(those lists) if a gate is given
-    # (_coeffs, _in_so4 or _in_su2, which return or raise); every reader
-    # refusal is a ShapeError, and no cast from complex to real drops an
-    # imaginary part
+    # (_coeffs, _in_so4 or _in_su2, which return the upper triangle, the rows
+    # or the unit quaternion, or raise); every reader refusal is a
+    # ShapeError, and no cast from complex to real drops an imaginary part
     try:
         a = np.asarray(m)
         if a.dtype is not dtype:
@@ -250,24 +249,25 @@ def _read_array(m, dtype: np.dtype, shape: tuple[int, ...], gate=None):
         raise ShapeError(f"expected an array of numbers in shape {shape}: {exc}") from None
     if a.dtype is dtype and a.shape == shape:
         entries = a.tolist()
+        refusal = None
         if gate is not None:
-            # a gate is false on any NaN or Inf entry, so it proves the rows it
+            # a gate raises on any NaN or Inf entry, so it proves the rows it
             # passes finite, and a gated read takes one pass.  Rows it refuses
             # take the finiteness test below first, so that a non-finite entry
-            # is refused as such, and only then get the gate's own refusal
+            # is refused as such, and only then get the gate's one refusal
             try:
                 return gate(entries)
-            except (ShapeError, DomainError):
-                pass
-        # the finiteness test of an ungated read: a finite sum proves every
-        # entry finite; only a non-finite one (a bad entry, or finite entries
-        # whose sum overflows) is looked at entry by entry.  Both cost a
-        # fraction of np.isfinite(a).all()
-        if len(shape) > 1:
-            if cmath.isfinite(sum(chain(*entries))) or all(map(cmath.isfinite, chain(*entries))):
-                return entries if gate is None else gate(entries)
-        elif cmath.isfinite(sum(entries)) or all(map(cmath.isfinite, entries)):
-            return entries
+            except (ShapeError, DomainError) as exc:
+                refusal = exc
+        # the finiteness test of an ungated or refused read: a finite sum
+        # proves every entry finite; only a non-finite one (a bad entry, or
+        # finite entries whose sum overflows) is looked at entry by entry.
+        # Both cost a fraction of np.isfinite(a).all()
+        flat = entries if len(shape) == 1 else sum(entries, [])
+        if cmath.isfinite(sum(flat)) or all(map(cmath.isfinite, flat)):
+            if refusal is None:
+                return entries
+            raise refusal
     # reprlib cuts a long list or a long complex repr short, so the message stays small
     raise ShapeError(
         f"expected finite {dtype} entries in shape {shape}, "

@@ -195,8 +195,9 @@ def _cmd_exp(args) -> int:
 def _cmd_log(args) -> int:
     kind, data = load_document(args.input)
     if kind == "su2_matrix":
-        u = _scalar._in_su2([[complex(re, im) for re, im in row] for row in data])
-        v = _series_log("su2_vec", u) if args.oracle else _scalar._su2_log(u)
+        u = [[complex(re, im) for re, im in row] for row in data]
+        p = _scalar._in_su2(u)
+        v = _series_log("su2_vec", u) if args.oracle else _scalar._quaternion_log(p)[0]
         out = _document("su2_vec", v)
     elif kind == "so4_matrix":
         o = _scalar._in_so4(data)
@@ -448,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--entries-path",
         action="store_true",
-        help="evaluate through the expanded entry formulas (so4 inputs only)",
+        help="evaluate through the law on the generator entries (so4 inputs only)",
     )
     route.add_argument("--oracle", action="store_true", help="use the series oracle instead")
     _add_output_flag(p)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _MODULES
-from ._scalar import _generator_rows, _halves, _in_su2, _merge, _quaternion_of, rotation
+from ._scalar import _generator_rows, _halves, _in_su2, _merge, rotation
 from .algebra import _COMPLEX, _REAL, _box, _finite, _generator_floats, _read_array
 from .errors import DomainError, ShapeError
 
@@ -128,7 +128,7 @@ def su2su2_to_so4(u, v) -> np.ndarray:
     """
     u, v = _read_array(u, _COMPLEX, (2, 2)), _read_array(v, _COMPLEX, (2, 2))
     try:
-        p, q = _quaternion_of(_in_su2(u)), _quaternion_of(_in_su2(v))
+        p, q = _in_su2(u), _in_su2(v)
     except DomainError:
         raise DomainError("factors must be special unitary 2x2 matrices") from None
     return _box(rotation(p, q))

@@ -87,7 +87,8 @@ def bch_so4_entries(f, g, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> So4
     f14, -f13, f12)`` is fixed by its entries (1,2), (1,3) and (1,4), and
     composes to ``k (a F+- + b G+- + (g/2) [F, G]+-)``, ``k = theta / rho``.
     It agrees with :func:`bch_so4` to about ``eps k max(1, |f| |g|)``, and
-    refuses what it refuses with the same error classes and message prefixes.
+    refuses what it refuses with the same refusal text: an overflowing half
+    shows the anti-self-dual middle entry as ``-(f13 + f24) / 2`` on both.
     """
     f, g = _read_array(f, _REAL, (6,)), _read_array(g, _REAL, (6,))
     return So4Coeffs(*_bch_entries(f, g, mode)[0])

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _MODULES
-from ._scalar import BchCoefficients, BranchMode, _compose, _in_su2, _quaternion, _su2_log, _unitary
+from ._scalar import BchCoefficients, BranchMode, _compose, _in_su2, _quaternion, _quaternion_log, _unitary
 from .algebra import _COMPLEX, _REAL, _read_array
 
 __all__ = list(_MODULES["su2"])
@@ -67,7 +67,7 @@ def su2_log(u) -> np.ndarray:
     than 1e-10 in any dtype :class:`~magicbch.errors.DomainError`, so does a
     complex64 unitary that single precision cannot hold exactly.
     """
-    return np.array(_su2_log(_read_array(u, _COMPLEX, (2, 2), _in_su2)))
+    return np.array(_quaternion_log(_read_array(u, _COMPLEX, (2, 2), _in_su2))[0])
 
 
 def bch_coefficients(x, y, mode: BranchMode = BranchMode.BRANCH_CORRECTED) -> BchCoefficients:

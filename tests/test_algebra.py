@@ -35,6 +35,8 @@ from magicbch import (
     to_tensor_frame,
     vec_from_hermitian,
 )
+from magicbch._scalar import _coeffs, _in_so4, _in_su2
+from magicbch.algebra import _COMPLEX, _REAL, _read_array
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -368,6 +370,39 @@ def test_a_finite_argument_off_its_gate_gets_the_gates_refusal(name):
         with pytest.raises(error) as info:
             call(m)
         assert type(info.value) is error and str(info.value) == message, m.tolist()
+
+
+GATES = {
+    "_coeffs": (_coeffs, _REAL, GENERATOR, ShapeError),
+    "_in_so4": (_in_so4, _REAL, so4_exp(GENERATOR), DomainError),
+    "_in_su2": (_in_su2, _COMPLEX, su2_exp([0.3, -0.2, 0.5]), DomainError),
+}
+
+
+@pytest.mark.parametrize("name", GATES)
+def test_a_refused_gated_read_runs_its_gate_once(name):
+    # a finite matrix off its gate gets the refusal the gate raised, from one
+    # call; one with a NaN entry gets the reader's refusal, also from one call
+    gate, dtype, valid, error = GATES[name]
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return gate(rows)
+
+    off = valid.copy()
+    off[1, 0] += 1e-9  # past 1e-12 and 1e-10
+    with pytest.raises(error) as direct:
+        gate(off.tolist())
+    with pytest.raises(error) as read:
+        _read_array(off, dtype, valid.shape, counted)
+    assert type(read.value) is error and str(read.value) == str(direct.value)
+    assert len(calls) == 1
+    bad = valid.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ShapeError, match="^expected finite"):
+        _read_array(bad, dtype, valid.shape, counted)
+    assert len(calls) == 2
 
 
 def layouts(valid):

@@ -876,7 +876,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """ + MODE_HELP + """\
-  --entries-path        evaluate through the expanded entry formulas (so4
+  --entries-path        evaluate through the law on the generator entries (so4
                         inputs only)
   --oracle              use the series oracle instead
 """ + OUTPUT_HELP,

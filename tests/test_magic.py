@@ -248,6 +248,21 @@ def test_su2su2_rejects_non_unitary():
         su2su2_to_so4(np.array([[1.0, 0.2], [0.0, 1.0]]), np.eye(2))
 
 
+def test_su2su2_refuses_either_factor_with_one_text_after_reading_both():
+    # a factor off SU(2), first or second, gets the map's own refusal; both
+    # factors are read before either is gated, so a misshapen second factor
+    # is refused as such even when the first is off SU(2)
+    off, eye = np.array([[1.0, 0.2], [0.0, 1.0]]), np.eye(2)
+    for u, v in ((off, eye), (eye, off), (off, off)):
+        with pytest.raises(DomainError) as info:
+            su2su2_to_so4(u, v)
+        assert type(info.value) is DomainError
+        assert str(info.value) == "factors must be special unitary 2x2 matrices"
+    for misshapen in (np.eye(3), np.zeros(4)):
+        with pytest.raises(ShapeError, match=r"^expected finite complex128 entries in shape \(2, 2\)"):
+            su2su2_to_so4(off, misshapen)
+
+
 def test_isoclinic_table_is_the_conjugated_quaternion_basis():
     # rotation(e_i, e_j) on basis quaternions is E_ij = Re R^dag (s_i (x) s_j) R
     r = magic_matrix()

@@ -31,7 +31,7 @@ from magicbch import (
 from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
 from magicbch._scalar import _bch_entries, _coeffs, _generator_rows, _halves, _in_so4, _in_su2
 from magicbch._scalar import _merge, _unitary
-from magicbch._scalar import _isoclinic_products, _quaternion_of, _quaternions_from_rotation, rotation
+from magicbch._scalar import _isoclinic_products, _quaternions_from_rotation, rotation
 from magicbch.algebra import _box, is_antisymmetric, is_special_orthogonal, is_special_unitary
 from magicbch.errors import DomainError, InternalConsistencyError, ShapeError
 
@@ -130,7 +130,7 @@ def test_gates_reject_non_finite_entries(bad):
     o = so4_exp(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])).tolist()
     a = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]).tolist()
     for gate, rows, parts, refusal, passed in (
-        (_in_su2, u, 2, DomainError, u),
+        (_in_su2, u, 2, DomainError, _quaternion([0.3, -0.2, 0.5])),
         (_in_so4, o, 1, DomainError, o),
         (_coeffs, a, 1, ShapeError, (0.3, -0.2, 0.1, 0.25, -0.15, 0.05)),
     ):
@@ -189,14 +189,13 @@ def test_kernels_return_flat_entries_that_box_as_numpys_c_order():
 HALF_OVERFLOWS = "a half of the generator overflows a float: "
 
 
-def list_halves(f, sign):
-    # the halves of six floats as the refusals name them: _halves negates the
-    # middle entry of the anti-self-dual half (sign -0.5), _bch_entries names
-    # the entries (1,2), (1,3), (1,4) of (F - *F) / 2 (sign 0.5)
+def list_halves(f):
+    # the halves of six floats as the refusals of _halves and _bch_entries
+    # name them, the middle entry of the anti-self-dual half negated
     f12, f13, f14, f23, f24, f34 = f
     return (
         (0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)),
-        (0.5 * (f12 - f34), sign * (f13 + f24), 0.5 * (f14 - f23)),
+        (0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)),
     )
 
 
@@ -213,12 +212,12 @@ def test_half_and_merge_kernels_refuse_non_finite_entries(bad):
         e[k] = bad
         with pytest.raises(DomainError) as caught:
             _halves(e)
-        assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, -0.5))
+        assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e))
         # f is refused before g, and g before the mode
         for pair in ((e, g), (e, [bad] * 6), (f, e)):
             with pytest.raises(DomainError) as caught:
                 _bch_entries(*pair, "no mode")
-            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, 0.5))
+            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e))
         z1, z2 = e[:3], e[3:]
         with pytest.raises(DomainError) as caught:
             _merge(z1, z2)
@@ -232,10 +231,10 @@ def test_half_and_merge_kernels_refuse_non_finite_entries(bad):
             e[i], e[j] = big, sign * big
             with pytest.raises(DomainError) as caught:
                 _halves(e)
-            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, -0.5))
+            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e))
             with pytest.raises(DomainError) as caught:
                 _bch_entries(f, e, "no mode")
-            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e, 0.5))
+            assert str(caught.value) == HALF_OVERFLOWS + repr(list_halves(e))
     for k in range(3):
         for sign in (1.0, -1.0):
             z1, z2 = [0.0] * 3, [0.0] * 3
@@ -396,7 +395,7 @@ def test_rotations_equal_the_blas_product_bit_for_bit():
         x, y = (rng.uniform(-3.0, 3.0, size=3) for _ in range(2))
         x, y = (np.where(rng.random(3) < 0.3, np.copysign(0.0, v), v) for v in (x, y))
         u, v = su2_exp(x), su2_exp(y)
-        pu, pv = (np.array(_quaternion_of(m.tolist())) for m in (u, v))
+        pu, pv = (np.array(_in_su2(m.tolist())) for m in (u, v))
         assert su2su2_to_so4(u, v).tobytes() == blas_rotation(pu, pv).tobytes(), (x, y)
     assert zero_entries > 2 * SAMPLES, zero_entries
 

@@ -143,6 +143,19 @@ def test_logs_refuse_a_single_precision_group_element():
         su2_log(su2_exp([0.3, -0.2, 0.5]).astype(np.complex64))
 
 
+def refusals(a, b, mode):
+    # the (class, text) of the DomainError each composition path raises on a, b
+    caught = []
+    for compose in (
+        lambda: bch_so4(so4_from_coeffs(a), so4_from_coeffs(b), mode),
+        lambda: bch_so4_entries(a, b, mode),
+    ):
+        with pytest.raises(DomainError) as info:
+            compose()
+        caught.append((type(info.value), str(info.value)))
+    return caught
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -154,24 +167,30 @@ def test_logs_refuse_a_single_precision_group_element():
 )
 @pytest.mark.parametrize("mode", list(BranchMode))
 def test_both_paths_refuse_an_overflowing_half_alike(f, mode):
-    # an overflowing half of either argument is refused by one class and one
-    # message prefix on both paths; each path shows the halves as it holds them
+    # an overflowing half of either argument is refused with one class and one
+    # text on both paths, which show the halves with one sign convention
     for a, b in ((f, [0.1] * 6), ([0.1] * 6, f)):
-        with pytest.raises(DomainError, match="^a half of the generator overflows a float"):
-            bch_so4(so4_from_coeffs(a), so4_from_coeffs(b), mode)
-        with pytest.raises(DomainError, match="^a half of the generator overflows a float"):
-            bch_so4_entries(a, b, mode)
+        channels, entries = refusals(a, b, mode)
+        assert channels == entries
+        assert channels[1].startswith("a half of the generator overflows a float: ")
 
 
-@pytest.mark.parametrize("f", [[1e200] * 6, [1e308, 0.0, 0.0, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize(
+    "f",
+    [
+        [1e200] * 6,
+        [1e308, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1e200, 1e200, 0.0, 0.0, 1e200, -1e200],  # the anti-self-dual half's norm
+    ],
+)
 @pytest.mark.parametrize("mode", list(BranchMode))
 def test_both_paths_refuse_an_overflowing_half_norm_alike(f, mode):
-    # every half of f is finite, but the norm of its self-dual half overflows
+    # every half of f is finite, but the norm of one half overflows; both
+    # paths refuse it with one class and one text, the half as they hold it
     for a, b in ((f, [0.1] * 6), ([0.1] * 6, f)):
-        with pytest.raises(DomainError, match="^generator norm overflows a float"):
-            bch_so4(so4_from_coeffs(a), so4_from_coeffs(b), mode)
-        with pytest.raises(DomainError, match="^generator norm overflows a float"):
-            bch_so4_entries(a, b, mode)
+        channels, entries = refusals(a, b, mode)
+        assert channels == entries
+        assert channels[1].startswith("generator norm overflows a float: ")
 
 
 def test_log_antipodal_channel_is_labeled():
@@ -286,6 +305,8 @@ def test_entries_single_plane_doubling():
     f = So4Coeffs(0.3, 0, 0, 0, 0, 0)
     got = bch_so4_entries(f, f)
     np.testing.assert_allclose(np.array(got), [0.6, 0, 0, 0, 0, 0], atol=1e-13)
+    # each entry adds the channels' entries, so the zeros are +0.0 + -0.0 = +0.0
+    assert [math.copysign(1.0, x) for x in got] == [1.0] * 6
 
 
 def test_entries_agree_with_channel_path():
