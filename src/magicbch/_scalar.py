@@ -245,7 +245,7 @@ def _halves(f):
 def _merged(z1, z2):
     # the generator f12 .. f34 with halves z1, z2; the inverse of _halves
     (a1, a2, a3), (b1, b2, b3) = z1, z2
-    return a1 + b1, a2 - b2, a3 + b3, a3 - b3, -(a2 + b2), a1 - b1
+    return 0.0 + a1 + b1, 0.0 + a2 - b2, 0.0 + a3 + b3, 0.0 + a3 - b3, 0.0 - a2 - b2, 0.0 + a1 - b1
 
 
 def _merge(z1, z2):
@@ -282,7 +282,7 @@ def _bch_entries(f, g, mode: BranchMode):
     # the law on the entries, no kernel of _bch_so4: a channel F+- = (F +- *F) / 2, with *F = (f34,
     # -f24, f23, f14, -f13, f12), is its entries (1,2), +-(1,3), (1,4) as _halves signs them; W = a F+-
     # + b G+- + (e/2) [F, G]+-.  [F, G] is formed on G / 32 (q = 8 e): finite half norms bound each entry
-    # by 2.7e154, no sum overflows.  Entry (2,4) adds the channels' -m2 and -p2, so it is +0.0 at m2 = -p2
+    # by 2.7e154, no sum overflows.  Each entry sums from +0.0, as _merged's do (see rotation)
     (f12, f13, f14, f23, f24, f34), (g12, g13, g14, g23, g24, g34) = f, g
     fp = fp1, fp2, fp3 = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
     fm = fm1, fm2, fm3 = 0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)
@@ -318,7 +318,7 @@ def _bch_entries(f, g, mode: BranchMode):
         k = (math.atan2(rho, abs(c)) if mode is _PAPER else theta) / rho if rho else 1.0
         z += k * w1, k * w2, k * w3, (k * a, k * b, k * e, rho, theta)
     p1, p2, p3, c1, m1, m2, m3, c2 = z
-    return (p1 + m1, p2 - m2, p3 + m3, p3 - m3, -m2 - p2, p1 - m1), c1, c2
+    return (0.0 + p1 + m1, 0.0 + p2 - m2, 0.0 + p3 + m3, 0.0 + p3 - m3, 0.0 - p2 - m2, 0.0 + p1 - m1), c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,9 @@ def rotation(p, q):
     (``s_0 = I``, ``s_k = i sigma_k``, ``R`` the magic matrix): every
     ``E_ij`` is a signed permutation matrix, so each entry is a signed sum
     of four products ``p_i q_j``.  The sums run in ascending ``i`` from
-    ``+0.0``, so an entry whose four products vanish is ``+0.0``.
+    ``+0.0``, so an entry whose four products vanish is ``+0.0``.  Every
+    kernel result is summed so: an so(4) entry of :func:`_merged` or
+    :func:`_bch_entries` that is zero is ``+0.0`` too, on either path.
     """
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
@@ -387,11 +389,8 @@ def _isoclinic_products(rows):
 def _quaternions_from_rotation(rows):
     # factor m_ij = p_i q_j through the column and row of its largest entry
     # (the first in row-major order on a tie), q taking the entry's sign.  Of
-    # the lifts (p, q), (-p, -q) return the one whose self-dual factor
-    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has real trace
-    # 2 p0 >= 0; where |2 p0| <= 1e-12 the first entry of u past 1e-12,
-    # p0 + i p3 or else p2 + i p1 (p is a unit), decides by its real part, or
-    # by its imaginary part where the real part is rounding noise
+    # the lifts (p, q), (-p, -q) return the one with p0 >= 0; where |2 p0| <=
+    # 1e-12, the one with q0 >= 0; where |2 q0| <= 1e-12 too, this one
     m = _isoclinic_products(rows)
     size = list(map(abs, m))
     k = size.index(max(size))
@@ -400,13 +399,8 @@ def _quaternions_from_rotation(rows):
     r0, r1, r2, r3 = m[4 * i : 4 * i + 4]
     pn, qn = _norm4(c0, c1, c2, c3), math.copysign(_norm4(r0, r1, r2, r3), m[k])
     p0, p1, p2, p3 = c0 / pn, c1 / pn, c2 / pn, c3 / pn
-    if abs(2.0 * p0) > 1e-12:
-        flip = p0 < 0.0
-    elif math.hypot(p0, p3) > 1e-12:
-        flip = p3 < 0.0
-    else:
-        flip = (p2 if abs(p2) > 1e-12 else p1) < 0.0
-    if flip:
+    q0 = r0 / qn
+    if (p0 if abs(2.0 * p0) > 1e-12 else q0 if abs(2.0 * q0) > 1e-12 else 0.0) < 0.0:
         p0, p1, p2, p3, qn = -p0, -p1, -p2, -p3, -qn
     q0, q1, q2, q3 = r0 / qn, r1 / qn, r2 / qn, r3 / qn
     # No rotation that passes the SO(4) gate fails this check.  One with

@@ -53,10 +53,11 @@ def so4_log(o) -> np.ndarray:
 
     The rotation is factored into the unit quaternions of its two 2x2
     tensor factors, the sign ambiguity of the factorization is resolved by
-    a fixed lift rule (non-negative real trace, falling back to the first
-    structurally nonzero entry of the first factor), and each factor is
-    logged on the principal branch.  A factor at the antipode has no
-    recoverable direction: once its theta comes within ``1e-8`` of pi an
+    a fixed lift rule (the first factor's real trace is non-negative; where
+    it is within 1e-12 of zero, the second factor's is, so that factor keeps
+    its principal angle), and each factor is logged on the principal
+    branch.  A factor at the antipode has no recoverable direction: once
+    its theta comes within ``1e-8`` of pi an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised.  The
     SO(4) gate holds ``o`` to 1e-10 in any dtype, so a float32 rotation that
     single precision cannot hold exactly raises

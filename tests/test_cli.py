@@ -208,6 +208,17 @@ def test_log_of_minus_identity_exits_3_naming_its_channel(tmp_path, capsys):
     assert err == "error: anti-self-dual channel: rotation is numerically antipodal; no log direction\n"
 
 
+def test_log_of_the_complex_structure_exits_0(tmp_path, capsys):
+    # J = exp(f12 = f34 = -pi/2) has both factors traceless; the log takes
+    # the lift that leaves the anti-self-dual half at zero, not at the antipode
+    j = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    p = write_doc(tmp_path / "j.json", {"kind": "so4_matrix", "data": j})
+    code, out, err = run_cli(capsys, "log", p)
+    assert (code, err) == (0, "")
+    expected = [-math.pi / 2, 0.0, 0.0, 0.0, 0.0, -math.pi / 2]
+    np.testing.assert_allclose(read_json(out)["data"], expected, atol=1e-15)
+
+
 def test_split_then_merge_round_trip(tmp_path, capsys):
     coeffs = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05]
     p = write_doc(tmp_path / "c.json", so4_coeffs_doc(coeffs))

@@ -293,21 +293,20 @@ def merged(z1, z2):
 
 
 def canonical_lift(p, q):
-    # the lift rule as a separate step over the entries of the self-dual
-    # factor, the reference for the rule folded into the factorization: of
-    # the two lifts (p, q) and (-p, -q), pick the one whose self-dual factor
-    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] has non-negative
-    # real trace 2 p0; on a traceless factor fall back to the first entry of
-    # u, in row-major order, whose magnitude exceeds 1e-12 (p is a unit
-    # quaternion, so one does): the sign of its real part decides, or of its
-    # imaginary part where the real part is rounding noise
-    p0, p1, p2, p3 = p
-    if abs(2.0 * p0) > 1e-12:
-        flip = p0 < 0.0
+    # the lift rule as a separate step, the reference for the rule folded
+    # into the factorization: of the two lifts (p, q) and (-p, -q), pick the
+    # one whose self-dual factor has non-negative real trace 2 p0; where that
+    # trace is within 1e-12 of zero, the one whose anti-self-dual factor has
+    # non-negative real trace 2 q0; where both are, the one whose q is
+    # positive at its largest component (the first on a tie), as the
+    # factorization leaves q at its pivot
+    if abs(2.0 * p[0]) > 1e-12:
+        flip = p[0] < 0.0
+    elif abs(2.0 * q[0]) > 1e-12:
+        flip = q[0] < 0.0
     else:
-        entries = ((p0, p3), (p2, p1), (-p2, p1), (p0, -p3))
-        re, im = next(e for e in entries if math.hypot(*e) > 1e-12)
-        flip = (re if abs(re) > 1e-12 else im) < 0.0
+        size = [abs(t) for t in q]
+        flip = q[size.index(max(size))] < 0.0
     return ([-t for t in p], [-t for t in q]) if flip else (p, q)
 
 
@@ -454,14 +453,11 @@ def test_isoclinic_sums_equal_the_table_bit_for_bit():
     assert subnormal > SAMPLES, subnormal
 
 
-def lift_branch(p):
-    # which test of the lift rule decides on the self-dual factor p
-    p0, p1, p2, p3 = p
-    if abs(2.0 * p0) > 1e-12:
-        return "trace"
-    if math.hypot(p0, p3) > 1e-12:
-        return "p3"
-    return "p2" if abs(p2) > 1e-12 else "p1"
+def lift_branch(p, q):
+    # which test of the lift rule decides on the factors p, q
+    if abs(2.0 * p[0]) > 1e-12:
+        return "p0"
+    return "q0" if abs(2.0 * q[0]) > 1e-12 else "none"
 
 
 def traceless_rotations(rng, n):
@@ -470,7 +466,9 @@ def traceless_rotations(rng, n):
     # rotation entries (1e-16) of the 1e-12 thresholds, on both sides once
     # the factorization has rounded them.  Every fifth one is a power of a
     # rotation through a quarter turn on the axis, whose components off the
-    # axis are rounding noise.
+    # axis are rounding noise.  Of the others, a third have an
+    # anti-self-dual factor whose trace straddles 1e-12 and a third one
+    # whose trace is below it.
     for i in range(n):
         axis, sign = i % 3, (-1.0, 1.0)[(i // 3) % 2]
         kind = (i // 6) % 5
@@ -499,7 +497,14 @@ def traceless_rotations(rng, n):
         else:
             p[0] = rng.uniform(-5e-13, 5e-13)
         q = rng.normal(size=4)
-        yield rotation_matrix((p / np.linalg.norm(p)).tolist(), (q / np.linalg.norm(q)).tolist())
+        q /= np.linalg.norm(q)
+        if (i // 30) % 3 == 1:
+            q[1:] /= np.linalg.norm(q[1:])
+            q[0] = rng.choice([-1.0, 1.0]) * (5e-13 + rng.uniform(-4e-16, 4e-16))
+        elif (i // 30) % 3 == 2:
+            q[1:] /= np.linalg.norm(q[1:])
+            q[0] = rng.uniform(-5e-13, 5e-13)
+        yield rotation_matrix((p / np.linalg.norm(p)).tolist(), q.tolist())
 
 
 def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
@@ -516,9 +521,9 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
             assert np.array(lp + lq).tobytes() == np.array(p + q).tobytes(), o.tolist()
         expected = merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
         assert so4_log(o).tobytes() == expected.tobytes()
-        branches[lift_branch(p)] = branches.get(lift_branch(p), 0) + 1
+        branches[lift_branch(p, q)] = branches.get(lift_branch(p, q), 0) + 1
     # each test of the rule decides a share of the samples
-    assert set(branches) == {"trace", "p3", "p2", "p1"}
+    assert set(branches) == {"p0", "q0", "none"}
     assert min(branches.values()) >= 100, branches
 
 
@@ -532,13 +537,12 @@ def list_factorization(rows):
     col, row = m[j::4], m[4 * i : 4 * i + 4]
     pn, qn = (math.sqrt(a * a + b * b + c * c + d * d) for a, b, c, d in (col, row))
     qn = math.copysign(qn, m[k])
-    p0, p1, p2, p3 = p = [t / pn for t in col]
-    if abs(2.0 * p0) > 1e-12:
-        flip = p0 < 0.0
-    elif math.hypot(p0, p3) > 1e-12:
-        flip = p3 < 0.0
+    p = [t / pn for t in col]
+    if abs(2.0 * p[0]) > 1e-12:
+        flip = p[0] < 0.0
     else:
-        flip = (p2 if abs(p2) > 1e-12 else p1) < 0.0
+        q0 = row[0] / qn
+        flip = abs(2.0 * q0) > 1e-12 and q0 < 0.0
     if flip:
         p, qn = [-t for t in p], -qn
     q = [t / qn for t in row]
@@ -575,14 +579,14 @@ def test_unpacked_factorization_equals_the_lists_bit_for_bit():
         p, q = _quaternions_from_rotation(rows)
         lp, lq = list_factorization(rows)
         assert np.array(p + q).tobytes() == np.array(lp + lq).tobytes(), rows
-        return p
+        return p, q
 
     for _ in range(SAMPLES):
         factor(so4_exp(so4_from_coeffs(rng.uniform(-2.0, 2.0, size=6))))
     for o in subnormal_rotations(rng, SAMPLES):
         factor(o)
-    branches = {lift_branch(factor(o)) for o in traceless_rotations(rng, 2400)}
-    assert branches == {"trace", "p3", "p2", "p1"}
+    branches = {lift_branch(*factor(o)) for o in traceless_rotations(rng, 2400)}
+    assert branches == {"p0", "q0", "none"}
     ties = 0
     for o in tied_rotations():
         factor(o)

@@ -305,8 +305,18 @@ def test_entries_single_plane_doubling():
     f = So4Coeffs(0.3, 0, 0, 0, 0, 0)
     got = bch_so4_entries(f, f)
     np.testing.assert_allclose(np.array(got), [0.6, 0, 0, 0, 0, 0], atol=1e-13)
-    # each entry adds the channels' entries, so the zeros are +0.0 + -0.0 = +0.0
+    # each entry sums the channels' entries from +0.0, so the zeros are +0.0
     assert [math.copysign(1.0, x) for x in got] == [1.0] * 6
+
+
+def test_both_paths_sign_a_zero_entry_alike():
+    # both assemblies sum each entry from +0.0: a one-plane composition has
+    # the same bytes, its five zeros +0.0, on the channel and the entries path
+    f, g = [0.3, 0.0, 0.0, 0.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
+    via_entries = np.array(bch_so4_entries(f, g))
+    via_channels = np.array(coeffs_from_so4(bch_so4(so4_from_coeffs(f), so4_from_coeffs(g)).result))
+    assert via_channels.tobytes() == via_entries.tobytes()
+    assert [math.copysign(1.0, x) for x in via_channels] == [1.0] * 6
 
 
 def test_entries_agree_with_channel_path():
@@ -432,14 +442,14 @@ def test_log_lift_flips_both_channels_past_half_pi(z1, z2):
 @pytest.mark.parametrize(
     "sign, expected1, expected2",
     [
-        (-1.0, [0.0, math.pi / 2, 0.0], [0.3 - math.pi, 0.0, 0.0]),
+        (-1.0, [0.0, -math.pi / 2, 0.0], [0.3, 0.0, 0.0]),
         (1.0, [0.0, math.pi / 2, 0.0], [0.3, 0.0, 0.0]),
     ],
 )
 def test_log_lift_traceless_fallback(sign, expected1, expected2):
-    # |z1| = pi/2 makes the self-dual factor traceless; the first entry of
-    # u = [[p0 + i p3, p2 + i p1], ...] above 1e-12 is p2 + i p1 = sign, so
-    # only the negative sign flips to the other lift
+    # |z1| = pi/2 makes the self-dual factor traceless, so the anti-self-dual
+    # factor's q0 = cos 0.3 > 0 decides: neither sign flips to the other
+    # lift, whose anti-self-dual half would be (0.3 - pi, 0, 0)
     a = merge(SplitPair(np.array([0.0, sign * math.pi / 2, 0.0]), np.array([0.3, 0.0, 0.0])))
     got = so4_log(so4_exp(a))
     expected = merge(SplitPair(np.array(expected1), np.array(expected2)))
@@ -455,9 +465,48 @@ def test_log_lift_traceless_fallback_ignores_rounding_noise(axis, sign):
     rng = np.random.default_rng([44, axis, int(sign > 0)])
     z1 = np.zeros(3)
     z1[axis] = sign * math.pi / 2
-    for _ in range(10):
-        a = merge(SplitPair(z1, rng.uniform(-1.0, 1.0, size=3)))
+    halves = [(z1, rng.uniform(-1.0, 1.0, size=3)) for _ in range(10)]
+    # double ties: both halves a quarter turn on an axis, in either order,
+    # so neither trace decides and the factorization's own lift stands
+    for other in np.vstack([np.eye(3), -np.eye(3)]) * (math.pi / 2):
+        halves += [(z1, other), (other, z1)]
+    for pair in halves:
+        a = merge(SplitPair(*pair))
         direct = so4_log(so4_exp(a))
         for k in (2, 3, 5):
             powered = so4_log(np.linalg.matrix_power(so4_exp(a / k), k))
             assert frobenius_norm(direct - powered) < 1e-10
+
+
+# the complex structure J, f12 = f34 = -pi/2: both factors traceless at once
+COMPLEX_STRUCTURE = np.array(
+    [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]
+)
+
+
+def quarter_turns():
+    # exp of a quarter turn on one axis of one half, the other half zero:
+    # one factor traceless, the other the identity
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            z = np.zeros(3)
+            z[axis] = sign * math.pi / 2
+            yield so4_exp(merge(SplitPair(z, np.zeros(3))))
+            yield so4_exp(merge(SplitPair(np.zeros(3), z)))
+
+
+def test_log_of_tie_rotations_round_trips():
+    # a traceless factor leaves the lift to the other factor's q0, so no
+    # half is sent to the antipode: each log exponentiates back to its input
+    rotations = [COMPLEX_STRUCTURE, COMPLEX_STRUCTURE.T, *quarter_turns()]
+    assert len(rotations) == 14
+    for o in rotations:
+        assert np.abs(so4_exp(so4_log(o)) - o).max() <= 1e-15, o.tolist()
+
+
+def test_log_of_the_complex_structure_is_the_principal_log():
+    series = mat_log_near_identity(COMPLEX_STRUCTURE)
+    principal = 0.5 * (series - series.T)
+    assert np.abs(so4_log(COMPLEX_STRUCTURE) - principal).max() <= 1e-14
+    expected = [-math.pi / 2, 0.0, 0.0, 0.0, 0.0, -math.pi / 2]
+    np.testing.assert_allclose(coeffs_from_so4(principal), expected, atol=1e-14)
