@@ -389,8 +389,9 @@ def _isoclinic_products(rows):
 def _quaternions_from_rotation(rows):
     # factor m_ij = p_i q_j through the column and row of its largest entry
     # (the first in row-major order on a tie), q taking the entry's sign.  Of
-    # the lifts (p, q), (-p, -q) return the one with p0 >= 0; where |2 p0| <=
-    # 1e-12, the one with q0 >= 0; where |2 q0| <= 1e-12 too, this one
+    # the lifts (p, q), (-p, -q) return the one in which the first t of p0,
+    # q0, p3, p2, p1 with |2 t| > 1e-12 is positive: so q keeps its principal
+    # angle where p is traceless, and a double tie never rests on the pivot
     m = _isoclinic_products(rows)
     size = list(map(abs, m))
     k = size.index(max(size))
@@ -399,8 +400,10 @@ def _quaternions_from_rotation(rows):
     r0, r1, r2, r3 = m[4 * i : 4 * i + 4]
     pn, qn = _norm4(c0, c1, c2, c3), math.copysign(_norm4(r0, r1, r2, r3), m[k])
     p0, p1, p2, p3 = c0 / pn, c1 / pn, c2 / pn, c3 / pn
-    q0 = r0 / qn
-    if (p0 if abs(2.0 * p0) > 1e-12 else q0 if abs(2.0 * q0) > 1e-12 else 0.0) < 0.0:
+    for t in (p0, r0 / qn, p3, p2, p1):
+        if abs(2.0 * t) > 1e-12:
+            break
+    if t < 0.0:
         p0, p1, p2, p3, qn = -p0, -p1, -p2, -p3, -qn
     q0, q1, q2, q3 = r0 / qn, r1 / qn, r2 / qn, r3 / qn
     # No rotation that passes the SO(4) gate fails this check.  One with

@@ -55,9 +55,10 @@ def so4_log(o) -> np.ndarray:
     tensor factors, the sign ambiguity of the factorization is resolved by
     a fixed lift rule (the first factor's real trace is non-negative; where
     it is within 1e-12 of zero, the second factor's is, so that factor keeps
-    its principal angle), and each factor is logged on the principal
-    branch.  A factor at the antipode has no recoverable direction: once
-    its theta comes within ``1e-8`` of pi an
+    its principal angle; where both are, the first of the first factor's
+    components ``p3, p2, p1`` past ``5e-13`` in size is positive), and each
+    factor is logged on the principal branch.  A factor at the antipode has
+    no recoverable direction: once its theta comes within ``1e-8`` of pi an
     :class:`~magicbch.errors.AntipodalSingularityError` is raised.  The
     SO(4) gate holds ``o`` to 1e-10 in any dtype, so a float32 rotation that
     single precision cannot hold exactly raises

@@ -297,16 +297,15 @@ def canonical_lift(p, q):
     # into the factorization: of the two lifts (p, q) and (-p, -q), pick the
     # one whose self-dual factor has non-negative real trace 2 p0; where that
     # trace is within 1e-12 of zero, the one whose anti-self-dual factor has
-    # non-negative real trace 2 q0; where both are, the one whose q is
-    # positive at its largest component (the first on a tie), as the
-    # factorization leaves q at its pivot
+    # non-negative real trace 2 q0; where both are, the one whose p is
+    # positive at the first of p3, p2, p1 past 5e-13 in size (p is a unit
+    # quaternion, so one is)
     if abs(2.0 * p[0]) > 1e-12:
         flip = p[0] < 0.0
     elif abs(2.0 * q[0]) > 1e-12:
         flip = q[0] < 0.0
     else:
-        size = [abs(t) for t in q]
-        flip = q[size.index(max(size))] < 0.0
+        flip = next(t for t in (p[3], p[2], p[1]) if abs(t) > 5e-13) < 0.0
     return ([-t for t in p], [-t for t in q]) if flip else (p, q)
 
 
@@ -457,18 +456,20 @@ def lift_branch(p, q):
     # which test of the lift rule decides on the factors p, q
     if abs(2.0 * p[0]) > 1e-12:
         return "p0"
-    return "q0" if abs(2.0 * q[0]) > 1e-12 else "none"
+    if abs(2.0 * q[0]) > 1e-12:
+        return "q0"
+    return next(f"p{i}" for i in (3, 2, 1) if abs(p[i]) > 5e-13)
 
 
 def traceless_rotations(rng, n):
     # rotations whose self-dual factor is traceless along each axis with
     # either sign; the deciding components sit within a few ulps of the
-    # rotation entries (1e-16) of the 1e-12 thresholds, on both sides once
+    # rotation entries (1e-16) of the 5e-13 thresholds, on both sides once
     # the factorization has rounded them.  Every fifth one is a power of a
     # rotation through a quarter turn on the axis, whose components off the
     # axis are rounding noise.  Of the others, a third have an
-    # anti-self-dual factor whose trace straddles 1e-12 and a third one
-    # whose trace is below it.
+    # anti-self-dual factor whose q0 straddles 5e-13 and a third one whose
+    # q0 is below it, so that the self-dual factor's components decide.
     for i in range(n):
         axis, sign = i % 3, (-1.0, 1.0)[(i // 3) % 2]
         kind = (i // 6) % 5
@@ -487,13 +488,13 @@ def traceless_rotations(rng, n):
         elif kind == 1:
             p[0] = rng.uniform(-4e-13, 4e-13)
             if axis != 2:
-                p[3] = rng.choice([-1.0, 1.0]) * (math.sqrt(1e-24 - p[0] ** 2) + near)
+                p[3] = rng.choice([-1.0, 1.0]) * (5e-13 + near)
         elif kind == 2:
             p[0] = rng.uniform(-3e-13, 3e-13)
             if axis != 2:
                 p[3] = rng.uniform(-3e-13, 3e-13)
             if axis != 1:
-                p[2] = rng.choice([-1.0, 1.0]) * (1e-12 + near)
+                p[2] = rng.choice([-1.0, 1.0]) * (5e-13 + near)
         else:
             p[0] = rng.uniform(-5e-13, 5e-13)
         q = rng.normal(size=4)
@@ -523,7 +524,7 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
         assert so4_log(o).tobytes() == expected.tobytes()
         branches[lift_branch(p, q)] = branches.get(lift_branch(p, q), 0) + 1
     # each test of the rule decides a share of the samples
-    assert set(branches) == {"p0", "q0", "none"}
+    assert set(branches) == {"p0", "q0", "p3", "p2", "p1"}
     assert min(branches.values()) >= 100, branches
 
 
@@ -538,12 +539,8 @@ def list_factorization(rows):
     pn, qn = (math.sqrt(a * a + b * b + c * c + d * d) for a, b, c, d in (col, row))
     qn = math.copysign(qn, m[k])
     p = [t / pn for t in col]
-    if abs(2.0 * p[0]) > 1e-12:
-        flip = p[0] < 0.0
-    else:
-        q0 = row[0] / qn
-        flip = abs(2.0 * q0) > 1e-12 and q0 < 0.0
-    if flip:
+    lead = [p[0], row[0] / qn, p[3], p[2], p[1]]
+    if next(t for t in lead if abs(2.0 * t) > 1e-12) < 0.0:
         p, qn = [-t for t in p], -qn
     q = [t / qn for t in row]
     residue = math.dist([a * b for a in p for b in q], m)
@@ -586,7 +583,7 @@ def test_unpacked_factorization_equals_the_lists_bit_for_bit():
     for o in subnormal_rotations(rng, SAMPLES):
         factor(o)
     branches = {lift_branch(*factor(o)) for o in traceless_rotations(rng, 2400)}
-    assert branches == {"p0", "q0", "none"}
+    assert branches == {"p0", "q0", "p3", "p2", "p1"}
     ties = 0
     for o in tied_rotations():
         factor(o)

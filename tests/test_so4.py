@@ -459,21 +459,23 @@ def test_log_lift_traceless_fallback(sign, expected1, expected2):
 @pytest.mark.parametrize("axis", [0, 2])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_log_lift_traceless_fallback_ignores_rounding_noise(axis, sign):
-    # on axes 1 and 3 the deciding entry of u is purely imaginary, so its
-    # real part is rounding noise and the imaginary part must decide: two
+    # a traceless factor's trace is rounding noise, so the other trace or a
+    # fixed component of the first factor decides, never the noise: two
     # roundings of the same rotation get the same log
     rng = np.random.default_rng([44, axis, int(sign > 0)])
     z1 = np.zeros(3)
     z1[axis] = sign * math.pi / 2
     halves = [(z1, rng.uniform(-1.0, 1.0, size=3)) for _ in range(10)]
-    # double ties: both halves a quarter turn on an axis, in either order,
-    # so neither trace decides and the factorization's own lift stands
-    for other in np.vstack([np.eye(3), -np.eye(3)]) * (math.pi / 2):
+    # double ties: both halves quarter turns, in either order, so neither
+    # trace decides; on the diagonal axes two products p_i q_j tie for the
+    # pivot, which rounding noise moves, so the pivot must not decide
+    diagonal = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]) / math.sqrt(2.0)
+    for other in np.vstack([np.eye(3), -np.eye(3), diagonal, -diagonal]) * (math.pi / 2):
         halves += [(z1, other), (other, z1)]
     for pair in halves:
         a = merge(SplitPair(*pair))
         direct = so4_log(so4_exp(a))
-        for k in (2, 3, 5):
+        for k in range(2, 12):
             powered = so4_log(np.linalg.matrix_power(so4_exp(a / k), k))
             assert frobenius_norm(direct - powered) < 1e-10
 
