@@ -333,56 +333,67 @@ def rotation(p, q):
     ``sum_ij p_i q_j (E_ij)_rc`` with ``E_ij = Re R^dag (s_i (x) s_j) R``
     (``s_0 = I``, ``s_k = i sigma_k``, ``R`` the magic matrix): every
     ``E_ij`` is a signed permutation matrix, so each entry is a signed sum
-    of four products ``p_i q_j``.  The sums run in ascending ``i`` from
-    ``+0.0``, so an entry whose four products vanish is ``+0.0``.  Every
-    kernel result is summed so: an so(4) entry of :func:`_merged` or
-    :func:`_bch_entries` that is zero is ``+0.0`` too, on either path.
+    of four products ``p_i q_j``.  Each of the sixteen products is formed
+    once, as ``t_ij``, and read by the four entries it enters.  The sums
+    run in ascending ``i`` from ``+0.0``, so an entry whose four products
+    vanish is ``+0.0``.  Every kernel result is summed so: an so(4) entry
+    of :func:`_merged` or :func:`_bch_entries` that is zero is ``+0.0``
+    too, on either path.
     """
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
+    t00, t01, t02, t03 = p0 * q0, p0 * q1, p0 * q2, p0 * q3
+    t10, t11, t12, t13 = p1 * q0, p1 * q1, p1 * q2, p1 * q3
+    t20, t21, t22, t23 = p2 * q0, p2 * q1, p2 * q2, p2 * q3
+    t30, t31, t32, t33 = p3 * q0, p3 * q1, p3 * q2, p3 * q3
     return [
-        0.0 + p0 * q0 - p1 * q1 + p2 * q2 - p3 * q3,
-        0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
-        0.0 - p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-        0.0 + p0 * q3 - p1 * q2 - p2 * q1 + p3 * q0,
-        0.0 - p0 * q1 - p1 * q0 + p2 * q3 + p3 * q2,
-        0.0 + p0 * q0 - p1 * q1 - p2 * q2 + p3 * q3,
-        0.0 - p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-        0.0 - p0 * q2 - p1 * q3 - p2 * q0 - p3 * q1,
-        0.0 + p0 * q2 - p1 * q3 - p2 * q0 + p3 * q1,
-        0.0 + p0 * q3 + p1 * q2 - p2 * q1 - p3 * q0,
-        0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
-        0.0 - p0 * q1 + p1 * q0 - p2 * q3 + p3 * q2,
-        0.0 - p0 * q3 - p1 * q2 - p2 * q1 - p3 * q0,
-        0.0 + p0 * q2 - p1 * q3 + p2 * q0 - p3 * q1,
-        0.0 + p0 * q1 - p1 * q0 - p2 * q3 + p3 * q2,
-        0.0 + p0 * q0 + p1 * q1 - p2 * q2 - p3 * q3,
+        0.0 + t00 - t11 + t22 - t33,
+        0.0 + t01 + t10 + t23 + t32,
+        0.0 - t02 - t13 + t20 + t31,
+        0.0 + t03 - t12 - t21 + t30,
+        0.0 - t01 - t10 + t23 + t32,
+        0.0 + t00 - t11 - t22 + t33,
+        0.0 - t03 + t12 - t21 + t30,
+        0.0 - t02 - t13 - t20 - t31,
+        0.0 + t02 - t13 - t20 + t31,
+        0.0 + t03 + t12 - t21 - t30,
+        0.0 + t00 + t11 + t22 + t33,
+        0.0 - t01 + t10 - t23 + t32,
+        0.0 - t03 - t12 - t21 - t30,
+        0.0 + t02 - t13 + t20 - t31,
+        0.0 + t01 - t10 - t23 + t32,
+        0.0 + t00 + t11 - t22 - t33,
     ]
 
 
 def _isoclinic_products(rows):
     # p_i q_j = <E_ij, O> / 4 row-major in (i, j): E_ij = rotation(e_i, e_j)
     # on basis quaternions are orthogonal signed permutation matrices, so each
-    # is a signed sum of four entries of O.  Each term keeps its own 0.25: a
-    # common 0.25 * (...) rounds differently where a term is subnormal
+    # is a signed sum of four entries of O.  Each entry is scaled by 0.25 once,
+    # and each term is a scaled entry: a common 0.25 * (...) rounds differently
+    # where a term is subnormal
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    a0, a1, a2, a3 = 0.25 * a0, 0.25 * a1, 0.25 * a2, 0.25 * a3
+    b0, b1, b2, b3 = 0.25 * b0, 0.25 * b1, 0.25 * b2, 0.25 * b3
+    c0, c1, c2, c3 = 0.25 * c0, 0.25 * c1, 0.25 * c2, 0.25 * c3
+    d0, d1, d2, d3 = 0.25 * d0, 0.25 * d1, 0.25 * d2, 0.25 * d3
     return [
-        0.25 * a0 + 0.25 * b1 + 0.25 * c2 + 0.25 * d3,
-        0.25 * a1 - 0.25 * b0 - 0.25 * c3 + 0.25 * d2,
-        -0.25 * a2 - 0.25 * b3 + 0.25 * c0 + 0.25 * d1,
-        0.25 * a3 - 0.25 * b2 + 0.25 * c1 - 0.25 * d0,
-        0.25 * a1 - 0.25 * b0 + 0.25 * c3 - 0.25 * d2,
-        -0.25 * a0 - 0.25 * b1 + 0.25 * c2 + 0.25 * d3,
-        -0.25 * a3 + 0.25 * b2 + 0.25 * c1 - 0.25 * d0,
-        -0.25 * a2 - 0.25 * b3 - 0.25 * c0 - 0.25 * d1,
-        0.25 * a2 - 0.25 * b3 - 0.25 * c0 + 0.25 * d1,
-        -0.25 * a3 - 0.25 * b2 - 0.25 * c1 - 0.25 * d0,
-        0.25 * a0 - 0.25 * b1 + 0.25 * c2 - 0.25 * d3,
-        0.25 * a1 + 0.25 * b0 - 0.25 * c3 - 0.25 * d2,
-        0.25 * a3 + 0.25 * b2 - 0.25 * c1 - 0.25 * d0,
-        0.25 * a2 - 0.25 * b3 + 0.25 * c0 - 0.25 * d1,
-        0.25 * a1 + 0.25 * b0 + 0.25 * c3 + 0.25 * d2,
-        -0.25 * a0 + 0.25 * b1 + 0.25 * c2 - 0.25 * d3,
+        a0 + b1 + c2 + d3,
+        a1 - b0 - c3 + d2,
+        -a2 - b3 + c0 + d1,
+        a3 - b2 + c1 - d0,
+        a1 - b0 + c3 - d2,
+        -a0 - b1 + c2 + d3,
+        -a3 + b2 + c1 - d0,
+        -a2 - b3 - c0 - d1,
+        a2 - b3 - c0 + d1,
+        -a3 - b2 - c1 - d0,
+        a0 - b1 + c2 - d3,
+        a1 + b0 - c3 - d2,
+        a3 + b2 - c1 - d0,
+        a2 - b3 + c0 - d1,
+        a1 + b0 + c3 + d2,
+        -a0 + b1 + c2 - d3,
     ]
 
 

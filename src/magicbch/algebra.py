@@ -50,6 +50,7 @@ import cmath
 import math
 import numbers
 import reprlib
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -169,10 +170,25 @@ def _finite(compute) -> np.ndarray:
     return out
 
 
+_PACK_4X4 = struct.Struct("16d").pack_into
+_PACK_2X2 = struct.Struct("8d").pack_into
+
+
 def _box(entries) -> np.ndarray:
     # the sixteen floats of a 4x4 matrix, row-major, as the kernels return them
-    # flat, as a 4x4 array: np.fromiter of them beats np.array of the list
-    return np.fromiter(entries, float, 16).reshape(4, 4)
+    # flat, as a fresh 4x4 array that owns its data: one np.empty, filled by
+    # one precompiled struct pack, which writes each float's IEEE bits
+    out = np.empty((4, 4), _REAL)
+    _PACK_4X4(out, 0, *entries)
+    return out
+
+
+def _box_unitary(entries) -> np.ndarray:
+    # the (re, im) of a 2x2 unitary's four entries row-major, as _unitary
+    # returns them, as a fresh complex 2x2 array, boxed as _box boxes a 4x4
+    out = np.empty((2, 2), _COMPLEX)
+    _PACK_2X2(out, 0, *entries)
+    return out
 
 
 def coeffs_from_so4(m) -> So4Coeffs:

@@ -43,15 +43,14 @@ import numpy as np
 
 from . import _MODULES
 from ._scalar import BchCoefficients, BranchMode, _compose, _in_su2, _quaternion, _quaternion_log, _unitary
-from .algebra import _COMPLEX, _REAL, _read_array
+from .algebra import _COMPLEX, _REAL, _box_unitary, _read_array
 
 __all__ = list(_MODULES["su2"])
 
 
 def su2_exp(v) -> np.ndarray:
     """Exponential ``exp(i v . sigma)`` of a real 3-vector, a 2x2 unitary."""
-    u = _unitary(_quaternion(_read_array(v, _REAL, (3,))))
-    return np.fromiter(u, float, 8).view(complex).reshape(2, 2)
+    return _box_unitary(_unitary(_quaternion(_read_array(v, _REAL, (3,)))))
 
 
 def su2_log(u) -> np.ndarray:

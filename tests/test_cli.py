@@ -14,6 +14,7 @@ import magicbch
 from magicbch import (
     BchCoefficients,
     BranchMode,
+    InternalConsistencyError,
     ShapeError,
     SplitPair,
     bch_coefficients,
@@ -691,6 +692,19 @@ def test_log_of_a_non_group_element_exits_3(tmp_path, capsys, kind, oracle):
     assert "tolerance" in err
 
 
+def test_an_internal_consistency_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # no rotation that passes the SO(4) gate fails the factorization check,
+    # so the kernel is made to fail it, and main maps the error to exit 4
+    def inconsistent(rows):
+        raise InternalConsistencyError("the factorization does not reproduce its input")
+
+    monkeypatch.setattr("magicbch._scalar._so4_log", inconsistent)
+    p = write_doc(tmp_path / "o.json", {"kind": "so4_matrix", "data": np.eye(4).tolist()})
+    code, out, err = run_cli(capsys, "log", p)
+    assert (code, out) == (4, "")
+    assert err == "error: the factorization does not reproduce its input\n"
+
+
 MERGE_WRONG_KIND = "merge expects su2_vec documents, got so4_coeffs"
 MALFORMED = {
     "list_document": (["exp", "list"], "JSON object"),
@@ -811,6 +825,23 @@ def test_sweep_keeps_corrected_trials_near_the_cut():
     assert math.pi - theta1 == pytest.approx(1e-4, rel=1e-6)
     assert frobenius_norm(so4_exp(so4_from_coeffs(h)) - so4_exp(a) @ so4_exp(b)) <= 1e-13
     assert _compose_within_limits(f, g, BranchMode.PAPER_FAITHFUL) is None
+
+
+ANTIPODAL_PAIR = [math.pi / 2, 0.0, 0.0, 0.0, 0.0, math.pi / 2]
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_verify_skips_an_antipodal_pair(capsys, monkeypatch, mode):
+    # f = g with f12 = f34 = pi/2 composes its self-dual half to theta = pi,
+    # so the sweep skips it in either mode and evaluates the ordinary pair
+    f = g = ANTIPODAL_PAIR
+    assert _compose_within_limits(f, g, mode) is None
+    ordinary = ([0.1, -0.2, 0.05, 0.3, 0.0, -0.1], [0.2, 0.1, -0.3, 0.0, 0.15, 0.05])
+    monkeypatch.setattr("magicbch.cli._sample_generator_pairs", lambda *args: [(f, g), ordinary])
+    code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--mode", mode.value)
+    report = read_json(out)
+    assert (report["evaluated"], report["branch_cut_skips"]) == (1, 1)
+    assert (code, report["passed"]) == (0, True)
 
 
 def test_verify_tol_flag_can_fail_the_run(capsys):

@@ -32,7 +32,7 @@ from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
 from magicbch._scalar import _bch_entries, _coeffs, _generator_rows, _halves, _in_so4, _in_su2
 from magicbch._scalar import _merge, _unitary
 from magicbch._scalar import _isoclinic_products, _quaternions_from_rotation, rotation
-from magicbch.algebra import _box, is_antisymmetric, is_special_orthogonal, is_special_unitary
+from magicbch.algebra import _box, _box_unitary, is_antisymmetric, is_special_orthogonal, is_special_unitary
 from magicbch.errors import DomainError, InternalConsistencyError, ShapeError
 
 SAMPLES = 2000
@@ -178,12 +178,46 @@ def test_kernels_return_flat_entries_that_box_as_numpys_c_order():
             (_box(flat[0]), g),
             (so4_from_coeffs(c), g),
             (_box(flat[1]), blas_rotation(np.array(p), np.array(q))),
-            (np.fromiter(flat[2], float, 8).view(complex).reshape(2, 2), complex_unitary(p)),
+            (_box_unitary(flat[2]), complex_unitary(p)),
             (su2_exp(c[:3]), complex_unitary(_quaternion(c[:3]))),
         ):
             assert boxed.dtype == reference.dtype and boxed.shape == reference.shape
             assert boxed.flags.c_contiguous and boxed.flags.writeable
             assert boxed.tobytes() == reference.tobytes(), (c, p, q)
+
+
+def boxed_calls():
+    # each public function that boxes a kernel's flat result, as (function, argument)
+    rng = np.random.default_rng(313)
+    c, d = rng.uniform(-1.0, 1.0, size=6), rng.uniform(-1.0, 1.0, size=6)
+    g, h = so4_from_coeffs(c), so4_from_coeffs(d)
+    return {
+        "so4_exp": (so4_exp, g),
+        "so4_log": (so4_log, so4_exp(g)),
+        "bch_so4": (lambda a: bch_so4(a, h).result, g),
+        "merge": (merge, split(g)),
+        "so4_from_coeffs": (so4_from_coeffs, c),
+        "su2su2_to_so4": (lambda u: su2su2_to_so4(u, su2_exp(d[:3])), su2_exp(c[:3])),
+        "su2_exp": (su2_exp, c[:3]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(boxed_calls()))
+def test_every_boxed_result_is_a_fresh_array_that_owns_its_data(name):
+    # a result is the canonical C-order array, and no view of a temporary or
+    # of another result: writing into one changes no other and not the input
+    function, argument = boxed_calls()[name]
+    given = np.array(argument).tobytes()
+    first, second = function(argument), function(argument)
+    expected = second.tobytes()
+    dtype, shape = (np.dtype(complex), (2, 2)) if name == "su2_exp" else (np.dtype(float), (4, 4))
+    for result in (first, second):
+        assert result.dtype is dtype and result.shape == shape
+        assert result.flags.aligned and result.flags.c_contiguous and result.flags.writeable
+        assert result.flags.owndata and result.base is None
+    first[...] = 7.0
+    assert second.tobytes() == expected
+    assert np.array(argument).tobytes() == given
 
 
 HALF_OVERFLOWS = "a half of the generator overflows a float: "
