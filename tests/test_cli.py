@@ -827,14 +827,11 @@ def test_sweep_keeps_corrected_trials_near_the_cut():
     assert _compose_within_limits(f, g, BranchMode.PAPER_FAITHFUL) is None
 
 
-ANTIPODAL_PAIR = [math.pi / 2, 0.0, 0.0, 0.0, 0.0, math.pi / 2]
-
-
 @pytest.mark.parametrize("mode", list(BranchMode))
 def test_verify_skips_an_antipodal_pair(capsys, monkeypatch, mode):
     # f = g with f12 = f34 = pi/2 composes its self-dual half to theta = pi,
     # so the sweep skips it in either mode and evaluates the ordinary pair
-    f = g = ANTIPODAL_PAIR
+    f = g = [math.pi / 2, 0.0, 0.0, 0.0, 0.0, math.pi / 2]
     assert _compose_within_limits(f, g, mode) is None
     ordinary = ([0.1, -0.2, 0.05, 0.3, 0.0, -0.1], [0.2, 0.1, -0.3, 0.0, 0.15, 0.05])
     monkeypatch.setattr("magicbch.cli._sample_generator_pairs", lambda *args: [(f, g), ordinary])
