@@ -4,13 +4,14 @@ Nothing here imports NumPy.  The kernels take tuples or lists of finite
 Python floats that a caller has already read and checked (the public
 functions of :mod:`magicbch.su2`, :mod:`magicbch.magic`, :mod:`magicbch.so4`
 and :mod:`magicbch.algebra` read arrays, the command line reads JSON), and
-they return floats in tuples and flat lists: a 4x4 matrix leaves a kernel as
-its sixteen entries row-major and a 2x2 unitary as the eight floats ``(re,
-im)`` of its entries row-major, which the callers box (or the command line
-nests) only at the end.  Matrices come in nested, as ``.tolist()`` and JSON
-give them, and meet one gate each, which runs once per read and returns what
-its caller reads (the SU(2) gate :func:`_in_su2` the unit quaternion of the
-unitary) or raises.  The compositions return their scalar data as a plain
+they return floats in tuples and flat lists.  A matrix travels flat both
+ways: a 4x4 matrix as its sixteen entries row-major and a 2x2 unitary as the
+eight floats ``(re, im)`` of its entries row-major.  Coming in, it is one
+``struct`` unpack of the array's bytes (or the command line's JSON rows,
+flattened) and meets one gate, which runs once per read and returns what its
+caller reads (the SU(2) gate :func:`_in_su2` the unit quaternion of the
+unitary) or raises; going out, the callers box it (or the command line nests
+it) only at the end.  The compositions return their scalar data as a plain
 ``(alpha, beta, gamma, rho, theta)`` tuple; only the callers that hand it
 out build a :class:`BchCoefficients` record of it (``su2.bch_coefficients``,
 ``so4.bch_so4`` and the ``coefficients`` blocks of ``magicbch bch``).
@@ -26,8 +27,6 @@ one principal log :func:`_quaternion_log`, whose antipodal refusal names the
 so(4) channel.  :func:`_bch_entries` composes on the six entries with none of
 these kernels, and agrees with :func:`_bch_so4` to eps (theta / rho) max(1, |f| |g|).
 """
-
-from __future__ import annotations
 
 import enum
 import math
@@ -136,24 +135,25 @@ def _compose(x, y, mode: BranchMode, channel: str = ""):
 
 
 # ---------------------------------------------------------------------------
-# the gates, on rows of Python numbers: each returns what its caller reads (the
-# upper triangle, the rows, the unit quaternion), or raises
+# the gates, on a matrix as algebra._read_array unpacks it, its floats row-major (a
+# complex entry as re, im): each returns what its caller reads (the upper triangle,
+# the entries, the unit quaternion), or raises
 #
-# A product that overflows is inf and fails the comparison, so on finite rows
-# a gate raises only its own refusal; they square as x * x, as x ** 2 raises
-# OverflowError, and take complex moduli by math.hypot, which never does.
-# Every gate raises on rows with a NaN or Inf entry (each entry meets its own
-# comparison, or is squared into a diagonal Gram term), so rows that pass a
+# A product that overflows is inf and fails the comparison, so on finite
+# entries a gate raises only its own refusal; they square as x * x, as x ** 2
+# raises OverflowError, and take a modulus by math.hypot, which never does.
+# Every gate raises on a NaN or Inf entry (each entry meets its own
+# comparison, or is squared into a diagonal Gram term), so entries that pass a
 # gate are finite: algebra._read_array leaves the finiteness proof of a gated
 # read to its gate, which it runs once.
 
 
-def _coeffs(rows):
+def _coeffs(entries):
     # the upper triangle f12 .. f34 of a 4x4 matrix antisymmetric to 1e-12,
     # copied, or ShapeError: |m_ij + m_ji| <= tol over the upper triangle and
     # the diagonal, one test per sum, so a NaN or Inf entry fails the test of
     # its sum (max would skip a NaN that is not in its first argument)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = entries
     t = _ANTISYMMETRY_TOL
     if (
         abs(a0 + a0) <= t and abs(a1 + b0) <= t and abs(a2 + c0) <= t and abs(a3 + d0) <= t
@@ -164,12 +164,12 @@ def _coeffs(rows):
     raise ShapeError(f"matrix is not antisymmetric to {_ANTISYMMETRY_TOL:g} in max-norm")
 
 
-def _in_so4(rows):
-    # the rows of a 4x4 matrix that passes the SO(4) gate, or DomainError:
+def _in_so4(entries):
+    # the sixteen entries of a 4x4 matrix that passes the SO(4) gate, or DomainError:
     # ||M^T M - I||_F from the ten distinct Gram entries (the Gram matrix is
     # symmetric, so each off-diagonal one counts twice), then det M by the
     # Laplace expansion in the 2x2 minors of the first two and last two rows
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = entries
     g00 = a0 * a0 + b0 * b0 + c0 * c0 + d0 * d0 - 1.0
     g11 = a1 * a1 + b1 * b1 + c1 * c1 + d1 * d1 - 1.0
     g22 = a2 * a2 + b2 * b2 + c2 * c2 + d2 * d2 - 1.0
@@ -194,25 +194,28 @@ def _in_so4(rows):
             + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
         )
         if abs(det - 1.0) <= _GROUP_TOL:
-            return rows
+            return entries
     raise DomainError("input is not special orthogonal to tolerance")
 
 
-def _in_su2(rows):
-    # the unit quaternion p of a 2x2 matrix u = [[p0 + i p3, p2 + i p1], [-p2 +
-    # i p1, p0 - i p3]] that passes the SU(2) gate, each component read from
-    # both entries that carry it, or DomainError: ||U^H U - I||_F and |det U - 1|;
-    # U^H U is Hermitian, so its (1, 0) entry is the conjugate of the (0, 1)
-    # entry and its diagonal is real
-    (a, b), (c, d) = rows
-    g00 = (a.conjugate() * a + c.conjugate() * c).real - 1.0
-    g11 = (b.conjugate() * b + d.conjugate() * d).real - 1.0
-    g01 = a.conjugate() * b + c.conjugate() * d
-    gram = math.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag))
+def _in_su2(entries):
+    # the unit quaternion p of a 2x2 matrix [[a, b], [c, d]] = [[p0 + i p3, p2 + i p1],
+    # [-p2 + i p1, p0 - i p3]] that passes the SU(2) gate, each component read from both
+    # entries that carry it, or DomainError: ||U^H U - I||_F and |det U - 1|.  U^H U is
+    # Hermitian, so its (1, 0) entry is the conjugate of the (0, 1) entry and its diagonal
+    # is real.  Each part sums as CPython's complex arithmetic does, term for term, so
+    # the bits are the same (conj(a) a is ar ar + ai ai)
+    ar, ai, br, bi, cr, ci, dr, di = entries
+    g00 = ar * ar + ai * ai + (cr * cr + ci * ci) - 1.0
+    g11 = br * br + bi * bi + (dr * dr + di * di) - 1.0
+    g01r = ar * br + ai * bi + (cr * dr + ci * di)
+    g01i = ar * bi - ai * br + (cr * di - ci * dr)
+    gram = math.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01r * g01r + g01i * g01i))
     if gram <= _GROUP_TOL:
-        det = a * d - b * c
-        if math.hypot(det.real - 1.0, det.imag) <= _GROUP_TOL:
-            return 0.5 * (a.real + d.real), 0.5 * (b.imag + c.imag), 0.5 * (b.real - c.real), 0.5 * (a.imag - d.imag)
+        det_r = ar * dr - ai * di - (br * cr - bi * ci)
+        det_i = ar * di + ai * dr - (br * ci + bi * cr)
+        if math.hypot(det_r - 1.0, det_i) <= _GROUP_TOL:
+            return 0.5 * (ar + dr), 0.5 * (bi + ci), 0.5 * (br - cr), 0.5 * (ai - di)
     raise DomainError("input is not special unitary to tolerance")
 
 
@@ -249,11 +252,11 @@ def _merged(z1, z2):
 
 
 def _merge(z1, z2):
-    # _merged of halves read from outside, whose sums may overflow a float,
-    # refused by the zero test of _halves
+    # _merged of halves read from outside, whose sums may overflow a float, refused
+    # by the zero test of _halves; the refusal shows tuples or lists as lists
     f12, f13, f14, f23, f24, f34 = f = _merged(z1, z2)
     if 0.0 * f12 + 0.0 * f13 + 0.0 * f14 + 0.0 * f23 + 0.0 * f24 + 0.0 * f34 != 0.0:
-        raise DomainError(f"a sum of the halves overflows a float: {(z1, z2)!r}")
+        raise DomainError(f"a sum of the halves overflows a float: {(list(z1), list(z2))!r}")
     return f
 
 
@@ -263,9 +266,9 @@ def _so4_exp(f):
     return rotation(_quaternion(x), _quaternion(y))
 
 
-def _so4_log(rows):
-    # the principal log f12 .. f34 of a rotation, given as four rows of floats, that passed _in_so4
-    p, q = _quaternions_from_rotation(rows)
+def _so4_log(entries):
+    # the principal log f12 .. f34 of a rotation, given as its sixteen floats row-major, that passed _in_so4
+    p, q = _quaternions_from_rotation(entries)
     z1 = _quaternion_log(p, channel=_SELF_DUAL)[0]
     return _merged(z1, _quaternion_log(q, channel=_ANTI_SELF_DUAL)[0])
 
@@ -282,7 +285,8 @@ def _bch_entries(f, g, mode: BranchMode):
     # the law on the entries, no kernel of _bch_so4: a channel F+- = (F +- *F) / 2, with *F = (f34,
     # -f24, f23, f14, -f13, f12), is its entries (1,2), +-(1,3), (1,4) as _halves signs them; W = a F+-
     # + b G+- + (e/2) [F, G]+-.  [F, G] is formed on G / 32 (q = 8 e): finite half norms bound each entry
-    # by 2.7e154, no sum overflows.  Each entry sums from +0.0, as _merged's do (see rotation)
+    # by 2.7e154, no sum overflows.  An entry of [F, G] is two 2x2 minors, so Z(A, B) = -Z(-B, -A)
+    # bit for bit.  Each result entry sums from +0.0, as _merged's do (see rotation)
     (f12, f13, f14, f23, f24, f34), (g12, g13, g14, g23, g24, g34) = f, g
     fp = fp1, fp2, fp3 = 0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)
     fm = fm1, fm2, fm3 = 0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)
@@ -296,12 +300,12 @@ def _bch_entries(f, g, mode: BranchMode):
         raise ShapeError(f"{_NOT_A_MODE}{mode!r}")
     g12, g13, g14 = 0.03125 * g12, 0.03125 * g13, 0.03125 * g14
     g23, g24, g34 = 0.03125 * g23, 0.03125 * g24, 0.03125 * g34
-    h12 = f23 * g13 - f13 * g23 + f24 * g14 - f14 * g24
-    h13 = f12 * g23 - f23 * g12 + f34 * g14 - f14 * g34
-    h14 = f12 * g24 - f24 * g12 + f13 * g34 - f34 * g13
-    h23 = f13 * g12 - f12 * g13 + f34 * g24 - f24 * g34
-    h24 = f14 * g12 - f12 * g14 + f23 * g34 - f34 * g23
-    h34 = f14 * g13 - f13 * g14 + f24 * g23 - f23 * g24
+    h12 = (f23 * g13 - f13 * g23) + (f24 * g14 - f14 * g24)
+    h13 = (f12 * g23 - f23 * g12) + (f34 * g14 - f14 * g34)
+    h14 = (f12 * g24 - f24 * g12) + (f13 * g34 - f34 * g13)
+    h23 = (f13 * g12 - f12 * g13) + (f34 * g24 - f24 * g34)
+    h24 = (f14 * g12 - f12 * g14) + (f23 * g34 - f34 * g23)
+    h34 = (f14 * g13 - f13 * g14) + (f24 * g23 - f23 * g24)
     z = []
     for (x1, x2, x3), (y1, y2, y3), h1, h2, h3, channel in (
         (fp, gp, h12 + h34, h13 - h24, h14 + h23, _SELF_DUAL),
@@ -366,13 +370,13 @@ def rotation(p, q):
     ]
 
 
-def _isoclinic_products(rows):
+def _isoclinic_products(entries):
     # p_i q_j = <E_ij, O> / 4 row-major in (i, j): E_ij = rotation(e_i, e_j)
     # on basis quaternions are orthogonal signed permutation matrices, so each
     # is a signed sum of four entries of O.  Each entry is scaled by 0.25 once,
     # and each term is a scaled entry: a common 0.25 * (...) rounds differently
     # where a term is subnormal
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = entries
     a0, a1, a2, a3 = 0.25 * a0, 0.25 * a1, 0.25 * a2, 0.25 * a3
     b0, b1, b2, b3 = 0.25 * b0, 0.25 * b1, 0.25 * b2, 0.25 * b3
     c0, c1, c2, c3 = 0.25 * c0, 0.25 * c1, 0.25 * c2, 0.25 * c3
@@ -397,13 +401,13 @@ def _isoclinic_products(rows):
     ]
 
 
-def _quaternions_from_rotation(rows):
+def _quaternions_from_rotation(entries):
     # factor m_ij = p_i q_j through the column and row of its largest entry
     # (the first in row-major order on a tie), q taking the entry's sign.  Of
     # the lifts (p, q), (-p, -q) return the one in which the first t of p0,
     # q0, p3, p2, p1 with |2 t| > 1e-12 is positive: so q keeps its principal
     # angle where p is traceless, and a double tie never rests on the pivot
-    m = _isoclinic_products(rows)
+    m = _isoclinic_products(entries)
     size = list(map(abs, m))
     k = size.index(max(size))
     i, j = divmod(k, 4)

@@ -16,37 +16,35 @@ Every array argument of the public functions here and in :mod:`magicbch.su2`,
 :mod:`magicbch.magic` and :mod:`magicbch.so4` is read once, by
 ``_read_array(m, dtype, shape, gate=None)``: ``np.asarray``, the number rule
 ``_numbers``, a cast to float64 (complex128 for a 2x2 factor and the frame
-changes' 4x4 matrices), a shape check, then ``.tolist()`` into Python
-numbers, which must all be finite.  ``_numbers``, the rule of
-:func:`frobenius_norm` and the oracle too, reads bools (NumPy's too) and
-ints as float64, float and complex arrays as they are, and an object array
-only if every entry is a number, as complex128 if one is complex; it never
-parses a string.  A wrong shape, a NaN/Inf entry or a complex entry where
+changes' 4x4 matrices), a shape check, then one ``struct`` unpack, as
+:func:`_box` packs, into a flat row-major tuple of Python floats (a complex
+entry as its ``(re, im)`` pair), which must all be finite.  ``_numbers``,
+the rule of :func:`frobenius_norm` and the oracle too, reads bools (NumPy's
+too) and ints as float64, float and complex arrays as they are, and an
+object array only if every entry is a number, as complex128 if one is
+complex; it never parses a string.  A wrong shape, a NaN/Inf entry or a complex entry where
 reals are due raises :class:`ShapeError` with one message, ``expected finite
 float64 entries in shape (3,), got float64 entries in shape (4,): [...]``;
 anything else ``expected an array of numbers in shape (3,): `` and the
 reason.
 
 The antisymmetry (fixed at 1e-12), special-orthogonal and special-unitary
-gates run on those rows in scalar arithmetic (in :mod:`magicbch._scalar`),
+gates run on that tuple in scalar arithmetic (in :mod:`magicbch._scalar`),
 testing each ``|m_ij + m_ji|``, ``||M^T M - I||_F`` with ``det M`` by the
-Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` as
-NumPy would (1e-10 for the group gates).  Each gate returns what its caller
-reads (the SU(2) gate the unit quaternion) or raises its refusal
+Laplace expansion in 2x2 minors, and ``||U^H U - I||_F`` with ``det U`` in
+reals rounded as complex (1e-10 for the group gates).  Each gate returns
+what its caller reads (the SU(2) gate the unit quaternion) or raises its refusal
 (:class:`ShapeError` for antisymmetry, :class:`DomainError` for the groups),
 and it raises on a NaN or Inf entry, so a read that a gate follows (the
 generator of :func:`coeffs_from_so4`, ``split``, ``so4_exp`` and
 ``bch_so4``, the rotation of ``so4_log``, the unitary of ``su2_log``, and
-the argument of each predicate) runs the gate once, first, and rows that
-pass it are proved finite in that one pass.  Every other read, and rows a
+the argument of each predicate) runs the gate once, first, and entries that
+pass it are proved finite in that one pass.  Every other read, and entries a
 gate refuses, are tested for finiteness on the sum of their entries first
 (a running sum that meets an inf or a NaN never turns finite again), so a
 non-finite entry is refused as such before the refusal the gate raised.
 """
 
-from __future__ import annotations
-
-import cmath
 import math
 import numbers
 import reprlib
@@ -124,8 +122,11 @@ def tensor_product(a, b) -> np.ndarray:
     factor on the first qubit under the |00>, |01>, |10>, |11> ordering.
     A product that overflows a float raises :class:`DomainError`.
     """
-    a, b = _read_array(a, _COMPLEX, (2, 2)), _read_array(b, _COMPLEX, (2, 2))
-    return _finite(lambda: np.kron(np.array(a), np.array(b)))
+    a, b = (_box_unitary(_read_array(m, _COMPLEX, (2, 2))) for m in (a, b))
+    out = np.empty((4, 4), _COMPLEX)
+    # np.kron's broadcast product, so its bytes, written into a fresh array; a refusal shows its rows
+    _finite(lambda: np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(2, 2, 2, 2)).reshape(4, 4))
+    return out
 
 
 def hermitian_from_vec(v) -> np.ndarray:
@@ -151,8 +152,8 @@ def vec_from_hermitian(m) -> np.ndarray:
     as ``[0.5, 0, 0]``.  A difference that overflows a float raises
     :class:`DomainError`.
     """
-    (a, _), (c, d) = _read_array(m, _COMPLEX, (2, 2))
-    return _finite(lambda: np.array([c.real, c.imag, 0.5 * (a.real - d.real)]))
+    ar, _, _, _, cr, ci, dr, _ = _read_array(m, _COMPLEX, (2, 2))
+    return _finite(lambda: np.array([cr, ci, 0.5 * (ar - dr)]))
 
 
 def so4_from_coeffs(c) -> np.ndarray:
@@ -222,7 +223,7 @@ def is_special_unitary(u) -> bool:
 
 
 def _reads(m, dtype, shape, gate) -> bool:
-    # whether the gated read of m succeeds: the gate proves the rows finite in one pass
+    # whether the gated read of m succeeds: the gate proves the entries finite in one pass
     try:
         _read_array(m, dtype, shape, gate)
     except (ShapeError, DomainError):
@@ -232,6 +233,8 @@ def _reads(m, dtype, shape, gate) -> bool:
 
 _REAL = np.dtype(float)
 _COMPLEX = np.dtype(complex)
+# the unpack of each argument's size in bytes (an int hashes cheaper than a dtype)
+_UNPACK = {n: struct.Struct(f"{n // 8}d").unpack for n in (24, 48, 64, 128, 256)}
 
 
 def _numbers(m) -> np.ndarray:
@@ -250,11 +253,12 @@ def _numbers(m) -> np.ndarray:
 
 
 def _read_array(m, dtype: np.dtype, shape: tuple[int, ...], gate=None):
-    # m as nested lists of finite Python floats (complex for _COMPLEX) in
-    # the given shape, read once, or gate(those lists) if a gate is given
-    # (_coeffs, _in_so4 or _in_su2, which return the upper triangle, the rows
-    # or the unit quaternion, or raise); every reader refusal is a
-    # ShapeError, and no cast from complex to real drops an imaginary part
+    # m in the given shape as a flat row-major tuple of finite Python floats,
+    # a complex entry as its (re, im) pair, read once by one struct unpack of
+    # its C-order bytes, or gate(that tuple) if a gate is given (_coeffs,
+    # _in_so4 or _in_su2, which return the upper triangle, the entries or the
+    # unit quaternion, or raise); every reader refusal is a ShapeError, and no
+    # cast from complex to real drops an imaginary part
     try:
         a = np.asarray(m)
         if a.dtype is not dtype:
@@ -264,13 +268,13 @@ def _read_array(m, dtype: np.dtype, shape: tuple[int, ...], gate=None):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"expected an array of numbers in shape {shape}: {exc}") from None
     if a.dtype is dtype and a.shape == shape:
-        entries = a.tolist()
+        entries = _UNPACK[a.nbytes](np.ascontiguousarray(a))
         refusal = None
         if gate is not None:
-            # a gate raises on any NaN or Inf entry, so it proves the rows it
-            # passes finite, and a gated read takes one pass.  Rows it refuses
-            # take the finiteness test below first, so that a non-finite entry
-            # is refused as such, and only then get the gate's one refusal
+            # a gate raises on any NaN or Inf entry, so it proves the entries
+            # it passes finite, and a gated read takes one pass.  Entries it
+            # refuses take the finiteness test below first, so that a non-finite
+            # entry is refused as such, and only then get the gate's one refusal
             try:
                 return gate(entries)
             except (ShapeError, DomainError) as exc:
@@ -279,8 +283,7 @@ def _read_array(m, dtype: np.dtype, shape: tuple[int, ...], gate=None):
         # proves every entry finite; only a non-finite one (a bad entry, or
         # finite entries whose sum overflows) is looked at entry by entry.
         # Both cost a fraction of np.isfinite(a).all()
-        flat = entries if len(shape) == 1 else sum(entries, [])
-        if cmath.isfinite(sum(flat)) or all(map(cmath.isfinite, flat)):
+        if math.isfinite(sum(entries)) or all(map(math.isfinite, entries)):
             if refusal is None:
                 return entries
             raise refusal

@@ -16,8 +16,6 @@ Exit codes: 0 success, 1 failed verification, 2 input or schema error,
 3 math-domain error, 4 internal-consistency error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -117,7 +115,7 @@ def _generator(source: str, kind: str, data):
     if kind != "so4_matrix":
         return data
     try:
-        return _scalar._coeffs(data)
+        return _scalar._coeffs([x for row in data for x in row])
     except ShapeError as exc:
         raise ShapeError(f"{source}: {exc}") from None
 
@@ -194,14 +192,17 @@ def _cmd_exp(args) -> int:
 
 def _cmd_log(args) -> int:
     kind, data = load_document(args.input)
+    # the gates take a matrix flat, row-major, a complex entry as its [re, im] pair
     if kind == "su2_matrix":
-        u = [[complex(re, im) for re, im in row] for row in data]
-        p = _scalar._in_su2(u)
-        v = _series_log("su2_vec", u) if args.oracle else _scalar._quaternion_log(p)[0]
+        p = _scalar._in_su2([x for row in data for entry in row for x in entry])
+        if args.oracle:
+            v = _series_log("su2_vec", [[complex(re, im) for re, im in row] for row in data])
+        else:
+            v = _scalar._quaternion_log(p)[0]
         out = _document("su2_vec", v)
     elif kind == "so4_matrix":
-        o = _scalar._in_so4(data)
-        f = _series_log("so4_coeffs", o) if args.oracle else _scalar._so4_log(o)
+        o = _scalar._in_so4([x for row in data for x in row])
+        f = _series_log("so4_coeffs", data) if args.oracle else _scalar._so4_log(o)
         out = _document("so4_coeffs", f)
     else:
         raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")

@@ -19,8 +19,6 @@ writes that sum out entry by entry as signed sums of four products
 changes here are the paper's definition, kept off the hot path.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -77,7 +75,7 @@ def to_orthogonal_frame(m) -> np.ndarray:
 
     A result that overflows a float raises :class:`DomainError`.
     """
-    m = np.array(_read_array(m, _COMPLEX, (4, 4)))
+    m = np.array(_read_array(m, _COMPLEX, (4, 4))).view(_COMPLEX).reshape(4, 4)
     return _finite(lambda: _MAGIC_DAG @ m @ _MAGIC)
 
 
@@ -86,7 +84,7 @@ def to_tensor_frame(m) -> np.ndarray:
 
     A result that overflows a float raises :class:`DomainError`.
     """
-    m = np.array(_read_array(m, _COMPLEX, (4, 4)))
+    m = np.array(_read_array(m, _COMPLEX, (4, 4))).view(_COMPLEX).reshape(4, 4)
     return _finite(lambda: _MAGIC @ m @ _MAGIC_DAG)
 
 

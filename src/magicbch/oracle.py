@@ -18,8 +18,6 @@ that norm the result drifts off the group by more than the 1e-10 that the
 special-orthogonal gate allows.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -10,8 +10,6 @@ for the composition law, sharing no kernel: the channel path
 (:func:`bch_so4_entries`), each the other's cross-check.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -37,8 +37,6 @@ argument size, and only a zero denominator takes the limit 1.  The kernels
 live in :mod:`magicbch._scalar`; this module reads arrays and boxes results.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from . import _MODULES

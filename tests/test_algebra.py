@@ -137,6 +137,15 @@ def test_tensor_product_rejects_wrong_shape():
         tensor_product(np.eye(3), np.eye(2))
 
 
+def test_tensor_product_is_np_krons_product_bit_for_bit():
+    # np.kron's broadcast multiply, so the bytes of its complex vector loop,
+    # which differ from products formed one by one in Python scalars
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes(), (a, b)
+
+
 def test_tensor_product_mixed_product_property():
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -372,6 +381,11 @@ def test_a_finite_argument_off_its_gate_gets_the_gates_refusal(name):
         assert type(info.value) is error and str(info.value) == message, m.tolist()
 
 
+def flat(m):
+    # the floats of an array row-major, a complex entry as its (re, im) pair, as the reader hands them to a gate
+    return tuple(np.ascontiguousarray(m).view(float).ravel().tolist())
+
+
 GATES = {
     "_coeffs": (_coeffs, _REAL, GENERATOR, ShapeError),
     "_in_so4": (_in_so4, _REAL, so4_exp(GENERATOR), DomainError),
@@ -386,14 +400,14 @@ def test_a_refused_gated_read_runs_its_gate_once(name):
     gate, dtype, valid, error = GATES[name]
     calls = []
 
-    def counted(rows):
-        calls.append(rows)
-        return gate(rows)
+    def counted(entries):
+        calls.append(entries)
+        return gate(entries)
 
     off = valid.copy()
     off[1, 0] += 1e-9  # past 1e-12 and 1e-10
     with pytest.raises(error) as direct:
-        gate(off.tolist())
+        gate(flat(off))
     with pytest.raises(error) as read:
         _read_array(off, dtype, valid.shape, counted)
     assert type(read.value) is error and str(read.value) == str(direct.value)
@@ -414,6 +428,40 @@ def layouts(valid):
     yield valid.astype(valid.dtype.newbyteorder(">"))
     yield valid.astype(np.float32 if valid.dtype.kind == "f" else np.complex64)
     yield valid.astype(object)
+
+
+# one argument of each size the reader unpacks, with signed zeros, a subnormal and a NaN-free spread
+READ_SHAPES = {
+    "(3,)": (_REAL, np.array([-0.0, 5e-324, -1.5])),
+    "(6,)": (_REAL, np.array([0.3, -0.0, 1e308, -2.2e-308, 0.0, -0.05])),
+    "(2, 2) complex": (_COMPLEX, np.array([[0.6 - 0.0j, -0.0 + 0.8j], [5e-324 + 0.8j, 0.6 - 1e-300j]])),
+    "(4, 4)": (_REAL, np.arange(16.0).reshape(4, 4) * np.array([-1.0, 0.5, 1e-310, -0.0])),
+    "(4, 4) complex": (_COMPLEX, (np.arange(16.0) - 1j * np.arange(16.0)[::-1]).reshape(4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", READ_SHAPES)
+def test_every_layout_reads_to_the_floats_of_the_c_order_array(name):
+    # a list, a tuple, a Fortran array, a transposed copy, a strided view and a
+    # big-endian array read, bit for bit, to the row-major floats of the C-order
+    # float64 (complex128) array, a complex entry as its (re, im) pair
+    dtype, valid = READ_SHAPES[name]
+    reference = flat(valid)
+    expected = struct.pack(f"{len(reference)}d", *reference)
+    strided = np.zeros(valid.shape[:-1] + (2 * valid.shape[-1],), dtype)
+    strided[..., ::2] = valid
+    for m in (
+        valid.tolist(),
+        tuple(tuple(row) for row in valid.tolist()) if valid.ndim == 2 else tuple(valid.tolist()),
+        np.asfortranarray(valid),
+        valid.T.copy().T,
+        strided[..., ::2],
+        valid.astype(valid.dtype.newbyteorder(">")),
+        valid,
+    ):
+        entries = _read_array(m, dtype, valid.shape)
+        assert type(entries) is tuple and all(type(x) is float for x in entries)
+        assert struct.pack(f"{len(entries)}d", *entries) == expected, type(m)
 
 
 def result_bytes(r):

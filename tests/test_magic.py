@@ -297,4 +297,4 @@ def test_su2su2_matches_conjugation_path():
 def test_isoclinic_factors_reject_an_improper_rotation():
     # det -1: no pair of unit quaternions maps onto it
     with pytest.raises(InternalConsistencyError):
-        _quaternions_from_rotation(np.diag([1.0, 1.0, 1.0, -1.0]))
+        _quaternions_from_rotation(tuple(np.diag([1.0, 1.0, 1.0, -1.0]).ravel().tolist()))

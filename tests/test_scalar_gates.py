@@ -27,6 +27,7 @@ from magicbch import (
     su2_exp,
     su2_log,
     su2su2_to_so4,
+    tensor_product,
 )
 from magicbch._scalar import BranchMode, _compose, _quaternion, _quaternion_log
 from magicbch._scalar import _bch_entries, _coeffs, _generator_rows, _halves, _in_so4, _in_su2
@@ -111,34 +112,29 @@ def test_the_antisymmetry_tolerance_is_no_argument():
             call(m, tol=1e-10)
 
 
-def with_entry(rows, k, part, bad):
-    # rows with entry k, row-major, replaced in its real (part 0) or imaginary part
-    rows = [list(row) for row in rows]
-    i, j = divmod(k, len(rows))
-    z = rows[i][j]
-    rows[i][j] = (complex(bad, z.imag) if part == 0 else complex(z.real, bad)) if type(z) is complex else bad
-    return rows
+def flat(m):
+    # the floats of an array row-major, a complex entry as its (re, im) pair, as the reader hands them to a gate
+    return tuple(np.ascontiguousarray(m).view(float).ravel().tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gates_reject_non_finite_entries(bad):
     # each gate raises on a NaN or Inf in any position and any part of a
-    # matrix that passes it, so rows that pass a gate are finite: the array
+    # matrix that passes it, so entries that pass a gate are finite: the array
     # reader leaves the finiteness proof of a gated read to the gate.  max over
     # the antisymmetry sums skipped a NaN that was not in the first one
-    u = su2_exp([0.3, -0.2, 0.5]).tolist()
-    o = so4_exp(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])).tolist()
-    a = so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]).tolist()
-    for gate, rows, parts, refusal, passed in (
-        (_in_su2, u, 2, DomainError, _quaternion([0.3, -0.2, 0.5])),
-        (_in_so4, o, 1, DomainError, o),
-        (_coeffs, a, 1, ShapeError, (0.3, -0.2, 0.1, 0.25, -0.15, 0.05)),
+    u = flat(su2_exp([0.3, -0.2, 0.5]))
+    o = flat(so4_exp(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])))
+    a = flat(so4_from_coeffs([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]))
+    for gate, entries, refusal, passed in (
+        (_in_su2, u, DomainError, _quaternion([0.3, -0.2, 0.5])),
+        (_in_so4, o, DomainError, o),
+        (_coeffs, a, ShapeError, (0.3, -0.2, 0.1, 0.25, -0.15, 0.05)),
     ):
-        assert gate(rows) == passed
-        for k in range(len(rows) ** 2):
-            for part in range(parts):
-                with pytest.raises(refusal):
-                    gate(with_entry(rows, k, part, bad))
+        assert gate(entries) == passed
+        for k in range(len(entries)):
+            with pytest.raises(refusal):
+                gate(entries[:k] + (bad,) + entries[k + 1 :])
     u = np.eye(2, dtype=complex)
     u[1, 0] = bad
     o = np.eye(4)
@@ -146,6 +142,46 @@ def test_gates_reject_non_finite_entries(bad):
     assert not is_special_unitary(u)
     assert not is_special_orthogonal(o)
     assert not is_antisymmetric(o)
+
+
+def complex_in_su2(entries):
+    # the SU(2) gate as it was written on complex rows, the reference for the real arithmetic
+    a, b, c, d = (complex(entries[k], entries[k + 1]) for k in range(0, 8, 2))
+    g00 = (a.conjugate() * a + c.conjugate() * c).real - 1.0
+    g11 = (b.conjugate() * b + d.conjugate() * d).real - 1.0
+    g01 = a.conjugate() * b + c.conjugate() * d
+    gram = math.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag))
+    if gram <= GROUP_TOL:
+        det = a * d - b * c
+        if math.hypot(det.real - 1.0, det.imag) <= GROUP_TOL:
+            return 0.5 * (a.real + d.real), 0.5 * (b.imag + c.imag), 0.5 * (b.real - c.real), 0.5 * (a.imag - d.imag)
+    raise DomainError("input is not special unitary to tolerance")
+
+
+def gate_outcome(gate, entries):
+    # the bytes of the quaternion a gate returns, or the class and text of its refusal
+    try:
+        return np.array(gate(entries)).tobytes()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_the_real_su2_gate_equals_the_complex_formula_bit_for_bit():
+    # seeded unitaries, copies perturbed log-uniformly from 1e-13 to 1e-8 so
+    # that they straddle the 1e-10 tolerance, and unitaries with signed zeros
+    # in their parts (unit quaternions with zero components, negated or not)
+    rng = np.random.default_rng(312)
+    verdicts = []
+    for eps in noise_scales(rng, SAMPLES):
+        u = flat(su2_exp(rng.uniform(-3.0, 3.0, size=3)))
+        perturbed = tuple(x + eps * rng.normal() for x in u)
+        p = signed_zeros(rng, rng.normal(size=4), 0.5)
+        norm = float(np.linalg.norm(p))
+        zeros = tuple(_unitary((p / norm).tolist() if norm else [1.0, -0.0, 0.0, -0.0]))
+        for entries in (u, perturbed, zeros):
+            assert gate_outcome(_in_su2, entries) == gate_outcome(complex_in_su2, entries), entries
+        verdicts.append(type(gate_outcome(_in_su2, perturbed)) is bytes)
+    assert_straddles(verdicts)
 
 
 def signed_zeros(rng, x, share):
@@ -199,6 +235,7 @@ def boxed_calls():
         "so4_from_coeffs": (so4_from_coeffs, c),
         "su2su2_to_so4": (lambda u: su2su2_to_so4(u, su2_exp(d[:3])), su2_exp(c[:3])),
         "su2_exp": (su2_exp, c[:3]),
+        "tensor_product": (lambda u: tensor_product(u, su2_exp(d[:3])), su2_exp(c[:3])),
     }
 
 
@@ -210,7 +247,10 @@ def test_every_boxed_result_is_a_fresh_array_that_owns_its_data(name):
     given = np.array(argument).tobytes()
     first, second = function(argument), function(argument)
     expected = second.tobytes()
-    dtype, shape = (np.dtype(complex), (2, 2)) if name == "su2_exp" else (np.dtype(float), (4, 4))
+    dtype, shape = {
+        "su2_exp": (np.dtype(complex), (2, 2)),
+        "tensor_product": (np.dtype(complex), (4, 4)),
+    }.get(name, (np.dtype(float), (4, 4)))
     for result in (first, second):
         assert result.dtype is dtype and result.shape == shape
         assert result.flags.aligned and result.flags.c_contiguous and result.flags.writeable
@@ -427,7 +467,7 @@ def test_rotations_equal_the_blas_product_bit_for_bit():
         x, y = (rng.uniform(-3.0, 3.0, size=3) for _ in range(2))
         x, y = (np.where(rng.random(3) < 0.3, np.copysign(0.0, v), v) for v in (x, y))
         u, v = su2_exp(x), su2_exp(y)
-        pu, pv = (np.array(_in_su2(m.tolist())) for m in (u, v))
+        pu, pv = (np.array(_in_su2(flat(m))) for m in (u, v))
         assert su2su2_to_so4(u, v).tobytes() == blas_rotation(pu, pv).tobytes(), (x, y)
     assert zero_entries > 2 * SAMPLES, zero_entries
 
@@ -442,9 +482,8 @@ ISOCLINIC_TERMS = [
 ]
 
 
-def table_products(rows):
+def table_products(o):
     # the sixteen p_i q_j through the table, in the order of its terms
-    o = [x for row in rows for x in row]
     return [
         e0 * o[k0] + e1 * o[k1] + e2 * o[k2] + e3 * o[k3]
         for k0, k1, k2, k3, e0, e1, e2, e3 in ISOCLINIC_TERMS
@@ -475,13 +514,13 @@ def test_isoclinic_sums_equal_the_table_bit_for_bit():
     rng = np.random.default_rng(309)
     seeded = (so4_exp(so4_from_coeffs(rng.uniform(-2.0, 2.0, size=6))) for _ in range(SAMPLES))
     for o in seeded:
-        rows = o.tolist()
-        assert np.array(_isoclinic_products(rows)).tobytes() == np.array(table_products(rows)).tobytes()
+        entries = flat(o)
+        assert np.array(_isoclinic_products(entries)).tobytes() == np.array(table_products(entries)).tobytes()
     subnormal = 0
     for o in subnormal_rotations(rng, SAMPLES):
-        rows = o.tolist()
-        expected = table_products(rows)
-        assert np.array(_isoclinic_products(rows)).tobytes() == np.array(expected).tobytes(), rows
+        entries = flat(o)
+        expected = table_products(entries)
+        assert np.array(_isoclinic_products(entries)).tobytes() == np.array(expected).tobytes(), entries
         subnormal += sum(0.0 < abs(t) < sys.float_info.min for t in expected)
     assert subnormal > SAMPLES, subnormal
 
@@ -550,7 +589,7 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
     rng = np.random.default_rng(307)
     branches = {}
     for o in traceless_rotations(rng, 2400):
-        p, q = _quaternions_from_rotation(o.tolist())
+        p, q = _quaternions_from_rotation(flat(o))
         for lift in ((p, q), ([-t for t in p], [-t for t in q])):
             lp, lq = canonical_lift(*lift)
             assert np.array(lp + lq).tobytes() == np.array(p + q).tobytes(), o.tolist()
@@ -562,10 +601,10 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
     assert min(branches.values()) >= 100, branches
 
 
-def list_factorization(rows):
+def list_factorization(entries):
     # the factorization as it was written over lists, the reference for the
     # unpacked scalars: the same pivot, divisions, lift and residue check
-    m = _isoclinic_products(rows)
+    m = _isoclinic_products(entries)
     size = list(map(abs, m))
     k = size.index(max(size))
     i, j = divmod(k, 4)
@@ -606,10 +645,10 @@ def test_unpacked_factorization_equals_the_lists_bit_for_bit():
     rng = np.random.default_rng(310)
 
     def factor(o):
-        rows = o.tolist()
-        p, q = _quaternions_from_rotation(rows)
-        lp, lq = list_factorization(rows)
-        assert np.array(p + q).tobytes() == np.array(lp + lq).tobytes(), rows
+        entries = flat(o)
+        p, q = _quaternions_from_rotation(entries)
+        lp, lq = list_factorization(entries)
+        assert np.array(p + q).tobytes() == np.array(lp + lq).tobytes(), entries
         return p, q
 
     for _ in range(SAMPLES):
@@ -621,8 +660,8 @@ def test_unpacked_factorization_equals_the_lists_bit_for_bit():
     ties = 0
     for o in tied_rotations():
         factor(o)
-        size = np.abs(_isoclinic_products(o.tolist()))
+        size = np.abs(_isoclinic_products(flat(o)))
         ties += int(np.count_nonzero(size == size.max())) > 1
     assert ties > 100, ties
     with pytest.raises(InternalConsistencyError):
-        _quaternions_from_rotation(np.diag([1.0, 1.0, 1.0, -1.0]).tolist())
+        _quaternions_from_rotation(flat(np.diag([1.0, 1.0, 1.0, -1.0])))
