@@ -7,7 +7,8 @@ scaling with Denman-Beavers square roots followed by a Mercator series, and
 slower and only serve as independent ground truth in tests, benchmarks,
 and the ``--oracle`` flag of the command line.  Their budgets are fixed:
 a series stops at a term under 1e-16 in Frobenius norm or fails after 64
-terms, and the logarithm takes at most 32 square roots.  A matrix is read by
+terms, and the logarithm takes at most 32 square roots, each of at most 50
+Denman-Beavers steps, stopping at a step under 1e-15.  A matrix is read by
 the array API's number rule: a string or ``None`` entry (also in an object
 array), an int past the float range, ragged nesting or a NaN/Inf entry
 raises ``ShapeError``, and a complex entry makes the matrix complex.  A norm
@@ -127,24 +128,22 @@ def bch_trunc3(a, b) -> np.ndarray:
 
 
 def _sqrt_denman_beavers(m):
-    # coupled Newton iteration for the principal square root
-    y = m
-    z = np.eye(len(m), dtype=m.dtype)
+    # coupled Newton iteration for the principal square root on the stack s = (y, z):
+    # a step is (y + inv(z), z + inv(y)) / 2 with one inv call, which runs LAPACK's gesv
+    # on each matrix of a stack as on a lone one, so y and z keep the unstacked bits
+    s = np.stack((m, np.eye(len(m), dtype=m.dtype)))
     try:
         for _ in range(_DB_MAX_ITER):
-            y_next = 0.5 * (y + np.linalg.inv(z))
-            z_next = 0.5 * (z + np.linalg.inv(y))
-            delta = frobenius_norm(y_next - y)
-            y, z = y_next, z_next
+            s_next = 0.5 * (s + np.linalg.inv(s)[::-1])
+            delta = frobenius_norm(s_next[0] - s[0])
+            s = s_next
             if delta < _DB_TOL:
-                return y
+                return s[0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("square-root iteration hit a singular iterate") from exc
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(s[0])):
         raise ConvergenceError("square-root iteration diverged")
-    raise ConvergenceError(
-        f"square-root iteration did not converge in {_DB_MAX_ITER} steps"
-    )
+    raise ConvergenceError(f"square-root iteration did not converge in {_DB_MAX_ITER} steps")
 
 
 def _as_square(m) -> np.ndarray:

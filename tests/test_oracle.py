@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -13,8 +14,9 @@ from magicbch import (
     mat_exp_taylor,
     mat_log_near_identity,
     so4_from_coeffs,
+    su2_exp,
 )
-from magicbch import oracle
+from magicbch import cli, oracle
 
 
 def planar_rotation(theta):
@@ -123,8 +125,100 @@ def test_log_rejects_rotation_through_pi():
 
 
 def test_log_rejects_singular_input():
-    with pytest.raises(DomainError):
+    # DomainError's subclass, naming the singular iterate the square root hit
+    with pytest.raises(ConvergenceError, match="square-root iteration hit a singular iterate"):
         mat_log_near_identity(np.diag([1.0, 1.0, 1.0, 0.0]))
+
+
+def test_sqrt_convergence_error_when_budget_too_small(monkeypatch):
+    # one Denman-Beavers step cannot bring a planar rotation's root under 1e-15
+    monkeypatch.setattr(oracle, "_DB_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="^square-root iteration did not converge in 1 steps$"):
+        mat_log_near_identity(planar_rotation(0.9))
+
+
+def two_inverse_sqrt(m):
+    # the Denman-Beavers step with one inverse per iterate, as the oracle took it
+    # before it stacked (y, z); the reference for the stacked step's bits
+    y = m
+    z = np.eye(len(m), dtype=m.dtype)
+    try:
+        for _ in range(oracle._DB_MAX_ITER):
+            y_next = 0.5 * (y + np.linalg.inv(z))
+            z_next = 0.5 * (z + np.linalg.inv(y))
+            delta = frobenius_norm(y_next - y)
+            y, z = y_next, z_next
+            if delta < oracle._DB_TOL:
+                return y
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("square-root iteration hit a singular iterate") from exc
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceError("square-root iteration diverged")
+    raise ConvergenceError(f"square-root iteration did not converge in {oracle._DB_MAX_ITER} steps")
+
+
+def log_inputs():
+    # seeded so(4) products at bound 2 (some past the cut), SU(2) unitaries, real
+    # 2x2 rotations, perturbed identities that need roots and ones that need none,
+    # and the three refusals: a singular matrix, a rotation through pi, an overflow
+    rng = np.random.default_rng(27)
+    for _ in range(150):
+        f, g = rng.uniform(-2.0, 2.0, size=(2, 6))
+        yield mat_exp_taylor(so4_from_coeffs(f)) @ mat_exp_taylor(so4_from_coeffs(g))
+    for _ in range(60):
+        yield su2_exp(rng.uniform(-2.0, 2.0, size=3))
+    for angle in rng.uniform(-3.0, 3.0, size=60):
+        yield np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    for scale in (0.05, 0.2, 0.5):
+        for _ in range(20):
+            yield np.eye(4) + scale * rng.normal(size=(4, 4))
+    for _ in range(20):
+        yield np.eye(4) + 1e-3 * rng.normal(size=(4, 4))
+    yield np.diag([1.0, 1.0, 1.0, 0.0])
+    yield planar_rotation(math.pi)
+    yield np.eye(4) + 1e100 * np.triu(np.ones((4, 4)), 1)
+
+
+def log_outcome(m):
+    # the result's dtype, shape and bytes, or the refusal's class, text and cause,
+    # with every warning raised on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = mat_log_near_identity(m)
+            outcome = (got.dtype.str, got.shape, got.tobytes())
+        except DomainError as exc:
+            outcome = (type(exc), str(exc), type(exc.__cause__))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def test_stacked_sqrt_keeps_the_two_inverse_bits(monkeypatch):
+    stacked = [log_outcome(m) for m in log_inputs()]
+    monkeypatch.setattr(oracle, "_sqrt_denman_beavers", two_inverse_sqrt)
+    reference = [log_outcome(m) for m in log_inputs()]
+    assert stacked == reference
+    # the corpus reaches every outcome: results, each refusal, and log with no root
+    kinds = {o[0][1] if isinstance(o[0][0], type) else "result" for o in stacked}
+    assert kinds == {
+        "result",
+        "square-root iteration hit a singular iterate",
+        f"square-root iteration did not converge in {oracle._DB_MAX_ITER} steps",
+        f"matrix is still far from the identity after {oracle._MAX_SQRT_STEPS} square roots",
+    }
+
+
+def test_stacked_sqrt_keeps_the_bench_report(monkeypatch, capsys):
+    # the bench sweep's report, timings aside, under the stacked and the two-inverse step
+    def report():
+        assert cli.main(["bench", "--trials", "200", "--seed", "0", "--bound", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        del out["timings"]
+        return json.dumps(out)
+
+    stacked = report()
+    monkeypatch.setattr(oracle, "_sqrt_denman_beavers", two_inverse_sqrt)
+    assert report() == stacked
+    assert json.loads(stacked)["evaluated"] > 0
 
 
 def test_bch_trunc3_b_zero():
