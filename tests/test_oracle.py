@@ -138,8 +138,8 @@ def test_sqrt_convergence_error_when_budget_too_small(monkeypatch):
 
 
 def two_inverse_sqrt(m):
-    # the Denman-Beavers step with one inverse per iterate, as the oracle took it
-    # before it stacked (y, z); the reference for the stacked step's bits
+    # the Denman-Beavers step on y and z apart, one inverse call for each: the
+    # reference whose bits the oracle's stacked step must keep
     y = m
     z = np.eye(len(m), dtype=m.dtype)
     try:
@@ -197,7 +197,7 @@ def test_stacked_sqrt_keeps_the_two_inverse_bits(monkeypatch):
     monkeypatch.setattr(oracle, "_sqrt_denman_beavers", two_inverse_sqrt)
     reference = [log_outcome(m) for m in log_inputs()]
     assert stacked == reference
-    # the corpus reaches every outcome: results, each refusal, and log with no root
+    # the inputs reach a result and each of the square-root chain's refusals
     kinds = {o[0][1] if isinstance(o[0][0], type) else "result" for o in stacked}
     assert kinds == {
         "result",
