@@ -12,8 +12,12 @@ forms of ``exp``, ``log``, ``bch``, ``split`` and ``merge`` run the kernels of
 :mod:`magicbch._scalar` on those floats and never import NumPy; ``--oracle``,
 ``verify`` and ``bench`` load it with the series oracle and the array API.
 
-Exit codes: 0 success, 1 failed verification, 2 input or schema error,
-3 math-domain error, 4 internal-consistency error.
+Each command returns its one document, which :func:`main` writes to stdout or
+``--output`` only after the command has succeeded; a result payload is the
+kernels' (or the oracle's) flat floats, nested by its kind's shape.  Exit codes:
+0 success; 1 a ``verify`` sweep that did not pass, whose report is
+written before it exits; 2 input or schema error, 3 math-domain error and 4
+internal-consistency error, each a refusal that writes nothing.
 """
 
 import argparse
@@ -120,12 +124,10 @@ def _generator(source: str, kind: str, data):
         raise ShapeError(f"{source}: {exc}") from None
 
 
-def _rows(entries) -> list:
-    # a kernel's sixteen floats, row-major, as the four rows of a so4_matrix payload
-    return [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
-
-
 def _document(kind: str, data, **extra) -> dict:
+    # flat row-major floats nested to the kind's shape, innermost length first
+    for n in reversed(_SHAPES[kind][1:]):
+        data = [data[k : k + n] for k in range(0, len(data), n)]
     return {"kind": kind, "data": data, **extra}
 
 
@@ -168,29 +170,20 @@ def _series_log(kind: str, g):
     return algebra.coeffs_from_so4(0.5 * (ell - ell.T))
 
 
-def _cmd_exp(args) -> int:
+def _cmd_exp(args) -> dict:
     kind, data = load_document(args.input)
     if kind == "su2_vec":
-        if args.oracle:
-            u = [[[z.real, z.imag] for z in row] for row in _series_exp("su2_vec", data).tolist()]
-        else:
-            u = _scalar._unitary(_scalar._quaternion(data))
-            u = [[u[0:2], u[2:4]], [u[4:6], u[6:8]]]
-        out = _document("su2_matrix", u)
-    elif kind in _SO4_GENERATORS:
+        if args.oracle:  # a complex entry's two floats, re then im
+            return _document("su2_matrix", _series_exp(kind, data).ravel().view(float).tolist())
+        return _document("su2_matrix", _scalar._unitary(_scalar._quaternion(data)))
+    if kind in _SO4_GENERATORS:
         f = _generator(args.input, kind, data)
-        if args.oracle:
-            o = _series_exp("so4_coeffs", f).tolist()
-        else:
-            o = _rows(_scalar._so4_exp(f))
-        out = _document("so4_matrix", o, orthogonal=True)
-    else:
-        raise ShapeError("exp expects a su2_vec, so4_coeffs, or antisymmetric so4_matrix input")
-    emit(out, args.output)
-    return EXIT_OK
+        o = _series_exp("so4_coeffs", f).ravel().tolist() if args.oracle else _scalar._so4_exp(f)
+        return _document("so4_matrix", o, orthogonal=True)
+    raise ShapeError("exp expects a su2_vec, so4_coeffs, or antisymmetric so4_matrix input")
 
 
-def _cmd_log(args) -> int:
+def _cmd_log(args) -> dict:
     kind, data = load_document(args.input)
     # the gates take a matrix flat, row-major, a complex entry as its [re, im] pair
     if kind == "su2_matrix":
@@ -199,56 +192,45 @@ def _cmd_log(args) -> int:
             v = _series_log("su2_vec", [[complex(re, im) for re, im in row] for row in data])
         else:
             v = _scalar._quaternion_log(p)[0]
-        out = _document("su2_vec", v)
-    elif kind == "so4_matrix":
+        return _document("su2_vec", v)
+    if kind == "so4_matrix":
         o = _scalar._in_so4([x for row in data for x in row])
         f = _series_log("so4_coeffs", data) if args.oracle else _scalar._so4_log(o)
-        out = _document("so4_coeffs", f)
-    else:
-        raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")
-    emit(out, args.output)
-    return EXIT_OK
+        return _document("so4_coeffs", f)
+    raise ShapeError("log expects a su2_matrix or orthogonal so4_matrix input")
 
 
-def _cmd_bch(args) -> int:
+def _cmd_bch(args) -> dict:
     (ka, a), (kb, b) = load_document(args.a), load_document(args.b)
     mode = BranchMode(args.mode)
-
     if ka == kb == "su2_vec":
         if args.entries_path:
             raise ShapeError("--entries-path applies only to so4 inputs")
-        if args.oracle:
-            product = _series_exp("su2_vec", a) @ _series_exp("su2_vec", b)
-            out = _document("su2_vec", _series_log("su2_vec", product))
-        else:
-            co, z = _scalar._compose(a, b, mode)
-            out = _document("su2_vec", z, coefficients=_coefficients(co))
+        kind = "su2_vec"
     elif ka in _SO4_GENERATORS and kb in _SO4_GENERATORS:
-        fa, fb = _generator(args.a, ka, a), _generator(args.b, kb, b)
-        if args.oracle:
-            product = _series_exp("so4_coeffs", fa) @ _series_exp("so4_coeffs", fb)
-            out = _document("so4_coeffs", _series_log("so4_coeffs", product))
-        else:
-            f, c1, c2 = (_scalar._bch_entries if args.entries_path else _scalar._bch_so4)(fa, fb, mode)
-            coefficients = {"self_dual": _coefficients(c1), "anti_self_dual": _coefficients(c2)}
-            out = _document("so4_coeffs", f, coefficients=coefficients)
+        kind, a, b = "so4_coeffs", _generator(args.a, ka, a), _generator(args.b, kb, b)
     else:
         raise ShapeError(f"bch expects two documents of one kind family, got {ka!r} and {kb!r}")
-    out["mode"] = args.mode
-    emit(out, args.output)
-    return EXIT_OK
+    if args.oracle:
+        z = _series_log(kind, _series_exp(kind, a) @ _series_exp(kind, b))
+        return _document(kind, z, mode=args.mode)
+    if kind == "su2_vec":
+        co, z = _scalar._compose(a, b, mode)
+        return _document(kind, z, coefficients=_coefficients(co), mode=args.mode)
+    f, c1, c2 = (_scalar._bch_entries if args.entries_path else _scalar._bch_so4)(a, b, mode)
+    coefficients = {"self_dual": _coefficients(c1), "anti_self_dual": _coefficients(c2)}
+    return _document(kind, f, coefficients=coefficients, mode=args.mode)
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> dict:
     kind, data = load_document(args.input)
     if kind not in _SO4_GENERATORS:
         raise ShapeError("split expects a so4_coeffs or antisymmetric so4_matrix input")
     pair = _scalar._halves(_generator(args.input, kind, data))
-    emit({key: _document("su2_vec", v) for key, v in zip(_PAIR_KEYS, pair)}, args.output)
-    return EXIT_OK
+    return {key: _document("su2_vec", v) for key, v in zip(_PAIR_KEYS, pair)}
 
 
-def _cmd_merge(args) -> int:
+def _cmd_merge(args) -> dict:
     if len(args.inputs) == 1:
         path = args.inputs[0]
         doc = _read_json(path)
@@ -266,9 +248,7 @@ def _cmd_merge(args) -> int:
         if kind != "su2_vec":
             raise ShapeError(f"{source}: merge expects su2_vec documents, got {kind}")
         halves.append(v)
-    f = _scalar._merge(*halves)
-    emit(_document("so4_matrix", _rows(_scalar._generator_rows(*f))), args.output)
-    return EXIT_OK
+    return _document("so4_matrix", _scalar._generator_rows(*_scalar._merge(*halves)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +292,7 @@ def _sweep_report(args, operation: str, errors, timings: dict) -> dict:
     }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     from . import algebra
 
     def rotation(f):
@@ -333,12 +313,11 @@ def _cmd_verify(args) -> int:
     report = _sweep_report(args, "verify", errors, timings)
     report["tolerance"] = args.tol
     # a sweep that skipped every trial checked nothing, so it does not pass
-    report["passed"] = passed = bool(errors) and report["max_error"] < args.tol
-    emit(report, args.output)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    report["passed"] = bool(errors) and report["max_error"] < args.tol
+    return report
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> dict:
     from . import algebra, oracle, so4
 
     mode = BranchMode(args.mode)
@@ -373,8 +352,7 @@ def _cmd_bench(args) -> int:
         "oracle_ns_per_call": oracle_wall // n if n else 0,
         "speedup": oracle_wall / closed_wall if n and closed_wall else 0.0,
     }
-    emit(_sweep_report(args, "bench", deltas, timings), args.output)
-    return EXIT_OK
+    return _sweep_report(args, "bench", deltas, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +377,6 @@ _finite_float = _flag_type(float, math.isfinite, "finite")
 _entry_bound = _flag_type(
     float, lambda b: b >= 0 and math.isfinite(2 * b), "non-negative with 2 * bound finite"
 )
-
-
-def _add_output_flag(parser) -> None:
-    parser.add_argument("--output", metavar="FILE", help="write the result here instead of stdout")
 
 
 def _add_mode_flag(parser) -> None:
@@ -433,13 +407,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="exponentiate a generator document")
     p.add_argument("input")
     p.add_argument("--oracle", action="store_true", help="use the series oracle instead")
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_exp)
 
     p = sub.add_parser("log", help="principal logarithm of a group-element document")
     p.add_argument("input")
     p.add_argument("--oracle", action="store_true", help="use the series oracle instead")
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_log)
 
     p = sub.add_parser("bch", help="closed-form composition of two generators")
@@ -453,17 +425,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluate through the law on the generator entries (so4 inputs only)",
     )
     route.add_argument("--oracle", action="store_true", help="use the series oracle instead")
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_bch)
 
     p = sub.add_parser("split", help="self-dual / anti-self-dual decomposition")
     p.add_argument("input")
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("merge", help="rebuild a generator from its two halves")
     p.add_argument("inputs", nargs="+", metavar="INPUT")
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("verify", help="seeded random sweep of the composition law")
@@ -474,21 +443,24 @@ def _build_parser() -> argparse.ArgumentParser:
         default=_DEFAULT_TOL,
         help=f"pass threshold on the max error (default {_DEFAULT_TOL:g})",
     )
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time the closed form against the series oracle")
     _add_sweep_flags(p, trials=100)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_bench)
 
+    # every command writes one document, so each takes --output as its last flag
+    for p in sub.choices.values():
+        p.add_argument("--output", metavar="FILE", help="write the result here instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc = args.func(args)  # a refusal raises here, so it writes nothing
+        emit(doc, args.output)
+        return EXIT_VERIFY_FAILED if doc.get("passed") is False else EXIT_OK
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -31,7 +32,9 @@ from magicbch import (
     su2_exp,
     su2_log,
 )
+from magicbch import _scalar, oracle
 from magicbch._scalar import _bch_entries
+from magicbch.algebra import hermitian_from_vec, vec_from_hermitian
 from magicbch.cli import _compose_within_limits, _payload, _sample_generator_pairs, main
 
 
@@ -323,6 +326,80 @@ def test_emitted_documents_reparse(tmp_path, capsys):
         _, out, _ = run_cli(capsys, *args)
         _payload(read_json(out), "<stdout>")
 
+    # every result document reads back to the kernel's or the oracle's floats,
+    # row-major, a complex entry as re then im, bit for bit
+    x, y = [0.3, -0.2, 0.5], [-0.1, 0.4, 0.25]
+    f, g = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05], [0.2, 0.1, 0.0, 0.0, 0.0, -0.1]
+    px, py = (write_doc(tmp_path / f"{n}.json", su2_vec_doc(v)) for n, v in (("x", x), ("y", y)))
+    pf, pg = (write_doc(tmp_path / f"{n}.json", so4_coeffs_doc(v)) for n, v in (("f", f), ("g", g)))
+    u = _scalar._unitary(_scalar._quaternion(x))
+    o = _scalar._so4_exp(f)
+    u_rows = [[u[0:2], u[2:4]], [u[4:6], u[6:8]]]
+    pu = write_doc(tmp_path / "u.json", {"kind": "su2_matrix", "data": u_rows})
+    o_rows = [o[k : k + 4] for k in range(0, 16, 4)]
+    po = write_doc(tmp_path / "o.json", {"kind": "so4_matrix", "data": o_rows})
+    unitary = np.array([complex(u[k], u[k + 1]) for k in range(0, 8, 2)]).reshape(2, 2)
+
+    def su2_series_exp(v):
+        return oracle.mat_exp_taylor(1j * hermitian_from_vec(v))
+
+    def so4_series_exp(c):
+        return oracle.mat_exp_taylor(so4_from_coeffs(c))
+
+    def su2_series_log(m):
+        return vec_from_hermitian(oracle.mat_log_near_identity(m) / 1j).tolist()
+
+    def so4_series_log(m):
+        ell = oracle.mat_log_near_identity(m)
+        return coeffs_from_so4(0.5 * (ell - ell.T))
+
+    def complex_floats(m):
+        return [t for z in m.ravel().tolist() for t in (z.real, z.imag)]
+
+    corrected = BranchMode.BRANCH_CORRECTED
+    expected = [
+        (("exp", px), "su2_matrix", u),
+        (("exp", px, "--oracle"), "su2_matrix", complex_floats(su2_series_exp(x))),
+        (("exp", pf), "so4_matrix", o),
+        (("exp", pf, "--oracle"), "so4_matrix", so4_series_exp(f).ravel().tolist()),
+        (("log", pu), "su2_vec", _scalar._quaternion_log(_scalar._in_su2(u))[0]),
+        (("log", pu, "--oracle"), "su2_vec", su2_series_log(unitary)),
+        (("log", po), "so4_coeffs", _scalar._so4_log(_scalar._in_so4(o))),
+        (("log", po, "--oracle"), "so4_coeffs", so4_series_log(np.reshape(o, (4, 4)))),
+        (("bch", px, py), "su2_vec", _scalar._compose(x, y, corrected)[1]),
+        (
+            ("bch", px, py, "--oracle"),
+            "su2_vec",
+            su2_series_log(su2_series_exp(x) @ su2_series_exp(y)),
+        ),
+        (("bch", pf, pg), "so4_coeffs", _scalar._bch_so4(f, g, corrected)[0]),
+        (("bch", pf, pg, "--entries-path"), "so4_coeffs", _bch_entries(f, g, corrected)[0]),
+        (
+            ("bch", pf, pg, "--oracle"),
+            "so4_coeffs",
+            so4_series_log(so4_series_exp(f) @ so4_series_exp(g)),
+        ),
+        (("merge", px, py), "so4_matrix", _scalar._generator_rows(*_scalar._merge(x, y))),
+    ]
+
+    def flat(data):
+        return [t for item in data for t in flat(item)] if isinstance(data, list) else [data]
+
+    def bits(floats):
+        return [float(t).hex() for t in floats]
+
+    for args, kind, floats in expected:
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0, args
+        got_kind, data = _payload(read_json(out), "<stdout>")
+        assert (got_kind, bits(flat(data))) == (kind, bits(floats)), args
+    code, out, _ = run_cli(capsys, "split", pf)
+    assert code == 0
+    pair = read_json(out)
+    for key, half in zip(("self_dual", "anti_self_dual"), _scalar._halves(f)):
+        got_kind, data = _payload(pair[key], f"<stdout>:{key}")
+        assert (got_kind, bits(data)) == ("su2_vec", bits(half)), key
+
 
 def test_exact_output_bytes(tmp_path, capsys):
     # every result document is json.dumps(doc, indent=2, sort_keys=True) of
@@ -396,6 +473,63 @@ def test_exact_output_bytes(tmp_path, capsys):
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, ""), args
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", args
+
+
+def without_timings(text):
+    # a sweep report's text with its timings block cut out, every other byte kept
+    text, cuts = re.subn(r'  "timings": \{\n(    .*\n)*  \},\n', "", text)
+    assert cuts == 1
+    return text
+
+
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
+    # main writes each command's one document, to stdout or to --output alike
+    x = write_doc(tmp_path / "x.json", su2_vec_doc([0.3, -0.2, 0.5]))
+    f = write_doc(tmp_path / "f.json", so4_coeffs_doc([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]))
+    u = str(tmp_path / "u.json")
+    assert run_cli(capsys, "exp", x, "--output", u) == (0, "", "")
+    runs = [
+        ("exp", x),
+        ("exp", f, "--oracle"),
+        ("log", u),
+        ("log", u, "--oracle"),
+        ("bch", x, x),
+        ("bch", f, f, "--entries-path"),
+        ("bch", f, f, "--oracle"),
+        ("split", f),
+        ("merge", x, x),
+        ("verify", "--trials", "5", "--seed", "1"),
+        ("bench", "--trials", "3", "--seed", "1"),
+    ]
+    for args in runs:
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, ""), args
+        target = tmp_path / f"{args[0]}.out"
+        assert run_cli(capsys, *args, "--output", str(target)) == (0, "", ""), args
+        written = target.read_bytes().decode("utf-8")
+        if args[0] in ("verify", "bench"):
+            written, out = without_timings(written), without_timings(out)
+        assert written == out, args
+
+
+@pytest.mark.parametrize(
+    ("doc", "route", "expected"),
+    [
+        ({"kind": "su2_vec", "data": [1.0, 2.0]}, [], 2),
+        (so4_coeffs_doc([math.pi / 2, 0, 0, 0, 0, math.pi / 2]), [], 3),
+        (so4_coeffs_doc([math.pi / 2, 0, 0, 0, 0, math.pi / 2]), ["--entries-path"], 3),
+        (so4_coeffs_doc([math.pi / 2, 0, 0, 0, 0, math.pi / 2]), ["--oracle"], 3),
+    ],
+    ids=["bad_payload", "antipodal", "antipodal_entries", "antipodal_oracle"],
+)
+def test_a_refused_command_leaves_its_output_file_alone(tmp_path, capsys, doc, route, expected):
+    a = write_doc(tmp_path / "a.json", doc)
+    target = tmp_path / "out.json"
+    target.write_bytes(b"an earlier result\n")
+    code, out, err = run_cli(capsys, "bch", a, a, *route, "--output", str(target))
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ")
+    assert target.read_bytes() == b"an earlier result\n"
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -703,6 +837,11 @@ def test_an_internal_consistency_failure_exits_4(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "log", p)
     assert (code, out) == (4, "")
     assert err == "error: the factorization does not reproduce its input\n"
+    # a refusal writes nothing, so an earlier --output file stays as it was
+    target = tmp_path / "out.json"
+    target.write_bytes(b"an earlier result\n")
+    assert run_cli(capsys, "log", p, "--output", str(target))[:2] == (4, "")
+    assert target.read_bytes() == b"an earlier result\n"
 
 
 MERGE_WRONG_KIND = "merge expects su2_vec documents, got so4_coeffs"
@@ -841,12 +980,18 @@ def test_verify_skips_an_antipodal_pair(capsys, monkeypatch, mode):
     assert (code, report["passed"]) == (0, True)
 
 
-def test_verify_tol_flag_can_fail_the_run(capsys):
+def test_verify_tol_flag_can_fail_the_run(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--trials", "20", "--seed", "3", "--tol", "1e-20"
     )
     assert code == 1
     assert read_json(out)["passed"] is False
+    # a report that does not pass is still written, to --output as to stdout
+    target = tmp_path / "report.json"
+    args = ("verify", "--trials", "5", "--tol", "1e-300", "--output", str(target))
+    assert run_cli(capsys, *args) == (1, "", "")
+    report = read_json(target.read_text())
+    assert (report["passed"], report["evaluated"], report["tolerance"]) == (False, 5, 1e-300)
 
 
 @pytest.mark.parametrize(("seed", "evaluated", "expected"), [(0, 1, 0), (2, 0, 1)])
@@ -904,7 +1049,60 @@ options:
   --bound BOUND         entry bound for sampled generators
 """ + MODE_HELP
 OUTPUT_HELP = "  --output FILE         write the result here instead of stdout\n"
+# the commands with no --mode align their option help at a narrower column
+SHORT_OPTIONS = """\
+options:
+  -h, --help     show this help message and exit
+"""
+SHORT_ORACLE_HELP = "  --oracle       use the series oracle instead\n"
+SHORT_OUTPUT_HELP = "  --output FILE  write the result here instead of stdout\n"
 HELP = {
+    "magicbch": """\
+usage: magicbch [-h] {exp,log,bch,split,merge,verify,bench} ...
+
+closed-form composition of rotation generators via the magic basis
+
+positional arguments:
+  {exp,log,bch,split,merge,verify,bench}
+    exp                 exponentiate a generator document
+    log                 principal logarithm of a group-element document
+    bch                 closed-form composition of two generators
+    split               self-dual / anti-self-dual decomposition
+    merge               rebuild a generator from its two halves
+    verify              seeded random sweep of the composition law
+    bench               time the closed form against the series oracle
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "exp": """\
+usage: magicbch exp [-h] [--oracle] [--output FILE] input
+
+positional arguments:
+  input
+
+""" + SHORT_OPTIONS + SHORT_ORACLE_HELP + SHORT_OUTPUT_HELP,
+    "log": """\
+usage: magicbch log [-h] [--oracle] [--output FILE] input
+
+positional arguments:
+  input
+
+""" + SHORT_OPTIONS + SHORT_ORACLE_HELP + SHORT_OUTPUT_HELP,
+    "split": """\
+usage: magicbch split [-h] [--output FILE] input
+
+positional arguments:
+  input
+
+""" + SHORT_OPTIONS + SHORT_OUTPUT_HELP,
+    "merge": """\
+usage: magicbch merge [-h] [--output FILE] INPUT [INPUT ...]
+
+positional arguments:
+  INPUT
+
+""" + SHORT_OPTIONS + SHORT_OUTPUT_HELP,
     "bch": BCH_USAGE + """\
                     a b
 
@@ -936,10 +1134,11 @@ usage: magicbch bench [-h] [--trials TRIALS] [--seed SEED] [--bound BOUND]
 
 @pytest.mark.parametrize("command", sorted(HELP))
 def test_mode_commands_help_bytes(capsys, monkeypatch, command):
-    # the --mode choices come from BranchMode; the help text is pinned whole
+    # the --mode choices come from BranchMode, and every command's --output
+    # comes last; each help text, and the top-level one, is pinned whole
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as excinfo:
-        main([command, "--help"])
+        main(["--help"] if command == "magicbch" else [command, "--help"])
     assert excinfo.value.code == 0
     assert capsys.readouterr() == (HELP[command], "")
 

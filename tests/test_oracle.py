@@ -160,7 +160,8 @@ def two_inverse_sqrt(m):
 def log_inputs():
     # seeded so(4) products at bound 2 (some past the cut), SU(2) unitaries, real
     # 2x2 rotations, perturbed identities that need roots and ones that need none,
-    # and the three refusals: a singular matrix, a rotation through pi, an overflow
+    # and the four refusals: a singular matrix, a rotation through pi, an overflow,
+    # and a subnormal identity whose iterate's inverse overflows
     rng = np.random.default_rng(27)
     for _ in range(150):
         f, g = rng.uniform(-2.0, 2.0, size=(2, 6))
@@ -177,6 +178,7 @@ def log_inputs():
     yield np.diag([1.0, 1.0, 1.0, 0.0])
     yield planar_rotation(math.pi)
     yield np.eye(4) + 1e100 * np.triu(np.ones((4, 4)), 1)
+    yield 1e-310 * np.eye(4)
 
 
 def log_outcome(m):
@@ -202,6 +204,7 @@ def test_stacked_sqrt_keeps_the_two_inverse_bits(monkeypatch):
     assert kinds == {
         "result",
         "square-root iteration hit a singular iterate",
+        "square-root iteration diverged",
         f"square-root iteration did not converge in {oracle._DB_MAX_ITER} steps",
         f"matrix is still far from the identity after {oracle._MAX_SQRT_STEPS} square roots",
     }
