@@ -5,8 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +59,13 @@ def so4_coeffs_doc(c):
     return {"kind": "so4_coeffs", "data": list(map(float, c))}
 
 
+def su2_matrix_doc(x, offset=0.0):
+    # the document of su2_exp(x), its (0, 0) entry's real part raised by offset
+    data = np.stack([(u := su2_exp(x)).real, u.imag], axis=-1)
+    data[0, 0, 0] += offset
+    return {"kind": "su2_matrix", "data": data.tolist()}
+
+
 def test_exp_identity_vector(tmp_path, capsys):
     p = write_doc(tmp_path / "v.json", su2_vec_doc([0, 0, 0]))
     code, out, _ = run_cli(capsys, "exp", p)
@@ -105,6 +110,13 @@ def test_log_inverts_exp(tmp_path, capsys):
     doc = read_json(out)
     assert doc["kind"] == "so4_coeffs"
     np.testing.assert_allclose(doc["data"], coeffs, atol=1e-12)
+    # log gates a unitary's JSON floats directly: 1e-12 off SU(2) is inside
+    # the 1e-10 gate, and exp of that log is back within 1e-11
+    near, z = su2_matrix_doc([0.3, -0.2, 0.5], 1e-12), str(tmp_path / "z.json")
+    assert run_cli(capsys, "log", write_doc(tmp_path / "u.json", near), "--output", z) == (0, "", "")
+    code, out, _ = run_cli(capsys, "exp", z)
+    assert code == 0
+    assert np.abs(np.subtract(read_json(out)["data"], near["data"])).max() <= 1e-11
 
 
 def test_log_keeps_the_sign_of_a_zero_imaginary_part(tmp_path, capsys):
@@ -158,11 +170,12 @@ def test_bch_entries_path_agrees(tmp_path, capsys):
     rng = np.random.default_rng(71)
     a = write_doc(tmp_path / "a.json", so4_coeffs_doc(rng.uniform(-0.3, 0.3, 6)))
     b = write_doc(tmp_path / "b.json", so4_coeffs_doc(rng.uniform(-0.3, 0.3, 6)))
-    _, default_out, _ = run_cli(capsys, "bch", a, b)
-    _, entries_out, _ = run_cli(capsys, "bch", a, b, "--entries-path")
-    x = np.asarray(read_json(default_out)["data"])
-    y = np.asarray(read_json(entries_out)["data"])
-    assert float(np.abs(x - y).max()) < 1e-13
+    for mode in ("corrected", "paper"):
+        _, default_out, _ = run_cli(capsys, "bch", a, b, "--mode", mode)
+        _, entries_out, _ = run_cli(capsys, "bch", a, b, "--entries-path", "--mode", mode)
+        x = np.asarray(read_json(default_out)["data"])
+        y = np.asarray(read_json(entries_out)["data"])
+        assert float(np.abs(x - y).max()) < 1e-13, mode
 
 
 def test_bch_entries_path_rejects_su2(tmp_path, capsys):
@@ -816,11 +829,13 @@ def test_bch_oracle_does_not_call_the_closed_forms(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
-@pytest.mark.parametrize("kind", ["su2_matrix", "so4_matrix"])
+@pytest.mark.parametrize("kind", ["su2_matrix", "so4_matrix", "su2_matrix_1e-9_off"])
 def test_log_of_a_non_group_element_exits_3(tmp_path, capsys, kind, oracle):
     doc = {"kind": "su2_matrix", "data": [[[1.1, 0], [0, 0]], [[0, 0], [1.1, 0]]]}
     if kind == "so4_matrix":
         doc = {"kind": "so4_matrix", "data": (1.1 * np.eye(4)).tolist(), "orthogonal": True}
+    if kind == "su2_matrix_1e-9_off":  # past the 1e-10 gate, which 1e-12 off passes
+        doc = su2_matrix_doc([0.3, -0.2, 0.5], 1e-9)
     code, out, err = run_cli(capsys, "log", write_doc(tmp_path / "m.json", doc), *oracle)
     assert (code, out) == (3, "")
     assert "tolerance" in err
@@ -1211,68 +1226,90 @@ def test_bench_skips_pairs_past_the_principal_log(capsys):
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "magicbch", "verify", "--trials", "5", "--seed", "4"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["passed"] is True
+    # the package's __main__ and cli.py's own __main__ block
+    for module in ("magicbch", "magicbch.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "verify", "--trials", "5", "--seed", "4"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, module
+        assert json.loads(proc.stdout)["passed"] is True, module
 
 
-def test_closed_form_commands_never_import_numpy(tmp_path):
-    # exp, log, bch, split and merge run on Python floats alone, without
-    # NumPy, dataclasses or inspect; --oracle, verify and bench load NumPy
-    # and still work in the same process
+# the child of the test below: an import guard at the front of sys.meta_path
+# refuses every top-level module outside the standard library and magicbch
+GUARDED_CHILD = """
+import contextlib, io, json, pathlib, runpy, sys
+class StandardLibraryOnly:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in {*sys.stdlib_module_names, "magicbch"}:
+            raise ImportError(f"{name} is outside the standard library")
+sys.meta_path.insert(0, guard := StandardLibraryOnly())
+preloaded = set(sys.modules)  # what the interpreter's site hooks and this script load
+import magicbch
+resolved = [magicbch.errors.__name__, magicbch.ShapeError.__module__, magicbch.AntipodalSingularityError.__module__]
+from magicbch.cli import main
+spec, records = json.loads(sys.argv[1]), []
+target = pathlib.Path(spec["target"])
+for k, args in enumerate(spec["closed"]):
+    out, err, sys.argv = io.StringIO(), io.StringIO(), ["magicbch", *args]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:  # the first command runs through the package's __main__, which exits with main's code
+            code = main(args) if k else runpy.run_module("magicbch", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    records.append([code, out.getvalue(), err.getvalue(), target.read_text() if target.exists() else None])
+loaded = set(sys.modules) - preloaded
+before = {"numpy": "numpy" in sys.modules, **{m: m in loaded for m in ("dataclasses", "inspect")}}
+sys.meta_path.remove(guard)
+codes = [main(args) for args in spec["loading"]]
+print(json.dumps([resolved, records, before, codes, "numpy" in sys.modules]))
+"""
+
+
+def test_closed_form_commands_import_only_the_standard_library(tmp_path, capsys):
+    # exp, log, bch, split and merge, refusals included, run on Python floats alone, without
+    # dataclasses or inspect, and print what they print here; once the guard is gone,
+    # --oracle, verify and bench load NumPy and still work in the same process
     x, y = su2_vec_doc([0.3, -0.2, 0.5]), su2_vec_doc([-0.1, 0.4, 0.25])
     f, g = so4_coeffs_doc([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]), so4_coeffs_doc([0.2, 0.1, 0, 0, 0, -0.1])
-    u = su2_exp([0.3, -0.2, 0.5])
-    o = so4_exp(so4_from_coeffs(f["data"]))
     docs = {
-        "x": x,
-        "y": y,
-        "f": f,
-        "g": g,
-        "a": {"kind": "so4_matrix", "data": so4_from_coeffs(g["data"]).tolist()},
-        "u": {"kind": "su2_matrix", "data": np.stack([u.real, u.imag], axis=-1).tolist()},
-        "o": {"kind": "so4_matrix", "data": o.tolist(), "orthogonal": True},
+        "x": x, "y": y, "f": f, "g": g, "u": su2_matrix_doc(x["data"]),
         "pair": {"self_dual": x, "anti_self_dual": y},
+        "a": {"kind": "so4_matrix", "data": so4_from_coeffs(g["data"]).tolist()},
+        "o": {"kind": "so4_matrix", "data": so4_exp(so4_from_coeffs(f["data"])).tolist(), "orthogonal": True},
+        "off": {"kind": "so4_matrix", "data": (1.1 * np.eye(4)).tolist()},
+        "off_u": {"kind": "su2_matrix", "data": [[[1.1, 0], [0, 0]], [[0, 0], [1.1, 0]]]},
+        "antipodal": so4_coeffs_doc([math.pi / 2, 0, 0, 0, 0, math.pi / 2]),
+        "overflowing": so4_coeffs_doc([0, 1e308, 0, 0, 1e308, 0]),
     }
     paths = {key: write_doc(tmp_path / f"{key}.json", doc) for key, doc in docs.items()}
+    target = tmp_path / "out.json"
     closed = [
-        ["exp", "x"], ["exp", "f"], ["exp", "a"], ["log", "u"], ["log", "o"],
+        ["exp", "x"], ["exp", "f", "--output", str(target)], ["exp", "a"], ["exp", "off"],
+        ["log", "u"], ["log", "o"], ["log", "off"], ["log", "off", "--oracle"], ["log", "off_u", "--oracle"],
         ["bch", "x", "y"], ["bch", "x", "y", "--mode", "paper"],
         ["bch", "f", "g"], ["bch", "a", "g", "--mode", "paper"],
         ["bch", "f", "a", "--entries-path"], ["bch", "f", "g", "--entries-path", "--mode", "paper"],
-        ["split", "f"], ["split", "a"], ["merge", "pair"], ["merge", "x", "y"],
+        ["bch", "antipodal", "antipodal"], ["bch", "overflowing", "g", "--entries-path"],
+        ["split", "f"], ["split", "a", "--output", str(target)], ["merge", "pair"], ["merge", "x", "y"],
     ]
-    loading = [
-        ["exp", "x", "--oracle"], ["log", "o", "--oracle"], ["bch", "f", "g", "--oracle"],
-        ["verify", "--trials", "3"], ["bench", "--trials", "2"],
-    ]
-    out = str(tmp_path / "out.json")
-    commands = [[paths.get(arg, arg) for arg in c] + ["--output", out] for c in closed + loading]
-    script = textwrap.dedent(
-        f"""
-        import json, sys
-        preloaded = set(sys.modules)  # what the interpreter's site hooks load
-        from magicbch.cli import main
-        codes = []
-        for k, args in enumerate({commands!r}):
-            if k == {len(closed)}:
-                loaded = set(sys.modules) - preloaded
-                print(json.dumps({{"numpy": "numpy" in sys.modules, **{{m: m in loaded for m in ("dataclasses", "inspect")}}}}))
-            codes.append(main(args))
-        print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
-        """
-    )
-    src = str(Path(magicbch.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    loading = [["exp", "x", "--oracle"], ["log", "o", "--oracle"], ["bch", "f", "g", "--oracle"]]
+    loading += [["verify", "--trials", "3"], ["bench", "--trials", "2"]]
+    closed = [[paths.get(arg, arg) for arg in c] for c in closed]
+    loading = [[paths.get(arg, arg) for arg in c] + ["--output", os.devnull] for c in loading]
+    spec = json.dumps({"closed": closed, "loading": loading, "target": str(target)})
+    proc = subprocess.run([sys.executable, "-c", GUARDED_CHILD, spec], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
-    before, after = map(json.loads, proc.stdout.splitlines())
+    resolved, records, before, codes, numpy = json.loads(proc.stdout)
+    target.unlink()  # the child's, so that both runs start without it
+    expected = [[*run_cli(capsys, *args), target.read_text() if target.exists() else None] for args in closed]
+    assert {code for code, *_ in expected} == {0, 2, 3}
+    assert records == expected
+    assert resolved == ["magicbch.errors"] * 3
     assert before == {"numpy": False, "dataclasses": False, "inspect": False}
-    assert after == {"codes": [0] * len(commands), "numpy": True}
+    assert (codes, numpy) == ([0] * len(loading), True)
 
 
 def test_package_exports_every_name_its_modules_list():

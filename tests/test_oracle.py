@@ -87,10 +87,16 @@ def test_exp_additivity_on_commuting_inputs():
 
 
 def test_exp_convergence_error_when_budget_too_small(monkeypatch):
+    # eight terms bring neither series under 1e-30; the log's input is within
+    # 0.25 of the identity, so it takes no square root first
     monkeypatch.setattr(oracle, "_TOL", 1e-30)
     monkeypatch.setattr(oracle, "_MAX_TERMS", 8)
-    with pytest.raises(ConvergenceError):
-        mat_exp_taylor(0.49 * np.eye(2))
+    c = math.cos(0.1)
+    logarithm = (mat_log_near_identity, np.array([[c, 0.1], [-0.1, c]]))
+    for name, (series, m) in {"exponential": (mat_exp_taylor, 0.49 * np.eye(2)), "logarithm": logarithm}.items():
+        with pytest.raises(ConvergenceError, match=f"^{name} series did not reach tol 1e-30 in 8 terms$") as info:
+            series(m)
+        assert info.type is ConvergenceError
 
 
 def test_exp_rejects_unsupported_shapes():
