@@ -2,21 +2,22 @@
 
 These deliberately share no code path with the closed-form modules: the
 exponential is a scaling-and-squaring Taylor sum, the logarithm is inverse
-scaling with Denman-Beavers square roots followed by a Mercator series, and
-:func:`bch_trunc3` is the plain order-3 commutator expansion.  They are
-slower and only serve as independent ground truth in tests, benchmarks,
-and the ``--oracle`` flag of the command line.  Their budgets are fixed:
-a series stops at a term under 1e-16 in Frobenius norm or fails after 64
-terms, and the logarithm takes at most 32 square roots, each of at most 50
-Denman-Beavers steps, stopping at a step under 1e-15.  A matrix is read by
-the array API's number rule: a string or ``None`` entry (also in an object
-array), an int past the float range, ragged nesting or a NaN/Inf entry
-raises ``ShapeError``, and a complex entry makes the matrix complex.  A norm
-that overflows a float raises ``DomainError``, as does a result that
-overflows one (with no NumPy warning) and an exponential argument with
-Frobenius norm above 1e4: each squaring doubles the rounding error, and past
-that norm the result drifts off the group by more than the 1e-10 that the
-special-orthogonal gate allows.
+scaling with Denman-Beavers square roots followed by the Gregory series
+``2 atanh(s)``, ``s = (X + I)^-1 (X - I)``, and :func:`bch_trunc3` is the
+plain order-3 commutator expansion.  They are slower and only serve as
+independent ground truth in tests, benchmarks, and the ``--oracle`` flag of
+the command line.  Their budgets are fixed: a series stops at a term under
+1e-16 in Frobenius norm or fails after 64 terms (a log term is an odd power
+of ``s`` over its exponent), and the logarithm takes at most 32 square
+roots, each of at most 50 Denman-Beavers steps, stopping at a step under
+1e-15.  A matrix is read by the array API's number rule: a string or ``None``
+entry (also in an object array), an int past the float range, ragged nesting
+or a NaN/Inf entry raises ``ShapeError``, and a complex entry makes the
+matrix complex.  A norm that overflows a float raises ``DomainError``, as
+does a result that overflows one (with no NumPy warning) and an exponential
+argument with Frobenius norm above 1e4: each squaring doubles the rounding
+error, and past that norm the result drifts off the group by more than the
+1e-10 that the special-orthogonal gate allows.
 """
 
 import math
@@ -73,13 +74,13 @@ def mat_exp_taylor(m) -> np.ndarray:
 
 
 def mat_log_near_identity(m) -> np.ndarray:
-    """Principal matrix logarithm by inverse scaling and a Mercator series.
+    """Principal matrix logarithm by inverse scaling and the Gregory series.
 
-    Square roots are taken until ``|m - I|`` falls below 0.25, the series
-    ``log(I + d)`` is summed, and the result is scaled back by the number of
-    roots taken.  Inputs whose principal root chain does not approach the
-    identity (a rotation through pi in some plane, say) fail with a domain
-    error.
+    Square roots are taken until ``|m - I|_F`` falls below 0.75, which bounds
+    ``s = (m + I)^-1 (m - I)`` by 0.6 in norm; ``2 (s + s^3/3 + s^5/5 + ...)``
+    is summed, and the result is scaled back by the number of roots taken.
+    Inputs whose principal root chain does not approach the identity (a
+    rotation through pi in some plane, say) fail with a domain error.
     """
     return _finite(lambda: _log_near_identity(_as_square(m)))
 
@@ -89,7 +90,7 @@ def _log_near_identity(m):
 
     x = m
     steps = 0
-    while frobenius_norm(x - eye) >= 0.25:
+    while frobenius_norm(x - eye) >= 0.75:
         if steps >= _MAX_SQRT_STEPS:
             raise DomainError(
                 f"matrix is still far from the identity after {steps} square roots"
@@ -97,18 +98,22 @@ def _log_near_identity(m):
         x = _sqrt_denman_beavers(x)
         steps += 1
 
-    d = x - eye
-    power = acc = d
-    for k in range(2, _MAX_TERMS + 1):
-        power = power @ d
-        acc = acc + (-1.0) ** (k + 1) / k * power
+    # log x = 2 atanh(s), s = (x + I)^-1 (x - I), for x normal or not: |x - I|_2 <= |x - I|_F
+    # < 0.75 leaves x + I no singular value below 1.25, so the solve never meets a singular
+    # matrix, and |s|_2, |s|_F <= 0.6 puts term 33, s^65 / 65, under 1e-16 in Frobenius norm
+    s = np.linalg.solve(x + eye, x - eye)
+    s2 = s @ s
+    power = acc = s
+    for k in range(3, 2 * _MAX_TERMS, 2):
+        power = power @ s2
+        acc = acc + power / k
         if frobenius_norm(power) / k < _TOL:
             break
     else:
         raise ConvergenceError(
             f"logarithm series did not reach tol {_TOL:g} in {_MAX_TERMS} terms"
         )
-    return acc * float(2**steps)
+    return acc * float(2 ** (steps + 1))  # 2 atanh(s), scaled back by the roots
 
 
 def bch_trunc3(a, b) -> np.ndarray:

@@ -11,9 +11,12 @@ from magicbch import (
     ShapeError,
     bch_trunc3,
     frobenius_norm,
+    hermitian_from_vec,
     mat_exp_taylor,
     mat_log_near_identity,
+    so4_exp,
     so4_from_coeffs,
+    split,
     su2_exp,
 )
 from magicbch import cli, oracle
@@ -123,6 +126,47 @@ def test_log_exp_round_trip():
         assert frobenius_norm(a) < 1.0
         worst = max(worst, frobenius_norm(mat_log_near_identity(mat_exp_taylor(a)) - a))
     assert worst < 1e-12
+
+
+def test_log_of_a_closed_form_exponential_is_within_8_eps_of_its_generator():
+    # so(4) generators with entries in +-1.5 whose channels' half-angles sum under 3,
+    # and su(2) vectors shorter than 3: the error is measured in eps max(1, |L|_F)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    so4_ratios = []
+    for f in rng.uniform(-1.5, 1.5, size=(500, 6)):
+        gen = so4_from_coeffs(f)
+        z1, z2 = split(gen)
+        if np.linalg.norm(z1) + np.linalg.norm(z2) < 3.0:
+            err = frobenius_norm(mat_log_near_identity(so4_exp(gen)) - gen)
+            so4_ratios.append(err / (eps * max(1.0, frobenius_norm(gen))))
+    su2_ratios = []
+    for v in rng.uniform(-3.0, 3.0, size=(400, 3)):
+        if np.linalg.norm(v) < 3.0:
+            gen = 1j * hermitian_from_vec(v)
+            err = frobenius_norm(mat_log_near_identity(su2_exp(v)) - gen)
+            su2_ratios.append(err / (eps * max(1.0, frobenius_norm(gen))))
+    assert len(so4_ratios) > 400 and len(su2_ratios) > 150
+    assert max(so4_ratios) < 8.0
+    assert max(su2_ratios) < 8.0
+
+
+def test_log_takes_no_root_at_the_edge_of_the_series_radius(monkeypatch):
+    # non-normal I + 0.749 N / |N|_F, real and complex, in 2x2 and 4x4: the series
+    # converges without a square root, and exp returns the input within 16 eps
+    def no_root(m):
+        raise AssertionError("took a square root")
+
+    monkeypatch.setattr(oracle, "_sqrt_denman_beavers", no_root)
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for size in (2, 4):
+        for unit in (0.0, 1j):
+            for _ in range(100):
+                n = rng.normal(size=(size, size)) + unit * rng.normal(size=(size, size))
+                m = np.eye(size) + 0.749 * n / frobenius_norm(n)
+                worst = max(worst, frobenius_norm(mat_exp_taylor(mat_log_near_identity(m)) - m))
+    assert worst < 16 * np.finfo(float).eps
 
 
 def test_log_rejects_rotation_through_pi():
