@@ -262,16 +262,17 @@ def _sample_generator_pairs(trials: int, seed: int, bound: float):
     return np.random.default_rng(seed).uniform(-bound, bound, size=(trials, 2, 6)).tolist()
 
 
-def _compose_within_limits(f, g, mode):
-    """``_bch_so4`` of the pair, or None at the antipode or where the paper's arcsine folds."""
-    try:
-        r = _scalar._bch_so4(f, g, mode)
-    except AntipodalSingularityError:
-        return None
-    # theta closes each channel's (alpha, beta, gamma, rho, theta)
-    if mode is BranchMode.PAPER_FAITHFUL and max(r[1][4], r[2][4]) > math.pi / 2:
-        return None
-    return r
+def _composed(pairs, mode):
+    """Each pair with its ``_bch_so4`` as ``(f, g, r)``, bar the antipode and arcsine folds."""
+    for f, g in pairs:
+        try:
+            r = _scalar._bch_so4(f, g, mode)
+        except AntipodalSingularityError:
+            continue
+        # theta closes each channel's (alpha, beta, gamma, rho, theta)
+        if mode is BranchMode.PAPER_FAITHFUL and max(r[1][4], r[2][4]) > math.pi / 2:
+            continue
+        yield f, g, r
 
 
 def _sweep_report(args, operation: str, errors, timings: dict) -> dict:
@@ -302,14 +303,13 @@ def _cmd_verify(args) -> dict:
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
     start = time.perf_counter_ns()
-    errors = []
-    for f, g in pairs:
-        r = _compose_within_limits(f, g, mode)
-        if r is not None:
-            errors.append(algebra.frobenius_norm(rotation(r[0]) - rotation(f) @ rotation(g)))
+    errors = [
+        algebra.frobenius_norm(rotation(r[0]) - rotation(f) @ rotation(g))
+        for f, g, r in _composed(pairs, mode)
+    ]
     wall = time.perf_counter_ns() - start
 
-    timings = {"wall_time_ns": wall, "ns_per_trial": wall // max(args.trials, 1)}
+    timings = {"wall_time_ns": wall, "ns_per_trial": wall // args.trials}
     report = _sweep_report(args, "verify", errors, timings)
     report["tolerance"] = args.tol
     # a sweep that skipped every trial checked nothing, so it does not pass
@@ -323,13 +323,13 @@ def _cmd_bench(args) -> dict:
     mode = BranchMode(args.mode)
     pairs = _sample_generator_pairs(args.trials, args.seed, args.bound)
 
-    usable = []
-    for f, g in pairs:
-        r = _compose_within_limits(f, g, mode)
-        # past theta1 + theta2 = pi the principal log of the product lies on
-        # another branch than the composition, so the two are not comparable
-        if r is not None and r[1][4] + r[2][4] < math.pi:
-            usable.append((algebra.so4_from_coeffs(f), algebra.so4_from_coeffs(g)))
+    # past theta1 + theta2 = pi the principal log of the product lies on
+    # another branch than the composition, so the two are not comparable
+    usable = [
+        (algebra.so4_from_coeffs(f), algebra.so4_from_coeffs(g))
+        for f, g, r in _composed(pairs, mode)
+        if r[1][4] + r[2][4] < math.pi
+    ]
 
     start = time.perf_counter_ns()
     closed = [so4.bch_so4(a, b, mode).result for a, b in usable]

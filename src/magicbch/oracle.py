@@ -10,7 +10,11 @@ the command line.  Their budgets are fixed: a series stops at a term under
 1e-16 in Frobenius norm or fails after 64 terms (a log term is an odd power
 of ``s`` over its exponent), and the logarithm takes at most 32 square
 roots, each of at most 50 Denman-Beavers steps, stopping at a step under
-1e-15.  A matrix is read by the array API's number rule: a string or ``None``
+1e-15.  A square root that fails raises ``ConvergenceError``.  Where the
+matrix whose root failed has an eigenvalue on the closed negative real axis
+(to 8 eps of its size), so that no principal logarithm exists, the refusal
+names that eigenvalue as its cause; the eigenvalues are computed only then.
+A matrix is read by the array API's number rule: a string or ``None``
 entry (also in an object array), an int past the float range, ragged nesting
 or a NaN/Inf entry raises ``ShapeError``, and a complex entry makes the
 matrix complex.  A norm that overflows a float raises ``DomainError``, as
@@ -36,6 +40,7 @@ _MAX_TERMS = 64
 _MAX_SQRT_STEPS = 32
 _DB_MAX_ITER = 50
 _DB_TOL = 1e-15
+_EPS = float(np.finfo(float).eps)
 # Largest Frobenius norm mat_exp_taylor accepts: for a generator with one
 # entry 1e5 (1e8) the squared-up result is off orthogonality by 1.1e-10 (1.4e-7).
 _MAX_EXP_NORM = 1e4
@@ -80,7 +85,8 @@ def mat_log_near_identity(m) -> np.ndarray:
     ``s = (m + I)^-1 (m - I)`` by 0.6 in norm; ``2 (s + s^3/3 + s^5/5 + ...)``
     is summed, and the result is scaled back by the number of roots taken.
     Inputs whose principal root chain does not approach the identity (a
-    rotation through pi in some plane, say) fail with a domain error.
+    rotation through pi in some plane, say) fail with a domain error, which
+    names an eigenvalue on the closed negative real axis where one is the cause.
     """
     return _finite(lambda: _log_near_identity(_as_square(m)))
 
@@ -95,7 +101,17 @@ def _log_near_identity(m):
             raise DomainError(
                 f"matrix is still far from the identity after {steps} square roots"
             )
-        x = _sqrt_denman_beavers(x)
+        try:
+            x = _sqrt_denman_beavers(x)
+        except ConvergenceError as exc:
+            # eigvals (~20 us, a tenth of a 4x4 log or more) runs only on a refusal
+            lam = _eigenvalue_on_the_cut(x)
+            if lam is None:
+                raise
+            raise type(exc)(
+                f"{exc}: eigenvalue {lam:.6g} on the closed negative real axis, "
+                "no principal logarithm"
+            ) from exc.__cause__
         steps += 1
 
     # log x = 2 atanh(s), s = (x + I)^-1 (x - I), for x normal or not: |x - I|_2 <= |x - I|_F
@@ -149,6 +165,15 @@ def _sqrt_denman_beavers(m):
     if not np.all(np.isfinite(s[0])):
         raise ConvergenceError("square-root iteration diverged")
     raise ConvergenceError(f"square-root iteration did not converge in {_DB_MAX_ITER} steps")
+
+
+def _eigenvalue_on_the_cut(x):
+    # the first eigenvalue of x on the closed negative real axis to rounding,
+    # where the principal logarithm is undefined, or None
+    for lam in map(complex, np.linalg.eigvals(x).tolist()):
+        if lam.real <= 0.0 and abs(lam.imag) <= 8.0 * _EPS * abs(lam):
+            return lam
+    return None
 
 
 def _as_square(m) -> np.ndarray:

@@ -33,7 +33,7 @@ from magicbch import (
 from magicbch import _scalar, oracle
 from magicbch._scalar import _bch_entries
 from magicbch.algebra import hermitian_from_vec, vec_from_hermitian
-from magicbch.cli import _compose_within_limits, _payload, _sample_generator_pairs, main
+from magicbch.cli import _composed, _payload, _sample_generator_pairs, main
 
 
 def write_doc(path, doc):
@@ -973,12 +973,12 @@ def test_sweep_keeps_corrected_trials_near_the_cut():
     a = merge(SplitPair(np.array([1.5, 0.0, 0.0]), np.array([0.1, 0.2, 0.0])))
     b = merge(SplitPair(np.array([math.pi - 1.5 - 1e-4, 0.0, 0.0]), np.array([0.0, -0.1, 0.3])))
     f, g = coeffs_from_so4(a), coeffs_from_so4(b)
-    r = _compose_within_limits(f, g, BranchMode.BRANCH_CORRECTED)
-    assert r is not None
-    h, (*_, theta1), _ = r  # the kernel's plain (alpha, beta, gamma, rho, theta)
+    composed = list(_composed([(f, g)], BranchMode.BRANCH_CORRECTED))
+    assert len(composed) == 1 and composed[0][:2] == (f, g)
+    h, (*_, theta1), _ = composed[0][2]  # the kernel's plain (alpha, beta, gamma, rho, theta)
     assert math.pi - theta1 == pytest.approx(1e-4, rel=1e-6)
     assert frobenius_norm(so4_exp(so4_from_coeffs(h)) - so4_exp(a) @ so4_exp(b)) <= 1e-13
-    assert _compose_within_limits(f, g, BranchMode.PAPER_FAITHFUL) is None
+    assert list(_composed([(f, g)], BranchMode.PAPER_FAITHFUL)) == []
 
 
 @pytest.mark.parametrize("mode", list(BranchMode))
@@ -986,7 +986,7 @@ def test_verify_skips_an_antipodal_pair(capsys, monkeypatch, mode):
     # f = g with f12 = f34 = pi/2 composes its self-dual half to theta = pi,
     # so the sweep skips it in either mode and evaluates the ordinary pair
     f = g = [math.pi / 2, 0.0, 0.0, 0.0, 0.0, math.pi / 2]
-    assert _compose_within_limits(f, g, mode) is None
+    assert list(_composed([(f, g)], mode)) == []
     ordinary = ([0.1, -0.2, 0.05, 0.3, 0.0, -0.1], [0.2, 0.1, -0.3, 0.0, 0.15, 0.05])
     monkeypatch.setattr("magicbch.cli._sample_generator_pairs", lambda *args: [(f, g), ordinary])
     code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--mode", mode.value)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -180,6 +181,24 @@ def test_log_rejects_singular_input():
         mat_log_near_identity(np.diag([1.0, 1.0, 1.0, 0.0]))
 
 
+ON_THE_CUT = " on the closed negative real axis, no principal logarithm"
+
+
+def test_log_refusal_names_an_eigenvalue_on_the_negative_axis():
+    # a rotation through pi, and a seeded I + 0.5 N with a negative eigenvalue,
+    # have no principal logarithm; the root chain's refusal names the eigenvalue
+    noisy = np.eye(4) + 0.5 * np.random.default_rng(35).normal(size=(4, 4))
+    for m in (planar_rotation(math.pi), noisy):
+        expected = min(np.linalg.eigvals(m), key=lambda lam: lam.real)
+        assert expected.real < 0.0 and abs(expected.imag) < 1e-15
+        text = rf"^square-root iteration did not converge in {oracle._DB_MAX_ITER} steps: eigenvalue (\S+){ON_THE_CUT}$"
+        with pytest.raises(ConvergenceError, match=text) as info:
+            mat_log_near_identity(m)
+        assert info.type is ConvergenceError and info.value.__cause__ is None
+        named = complex(re.match(text, str(info.value)).group(1))
+        assert abs(named - expected) < 1e-5 * abs(expected), (named, expected)
+
+
 def test_sqrt_convergence_error_when_budget_too_small(monkeypatch):
     # one Denman-Beavers step cannot bring a planar rotation's root under 1e-15
     monkeypatch.setattr(oracle, "_DB_MAX_ITER", 1)
@@ -249,13 +268,17 @@ def test_stacked_sqrt_keeps_the_two_inverse_bits(monkeypatch):
     monkeypatch.setattr(oracle, "_sqrt_denman_beavers", two_inverse_sqrt)
     reference = [log_outcome(m) for m in log_inputs()]
     assert stacked == reference
-    # the inputs reach a result and each of the square-root chain's refusals
-    kinds = {o[0][1] if isinstance(o[0][0], type) else "result" for o in stacked}
+    # the inputs reach a result and each of the square-root chain's refusals, a
+    # refusal whose matrix has an eigenvalue on the cut naming it (digits dropped)
+    kinds = {
+        re.sub(r": eigenvalue \S+ on", ": eigenvalue λ on", o[0][1]) if isinstance(o[0][0], type) else "result"
+        for o in stacked
+    }
     assert kinds == {
         "result",
-        "square-root iteration hit a singular iterate",
+        f"square-root iteration hit a singular iterate: eigenvalue λ{ON_THE_CUT}",
         "square-root iteration diverged",
-        f"square-root iteration did not converge in {oracle._DB_MAX_ITER} steps",
+        f"square-root iteration did not converge in {oracle._DB_MAX_ITER} steps: eigenvalue λ{ON_THE_CUT}",
         f"matrix is still far from the identity after {oracle._MAX_SQRT_STEPS} square roots",
     }
 

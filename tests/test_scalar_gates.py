@@ -5,6 +5,8 @@ its antisymmetry, special-orthogonal or special-unitary gate in scalars.
 These tests hold every gate to an inline NumPy evaluation of the same
 quantity against the same tolerance, on perturbed samples that straddle
 the tolerance, and hold the readers to NumPy's own indexing bit for bit.
+``reference_lift`` is the tests' one statement of the rule that picks the
+lift (p, q) or (-p, -q) of a rotation; every reference factorization calls it.
 """
 
 import math
@@ -366,21 +368,25 @@ def merged(z1, z2):
     return merge(SplitPair(z1, z2))
 
 
-def canonical_lift(p, q):
-    # the lift rule as a separate step, the reference for the rule folded
-    # into the factorization: of the two lifts (p, q) and (-p, -q), pick the
-    # one whose self-dual factor has non-negative real trace 2 p0; where that
-    # trace is within 1e-12 of zero, the one whose anti-self-dual factor has
-    # non-negative real trace 2 q0; where both are, the one whose p is
-    # positive at the first of p3, p2, p1 past 5e-13 in size (p is a unit
-    # quaternion, so one is)
-    if abs(2.0 * p[0]) > 1e-12:
-        flip = p[0] < 0.0
-    elif abs(2.0 * q[0]) > 1e-12:
-        flip = q[0] < 0.0
-    else:
-        flip = next(t for t in (p[3], p[2], p[1]) if abs(t) > 5e-13) < 0.0
-    return ([-t for t in p], [-t for t in q]) if flip else (p, q)
+def log_of_factors(p, q):
+    # the so(4) generator whose factors are the unit quaternions p and q
+    return merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
+
+
+LIFT_TOL = 1e-12  # the lift rule's threshold on twice a component
+LIFT_BRANCHES = ("p0", "q0", "p3", "p2", "p1")  # the components it tests, in order
+
+
+def reference_lift(p, q):
+    # the tests' one statement of the lift rule that the factorization folds
+    # in: of (p, q) and (-p, -q), the lift whose self-dual factor has real
+    # trace 2 p0 >= 0; where |2 p0| <= LIFT_TOL, whose anti-self-dual factor
+    # has 2 q0 >= 0; where both are, whose p is positive at the first of p3,
+    # p2, p1 with |2 t| > LIFT_TOL (p is a unit, so one is).  Returns that
+    # lift and the name of the component that decided it
+    terms = zip(LIFT_BRANCHES, (p[0], q[0], p[3], p[2], p[1]))
+    name, t = next((name, t) for name, t in terms if abs(2.0 * t) > LIFT_TOL)
+    return (([-t for t in p], [-t for t in q]) if t < 0.0 else (p, q)), name
 
 
 def numpy_so4_log(o):
@@ -389,8 +395,7 @@ def numpy_so4_log(o):
     i, j = divmod(int(np.argmax(np.abs(m))), 4)
     p = m[:, j] / np.linalg.norm(m[:, j])
     q = m[i, :] / math.copysign(np.linalg.norm(m[i, :]), m[i, j])
-    p, q = canonical_lift(p.tolist(), q.tolist())
-    return merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
+    return log_of_factors(*reference_lift(p.tolist(), q.tolist())[0])
 
 
 def test_so4_log_matches_numpy_factorization():
@@ -411,12 +416,8 @@ def test_so4_log_matches_numpy_factorization():
 
 
 def numpy_halves(a):
-    # the halves from NumPy indexing of the generator
-    f12, f13, f14, f23, f24, f34 = (a[0, 1], a[0, 2], a[0, 3], a[1, 2], a[1, 3], a[2, 3])
-    return (
-        (0.5 * (f12 + f34), 0.5 * (f13 - f24), 0.5 * (f14 + f23)),
-        (0.5 * (f12 - f34), -0.5 * (f13 + f24), 0.5 * (f14 - f23)),
-    )
+    # the halves of the six entries as NumPy indexing reads them from the generator
+    return list_halves(a[np.triu_indices(4, 1)])
 
 
 def test_readers_deliver_numpy_floats_bit_for_bit():
@@ -525,24 +526,16 @@ def test_isoclinic_sums_equal_the_table_bit_for_bit():
     assert subnormal > SAMPLES, subnormal
 
 
-def lift_branch(p, q):
-    # which test of the lift rule decides on the factors p, q
-    if abs(2.0 * p[0]) > 1e-12:
-        return "p0"
-    if abs(2.0 * q[0]) > 1e-12:
-        return "q0"
-    return next(f"p{i}" for i in (3, 2, 1) if abs(p[i]) > 5e-13)
-
-
 def traceless_rotations(rng, n):
     # rotations whose self-dual factor is traceless along each axis with
     # either sign; the deciding components sit within a few ulps of the
-    # rotation entries (1e-16) of the 5e-13 thresholds, on both sides once
-    # the factorization has rounded them.  Every fifth one is a power of a
-    # rotation through a quarter turn on the axis, whose components off the
+    # rotation entries (1e-16) of the rule's edge LIFT_TOL / 2, on both sides
+    # once the factorization has rounded them.  Every fifth one is a power of
+    # a rotation through a quarter turn on the axis, whose components off the
     # axis are rounding noise.  Of the others, a third have an
-    # anti-self-dual factor whose q0 straddles 5e-13 and a third one whose
+    # anti-self-dual factor whose q0 straddles the edge and a third one whose
     # q0 is below it, so that the self-dual factor's components decide.
+    edge = LIFT_TOL / 2
     for i in range(n):
         axis, sign = i % 3, (-1.0, 1.0)[(i // 3) % 2]
         kind = (i // 6) % 5
@@ -557,27 +550,27 @@ def traceless_rotations(rng, n):
         p = np.zeros(4)
         p[1 + axis] = sign
         if kind == 0:
-            p[0] = rng.choice([-1.0, 1.0]) * (5e-13 + near)
+            p[0] = rng.choice([-1.0, 1.0]) * (edge + near)
         elif kind == 1:
-            p[0] = rng.uniform(-4e-13, 4e-13)
+            p[0] = rng.uniform(-0.8 * edge, 0.8 * edge)
             if axis != 2:
-                p[3] = rng.choice([-1.0, 1.0]) * (5e-13 + near)
+                p[3] = rng.choice([-1.0, 1.0]) * (edge + near)
         elif kind == 2:
-            p[0] = rng.uniform(-3e-13, 3e-13)
+            p[0] = rng.uniform(-0.6 * edge, 0.6 * edge)
             if axis != 2:
-                p[3] = rng.uniform(-3e-13, 3e-13)
+                p[3] = rng.uniform(-0.6 * edge, 0.6 * edge)
             if axis != 1:
-                p[2] = rng.choice([-1.0, 1.0]) * (5e-13 + near)
+                p[2] = rng.choice([-1.0, 1.0]) * (edge + near)
         else:
-            p[0] = rng.uniform(-5e-13, 5e-13)
+            p[0] = rng.uniform(-edge, edge)
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         if (i // 30) % 3 == 1:
             q[1:] /= np.linalg.norm(q[1:])
-            q[0] = rng.choice([-1.0, 1.0]) * (5e-13 + rng.uniform(-4e-16, 4e-16))
+            q[0] = rng.choice([-1.0, 1.0]) * (edge + rng.uniform(-4e-16, 4e-16))
         elif (i // 30) % 3 == 2:
             q[1:] /= np.linalg.norm(q[1:])
-            q[0] = rng.uniform(-5e-13, 5e-13)
+            q[0] = rng.uniform(-edge, edge)
         yield rotation_matrix((p / np.linalg.norm(p)).tolist(), q.tolist())
 
 
@@ -585,25 +578,32 @@ def test_so4_log_makes_the_separate_lift_rule_byte_for_byte():
     # the separate rule picks the same pair from either lift (every test it
     # makes is of a magnitude or of a nonzero sign), so a factorization
     # that returns one of the two lifts, negated exactly or not, makes the
-    # separate rule's choice when that rule leaves its pair unchanged
+    # separate rule's choice when that rule leaves its pair unchanged; so on
+    # ties for the pivot and on subnormals too.  so4_log is held to the log
+    # of the pair on the traceless set (subnormal signed permutations lift
+    # to q = -1, the antipode, where so4_log refuses)
     rng = np.random.default_rng(307)
-    branches = {}
-    for o in traceless_rotations(rng, 2400):
-        p, q = _quaternions_from_rotation(flat(o))
-        for lift in ((p, q), ([-t for t in p], [-t for t in q])):
-            lp, lq = canonical_lift(*lift)
-            assert np.array(lp + lq).tobytes() == np.array(p + q).tobytes(), o.tolist()
-        expected = merged(_quaternion_log(p)[0], _quaternion_log(q)[0])
-        assert so4_log(o).tobytes() == expected.tobytes()
-        branches[lift_branch(p, q)] = branches.get(lift_branch(p, q), 0) + 1
-    # each test of the rule decides a share of the samples
-    assert set(branches) == {"p0", "q0", "p3", "p2", "p1"}
-    assert min(branches.values()) >= 100, branches
+    traceless = traceless_rotations(rng, 2400)
+    inputs = ((traceless, 100), (tied_rotations(), 1), (subnormal_rotations(rng, SAMPLES), 1))
+    for rotations, floor in inputs:
+        branches = {}
+        for o in rotations:
+            p, q = _quaternions_from_rotation(flat(o))
+            for lift in ((p, q), ([-t for t in p], [-t for t in q])):
+                (lp, lq), name = reference_lift(*lift)
+                assert np.array(lp + lq).tobytes() == np.array(p + q).tobytes(), o.tolist()
+            if rotations is traceless:
+                assert so4_log(o).tobytes() == log_of_factors(p, q).tobytes()
+            branches[name] = branches.get(name, 0) + 1
+        # each test of the rule decides a share of the traceless set and some of the others
+        assert set(branches) == set(LIFT_BRANCHES), branches
+        assert min(branches.values()) >= floor, branches
 
 
 def list_factorization(entries):
     # the factorization as it was written over lists, the reference for the
-    # unpacked scalars: the same pivot, divisions, lift and residue check
+    # unpacked scalars: the same pivot, divisions, lift and residue check (a
+    # negated quotient is the quotient by the negated norm, bit for bit)
     m = _isoclinic_products(entries)
     size = list(map(abs, m))
     k = size.index(max(size))
@@ -611,11 +611,7 @@ def list_factorization(entries):
     col, row = m[j::4], m[4 * i : 4 * i + 4]
     pn, qn = (math.sqrt(a * a + b * b + c * c + d * d) for a, b, c, d in (col, row))
     qn = math.copysign(qn, m[k])
-    p = [t / pn for t in col]
-    lead = [p[0], row[0] / qn, p[3], p[2], p[1]]
-    if next(t for t in lead if abs(2.0 * t) > 1e-12) < 0.0:
-        p, qn = [-t for t in p], -qn
-    q = [t / qn for t in row]
+    (p, q), _ = reference_lift([t / pn for t in col], [t / qn for t in row])
     residue = math.dist([a * b for a in p for b in q], m)
     if residue > 1e-8:
         raise InternalConsistencyError(f"residue {residue:.3e}")
@@ -655,8 +651,8 @@ def test_unpacked_factorization_equals_the_lists_bit_for_bit():
         factor(so4_exp(so4_from_coeffs(rng.uniform(-2.0, 2.0, size=6))))
     for o in subnormal_rotations(rng, SAMPLES):
         factor(o)
-    branches = {lift_branch(*factor(o)) for o in traceless_rotations(rng, 2400)}
-    assert branches == {"p0", "q0", "p3", "p2", "p1"}
+    branches = {reference_lift(*factor(o))[1] for o in traceless_rotations(rng, 2400)}
+    assert branches == set(LIFT_BRANCHES)
     ties = 0
     for o in tied_rotations():
         factor(o)
