@@ -62,6 +62,10 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_nonfinite)
+        except json.JSONDecodeError as exc:
+            raise ShapeError(f"{path}: malformed JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ShapeError(f"{path}: not UTF-8 text: {exc}") from None
         except RecursionError:
             raise ShapeError(f"{path}: JSON nested too deeply to read") from None
         except ShapeError as exc:  # a NaN or Infinity literal
@@ -461,9 +465,6 @@ def main(argv=None) -> int:
         doc = args.func(args)  # a refusal raises here, so it writes nothing
         emit(doc, args.output)
         return EXIT_VERIFY_FAILED if doc.get("passed") is False else EXIT_OK
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -38,6 +38,8 @@ from magicbch import (
 from magicbch._scalar import _coeffs, _in_so4, _in_su2
 from magicbch.algebra import _COMPLEX, _REAL, _read_array
 
+from _shared import flat
+
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -379,11 +381,6 @@ def test_a_finite_argument_off_its_gate_gets_the_gates_refusal(name):
         with pytest.raises(error) as info:
             call(m)
         assert type(info.value) is error and str(info.value) == message, m.tolist()
-
-
-def flat(m):
-    # the floats of an array row-major, a complex entry as its (re, im) pair, as the reader hands them to a gate
-    return tuple(np.ascontiguousarray(m).view(float).ravel().tolist())
 
 
 GATES = {

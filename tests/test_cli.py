@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -30,10 +31,10 @@ from magicbch import (
     su2_exp,
     su2_log,
 )
-from magicbch import _scalar, oracle
+from magicbch import oracle
 from magicbch._scalar import _bch_entries
 from magicbch.algebra import hermitian_from_vec, vec_from_hermitian
-from magicbch.cli import _composed, _payload, _sample_generator_pairs, main
+from magicbch.cli import _build_parser, _composed, _payload, _sample_generator_pairs, main
 
 
 def write_doc(path, doc):
@@ -90,16 +91,6 @@ def test_exp_planar_so4(tmp_path, capsys):
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
-def test_exp_oracle_flag_agrees(tmp_path, capsys):
-    coeffs = [0.21, -0.34, 0.11, 0.05, -0.27, 0.18]
-    p = write_doc(tmp_path / "c.json", so4_coeffs_doc(coeffs))
-    _, closed, _ = run_cli(capsys, "exp", p)
-    _, taylor, _ = run_cli(capsys, "exp", p, "--oracle")
-    a = np.asarray(read_json(closed)["data"])
-    b = np.asarray(read_json(taylor)["data"])
-    assert float(np.abs(a - b).max()) < 1e-12
-
-
 def test_log_inverts_exp(tmp_path, capsys):
     coeffs = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05]
     p = write_doc(tmp_path / "c.json", so4_coeffs_doc(coeffs))
@@ -131,16 +122,6 @@ def test_log_keeps_the_sign_of_a_zero_imaginary_part(tmp_path, capsys):
     data = read_json(out)["data"]
     assert math.copysign(1.0, data[0]) < 0
     assert np.array(data).tobytes() == su2_log(su2_exp(x)).tobytes()
-
-
-def test_log_oracle_flag_agrees(tmp_path, capsys):
-    p = write_doc(tmp_path / "v.json", su2_vec_doc([0.4, -0.3, 0.2]))
-    run_cli(capsys, "exp", p, "--output", str(tmp_path / "u.json"))
-    _, closed, _ = run_cli(capsys, "log", str(tmp_path / "u.json"))
-    _, series, _ = run_cli(capsys, "log", str(tmp_path / "u.json"), "--oracle")
-    a = np.asarray(read_json(closed)["data"])
-    b = np.asarray(read_json(series)["data"])
-    assert float(np.abs(a - b).max()) < 1e-12
 
 
 def test_bch_zero_second_argument(tmp_path, capsys):
@@ -282,30 +263,9 @@ def test_exp_oracle_refuses_a_generator_past_its_norm_bound(tmp_path, capsys):
     assert "exceeds" in err
 
 
-def test_bch_entries_path_output_bytes(tmp_path, capsys):
-    # the route composes once; its coefficients block is the entries route's
-    # own, which differs from bch_so4's by rounding
-    rng = np.random.default_rng(72)
-    f, g = rng.uniform(-1.5, 1.5, 6).tolist(), rng.uniform(-1.5, 1.5, 6).tolist()
-    _, c1, c2 = _bch_entries(f, g, BranchMode.BRANCH_CORRECTED)
-    expected = {
-        "kind": "so4_coeffs",
-        "data": [float(t) for t in bch_so4_entries(f, g)],
-        "coefficients": {
-            "self_dual": BchCoefficients._make(c1)._asdict(),
-            "anti_self_dual": BchCoefficients._make(c2)._asdict(),
-        },
-        "mode": "corrected",
-    }
-    pf = write_doc(tmp_path / "f.json", so4_coeffs_doc(f))
-    pg = write_doc(tmp_path / "g.json", so4_coeffs_doc(g))
-    code, out, err = run_cli(capsys, "bch", pf, pg, "--entries-path")
-    assert (code, err) == (0, "")
-    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-
-
-def test_result_records_are_named_tuples(tmp_path, capsys):
-    # the records unpack in field order, and _asdict() is the block bch writes
+def test_result_records_are_named_tuples():
+    # the records unpack in field order; route_documents expects each bch
+    # coefficients block to be its record's _asdict()
     x, y = [0.3, -0.2, 0.5], [-0.1, 0.4, 0.25]
     f, g = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05], [-0.2, 0.25, 0.0, 0.1, -0.05, 0.3]
     co, r = bch_coefficients(x, y), bch_so4(so4_from_coeffs(f), so4_from_coeffs(g))
@@ -316,176 +276,100 @@ def test_result_records_are_named_tuples(tmp_path, capsys):
     for record, field in ((co, "theta"), (r, "mode")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    px = write_doc(tmp_path / "x.json", su2_vec_doc(x))
-    py = write_doc(tmp_path / "y.json", su2_vec_doc(y))
-    pf = write_doc(tmp_path / "f.json", so4_coeffs_doc(f))
-    pg = write_doc(tmp_path / "g.json", so4_coeffs_doc(g))
-    _, out, _ = run_cli(capsys, "bch", px, py)
-    assert read_json(out)["coefficients"] == co._asdict()
-    _, out, _ = run_cli(capsys, "bch", pf, pg)
-    assert read_json(out)["coefficients"] == {
-        "self_dual": r.coeffs1._asdict(),
-        "anti_self_dual": r.coeffs2._asdict(),
-    }
 
 
-def test_emitted_documents_reparse(tmp_path, capsys):
-    p = write_doc(tmp_path / "v.json", su2_vec_doc([0.3, 0.4, 0.0]))
-    for args in (("exp", p),):
-        _, out, _ = run_cli(capsys, *args)
-        _payload(read_json(out), "<stdout>")
-    c = write_doc(tmp_path / "c.json", so4_coeffs_doc([0.2, 0.1, 0, 0, 0, -0.1]))
-    for args in (("exp", c), ("bch", c, c), ("bch", c, c, "--entries-path")):
-        _, out, _ = run_cli(capsys, *args)
-        _payload(read_json(out), "<stdout>")
-
-    # every result document reads back to the kernel's or the oracle's floats,
-    # row-major, a complex entry as re then im, bit for bit
+def route_documents(tmp_path):
+    # every route that writes a result document, as (argv, the document): the
+    # closed documents from the public functions, the series ones from the
+    # oracle, each coefficients block from its record's _asdict()
     x, y = [0.3, -0.2, 0.5], [-0.1, 0.4, 0.25]
-    f, g = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05], [0.2, 0.1, 0.0, 0.0, 0.0, -0.1]
-    px, py = (write_doc(tmp_path / f"{n}.json", su2_vec_doc(v)) for n, v in (("x", x), ("y", y)))
-    pf, pg = (write_doc(tmp_path / f"{n}.json", so4_coeffs_doc(v)) for n, v in (("f", f), ("g", g)))
-    u = _scalar._unitary(_scalar._quaternion(x))
-    o = _scalar._so4_exp(f)
-    u_rows = [[u[0:2], u[2:4]], [u[4:6], u[6:8]]]
-    pu = write_doc(tmp_path / "u.json", {"kind": "su2_matrix", "data": u_rows})
-    o_rows = [o[k : k + 4] for k in range(0, 16, 4)]
-    po = write_doc(tmp_path / "o.json", {"kind": "so4_matrix", "data": o_rows})
-    unitary = np.array([complex(u[k], u[k + 1]) for k in range(0, 8, 2)]).reshape(2, 2)
-
-    def su2_series_exp(v):
-        return oracle.mat_exp_taylor(1j * hermitian_from_vec(v))
-
-    def so4_series_exp(c):
-        return oracle.mat_exp_taylor(so4_from_coeffs(c))
-
-    def su2_series_log(m):
-        return vec_from_hermitian(oracle.mat_log_near_identity(m) / 1j).tolist()
-
-    def so4_series_log(m):
-        ell = oracle.mat_log_near_identity(m)
-        return coeffs_from_so4(0.5 * (ell - ell.T))
-
-    def complex_floats(m):
-        return [t for z in m.ravel().tolist() for t in (z.real, z.imag)]
-
-    corrected = BranchMode.BRANCH_CORRECTED
-    expected = [
-        (("exp", px), "su2_matrix", u),
-        (("exp", px, "--oracle"), "su2_matrix", complex_floats(su2_series_exp(x))),
-        (("exp", pf), "so4_matrix", o),
-        (("exp", pf, "--oracle"), "so4_matrix", so4_series_exp(f).ravel().tolist()),
-        (("log", pu), "su2_vec", _scalar._quaternion_log(_scalar._in_su2(u))[0]),
-        (("log", pu, "--oracle"), "su2_vec", su2_series_log(unitary)),
-        (("log", po), "so4_coeffs", _scalar._so4_log(_scalar._in_so4(o))),
-        (("log", po, "--oracle"), "so4_coeffs", so4_series_log(np.reshape(o, (4, 4)))),
-        (("bch", px, py), "su2_vec", _scalar._compose(x, y, corrected)[1]),
-        (
-            ("bch", px, py, "--oracle"),
-            "su2_vec",
-            su2_series_log(su2_series_exp(x) @ su2_series_exp(y)),
-        ),
-        (("bch", pf, pg), "so4_coeffs", _scalar._bch_so4(f, g, corrected)[0]),
-        (("bch", pf, pg, "--entries-path"), "so4_coeffs", _bch_entries(f, g, corrected)[0]),
-        (
-            ("bch", pf, pg, "--oracle"),
-            "so4_coeffs",
-            so4_series_log(so4_series_exp(f) @ so4_series_exp(g)),
-        ),
-        (("merge", px, py), "so4_matrix", _scalar._generator_rows(*_scalar._merge(x, y))),
-    ]
-
-    def flat(data):
-        return [t for item in data for t in flat(item)] if isinstance(data, list) else [data]
-
-    def bits(floats):
-        return [float(t).hex() for t in floats]
-
-    for args, kind, floats in expected:
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0, args
-        got_kind, data = _payload(read_json(out), "<stdout>")
-        assert (got_kind, bits(flat(data))) == (kind, bits(floats)), args
-    code, out, _ = run_cli(capsys, "split", pf)
-    assert code == 0
-    pair = read_json(out)
-    for key, half in zip(("self_dual", "anti_self_dual"), _scalar._halves(f)):
-        got_kind, data = _payload(pair[key], f"<stdout>:{key}")
-        assert (got_kind, bits(data)) == ("su2_vec", bits(half)), key
-
-
-def test_exact_output_bytes(tmp_path, capsys):
-    # every result document is json.dumps(doc, indent=2, sort_keys=True) of
-    # plain floats, so the expected text follows from the library calls
-    x, y = [0.3, -0.2, 0.5], [-0.1, 0.4, 0.25]
-    f, g = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05], [-0.2, 0.25, 0.0, 0.1, -0.05, 0.3]
+    rng = np.random.default_rng(72)
+    f, g = rng.uniform(-1.5, 1.5, 6).tolist(), rng.uniform(-1.5, 1.5, 6).tolist()
     a, b = so4_from_coeffs(f), so4_from_coeffs(g)
     u, o = su2_exp(x), so4_exp(a)
-    u_pairs = np.stack([u.real, u.imag], axis=-1).tolist()
-    px = write_doc(tmp_path / "x.json", su2_vec_doc(x))
-    py = write_doc(tmp_path / "y.json", su2_vec_doc(y))
-    pf = write_doc(tmp_path / "f.json", so4_coeffs_doc(f))
-    pg = write_doc(tmp_path / "g.json", so4_coeffs_doc(g))
-    pa = write_doc(tmp_path / "a.json", {"kind": "so4_matrix", "data": a.tolist()})
-    pu = write_doc(tmp_path / "u.json", {"kind": "su2_matrix", "data": u_pairs})
-    po = write_doc(
-        tmp_path / "o.json", {"kind": "so4_matrix", "data": o.tolist(), "orthogonal": True}
-    )
-    halves = split(a)
+    ex, ey = (oracle.mat_exp_taylor(1j * hermitian_from_vec(v)) for v in (x, y))
+    ea, eb = oracle.mat_exp_taylor(a), oracle.mat_exp_taylor(b)
+
+    def doc(kind, data, **extra):
+        return {"kind": kind, "data": data, **extra}
+
+    def unitary(m):
+        return doc("su2_matrix", np.stack([m.real, m.imag], axis=-1).tolist())
+
+    def rotation(m):
+        return doc("so4_matrix", m.tolist(), orthogonal=True)
+
+    def su2_series_log(m, **extra):
+        v = vec_from_hermitian(oracle.mat_log_near_identity(m) / 1j)
+        return doc("su2_vec", v.tolist(), **extra)
+
+    def so4_series_log(m, **extra):
+        ell = oracle.mat_log_near_identity(m)
+        return doc("so4_coeffs", list(coeffs_from_so4(0.5 * (ell - ell.T))), **extra)
+
+    def channels(c1, c2):
+        return {"self_dual": c1._asdict(), "anti_self_dual": c2._asdict()}
+
     r = bch_so4(a, b)
-    so4_block = {
-        "self_dual": r.coeffs1._asdict(),
-        "anti_self_dual": r.coeffs2._asdict(),
-    }
-    cases = [
-        (("exp", px), {"kind": "su2_matrix", "data": u_pairs}),
-        (("exp", pf), {"kind": "so4_matrix", "data": o.tolist(), "orthogonal": True}),
-        (("exp", pa), {"kind": "so4_matrix", "data": o.tolist(), "orthogonal": True}),
-        (("log", pu), {"kind": "su2_vec", "data": su2_log(u).tolist()}),
-        (
-            ("log", po),
-            {"kind": "so4_coeffs", "data": [float(t) for t in coeffs_from_so4(so4_log(o))]},
-        ),
-        (
-            ("split", pf),
-            {
-                "self_dual": {"kind": "su2_vec", "data": halves.self_dual.tolist()},
-                "anti_self_dual": {"kind": "su2_vec", "data": halves.anti_self_dual.tolist()},
-            },
-        ),
-        (
-            ("bch", px, py),
-            {
-                "kind": "su2_vec",
-                "data": bch_su2(x, y).tolist(),
-                "coefficients": bch_coefficients(x, y)._asdict(),
-                "mode": "corrected",
-            },
-        ),
-        (
-            ("bch", pf, pg),
-            {
-                "kind": "so4_coeffs",
-                "data": [float(t) for t in coeffs_from_so4(r.result)],
-                "coefficients": so4_block,
-                "mode": "corrected",
-            },
-        ),
-        (
-            ("bch", pa, pg, "--entries-path"),
-            {
-                "kind": "so4_coeffs",
-                "data": [float(t) for t in bch_so4_entries(f, g)],
-                "coefficients": so4_block,
-                "mode": "corrected",
-            },
-        ),
-        (("merge", px, py), {"kind": "so4_matrix", "data": merge(SplitPair(x, y)).tolist()}),
+    _, c1, c2 = _bch_entries(f, g, BranchMode.BRANCH_CORRECTED)
+    su2_block = bch_coefficients(x, y)._asdict()
+    channel_block = channels(r.coeffs1, r.coeffs2)
+    entries_block = channels(BchCoefficients._make(c1), BchCoefficients._make(c2))
+    corrected = {"mode": "corrected"}
+    channel = doc("so4_coeffs", list(coeffs_from_so4(r.result)), coefficients=channel_block, **corrected)
+    entries = doc("so4_coeffs", list(bch_so4_entries(f, g)), coefficients=entries_block, **corrected)
+    # on this pair the two so(4) routes differ in the data and in the
+    # anti-self-dual block, so neither route's row holds for the other
+    assert entries["data"] != channel["data"]
+    assert entries["coefficients"]["anti_self_dual"] != channel["coefficients"]["anti_self_dual"]
+    docs = {"x": su2_vec_doc(x), "y": su2_vec_doc(y), "f": so4_coeffs_doc(f), "g": so4_coeffs_doc(g)}
+    docs.update(a=doc("so4_matrix", a.tolist()), u=unitary(u), o=rotation(o))
+    paths = {key: write_doc(tmp_path / f"{key}.json", d) for key, d in docs.items()}
+    rows = [
+        (["exp", "x"], docs["u"]),
+        (["exp", "x", "--oracle"], unitary(ex)),
+        (["exp", "f"], docs["o"]),
+        (["exp", "a"], docs["o"]),
+        (["exp", "f", "--oracle"], rotation(ea)),
+        (["log", "u"], doc("su2_vec", su2_log(u).tolist())),
+        (["log", "u", "--oracle"], su2_series_log(u)),
+        (["log", "o"], doc("so4_coeffs", list(coeffs_from_so4(so4_log(o))))),
+        (["log", "o", "--oracle"], so4_series_log(o)),
+        (["split", "f"], {key: su2_vec_doc(half) for key, half in split(a)._asdict().items()}),
+        (["bch", "x", "y"], doc("su2_vec", bch_su2(x, y).tolist(), coefficients=su2_block, **corrected)),
+        (["bch", "x", "y", "--oracle"], su2_series_log(ex @ ey, **corrected)),
+        (["bch", "f", "g"], channel),
+        (["bch", "a", "g", "--entries-path"], entries),
+        (["bch", "f", "g", "--oracle"], so4_series_log(ea @ eb, **corrected)),
+        (["merge", "x", "y"], doc("so4_matrix", merge(SplitPair(x, y)).tolist())),
     ]
-    for args, expected in cases:
+    return [([paths.get(arg, arg) for arg in argv], d) for argv, d in rows]
+
+
+def test_each_route_writes_its_document(tmp_path, capsys):
+    # json.dumps writes each float as its repr, which reads back to the same
+    # bits, so the text pins every float; the CLI's reader reads each back
+    for args, expected in route_documents(tmp_path):
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, ""), args
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", args
+        doc = read_json(out)
+        for part in [doc] if "kind" in doc else [doc["self_dual"], doc["anti_self_dual"]]:
+            assert _payload(part, "<stdout>") == (part["kind"], part["data"]), args
+
+
+def test_route_table_has_a_row_for_every_route(tmp_path):
+    # each command that writes a result, run plain and with each route flag its usage shows
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    routes = {
+        (name, flag)
+        for name, parser in commands.choices.items()
+        if name not in ("verify", "bench")
+        for flag in (None, "--oracle", "--entries-path")
+        if flag is None or flag in parser.format_usage()
+    }
+    rows = route_documents(tmp_path)
+    assert {(args[0], next((a for a in args if a.startswith("--")), None)) for args, _ in rows} == routes
 
 
 def without_timings(text):
@@ -496,33 +380,21 @@ def without_timings(text):
 
 
 def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
-    # main writes each command's one document, to stdout or to --output alike
-    x = write_doc(tmp_path / "x.json", su2_vec_doc([0.3, -0.2, 0.5]))
-    f = write_doc(tmp_path / "f.json", so4_coeffs_doc([0.3, -0.2, 0.1, 0.25, -0.15, 0.05]))
-    u = str(tmp_path / "u.json")
-    assert run_cli(capsys, "exp", x, "--output", u) == (0, "", "")
-    runs = [
-        ("exp", x),
-        ("exp", f, "--oracle"),
-        ("log", u),
-        ("log", u, "--oracle"),
-        ("bch", x, x),
-        ("bch", f, f, "--entries-path"),
-        ("bch", f, f, "--oracle"),
-        ("split", f),
-        ("merge", x, x),
-        ("verify", "--trials", "5", "--seed", "1"),
-        ("bench", "--trials", "3", "--seed", "1"),
-    ]
-    for args in runs:
+    # main writes each command's one document, to stdout or to --output alike,
+    # and each file that exp writes is an input that log takes
+    sweeps = [["verify", "--trials", "5", "--seed", "1"], ["bench", "--trials", "3", "--seed", "1"]]
+    for k, args in enumerate([argv for argv, _ in route_documents(tmp_path)] + sweeps):
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, ""), args
-        target = tmp_path / f"{args[0]}.out"
+        target = tmp_path / f"{k}.out"
         assert run_cli(capsys, *args, "--output", str(target)) == (0, "", ""), args
         written = target.read_bytes().decode("utf-8")
         if args[0] in ("verify", "bench"):
             written, out = without_timings(written), without_timings(out)
         assert written == out, args
+        if args[0] == "exp":
+            code, _, err = run_cli(capsys, "log", str(target))
+            assert (code, err) == (0, ""), args
 
 
 @pytest.mark.parametrize(
@@ -889,6 +761,9 @@ MALFORMED = {
     # a string is no number, even one that float() would parse
     "numeric_string": (["exp", "strings"], "got the string '0.5'"),
     "numeric_string_in_a_matrix": (["log", "string_matrix"], "got the string '1'"),
+    # a file that is no JSON, or no UTF-8 text, is named
+    "bch_truncated_second_file": (["bch", "x", "truncated"], "/truncated.json: malformed JSON"),
+    "latin1_text": (["exp", "latin1"], "/latin1.json: not UTF-8"),
 }
 
 
@@ -909,8 +784,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     }
     paths = {key: write_doc(tmp_path / f"{key}.json", doc) for key, doc in docs.items()}
     # json parses the literal 1e400 to inf, which no document may carry
-    paths["inf"] = str(tmp_path / "inf.json")
-    (tmp_path / "inf.json").write_text('{"kind": "su2_vec", "data": [1e400, 0, 0]}')
+    raw = {
+        "inf": b'{"kind": "su2_vec", "data": [1e400, 0, 0]}',
+        "truncated": b'{"kind": "su2_vec", "data": [0.1, 0.2',
+        "latin1": '{"kind": "su2_vec", "data": [0.1, 0.2, 0.3], "note": "\xe9"}'.encode("latin-1"),
+    }
+    for key, text in raw.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_bytes(text)
     args = [paths.get(arg, arg) for arg in command]
     try:
         code = main(args)

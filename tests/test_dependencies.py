@@ -3,7 +3,8 @@
 CI installs only numpy, pytest and hypothesis, so a stray import of a
 package that merely happens to be present locally would pass here and fail
 there.  Relative imports within the package are allowed, except that the
-series oracle takes nothing from the closed forms.
+series oracle takes nothing from the closed forms.  The tests may also import
+their own helper modules, the ``tests/_*.py`` files.
 """
 
 import ast
@@ -17,6 +18,7 @@ from magicbch import errors
 ROOT = Path(__file__).resolve().parent.parent
 SRC_ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 TESTS_ALLOWED = SRC_ALLOWED | {"pytest", "hypothesis", "magicbch"}
+TESTS_ALLOWED |= {path.stem for path in (ROOT / "tests").glob("_*.py")}
 
 
 def imported_packages(path):

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from magicbch import BranchMode, SplitPair, bch_so4, bch_so4_entries, bch_su2, frobenius_norm, merge, so4_from_coeffs
-from magicbch import su2_exp, su2_log
+
+from _shared import pair_at_angle
 
 NEAR_CUT_DISTANCES = [1e-7, 1e-5, 1e-3, 1e-1]
 # P A P of a generator, entry by entry: the entries of row and column 4 change sign
@@ -27,15 +28,6 @@ PARITY = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 PARITY_COEFFS = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
 UPPER = np.triu_indices(4, 1)
 EPS = 2.0**-52
-
-
-def pair_at_angle(rng, theta):
-    # (x, y) whose product su2_exp(x) @ su2_exp(y) has half-angle theta
-    x = rng.normal(size=3)
-    x *= rng.uniform(0.1, 3.0) / np.linalg.norm(x)
-    z = rng.normal(size=3)
-    z *= theta / np.linalg.norm(z)
-    return x, su2_log(su2_exp(-x) @ su2_exp(z))
 
 
 def su2_pairs(seed):

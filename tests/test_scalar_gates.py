@@ -38,6 +38,8 @@ from magicbch._scalar import _isoclinic_products, _quaternions_from_rotation, ro
 from magicbch.algebra import _box, _box_unitary, is_antisymmetric, is_special_orthogonal, is_special_unitary
 from magicbch.errors import DomainError, InternalConsistencyError, ShapeError
 
+from _shared import flat
+
 SAMPLES = 2000
 GROUP_TOL = 1e-10
 
@@ -112,11 +114,6 @@ def test_the_antisymmetry_tolerance_is_no_argument():
             call(m, 1e-10)
         with pytest.raises(TypeError):
             call(m, tol=1e-10)
-
-
-def flat(m):
-    # the floats of an array row-major, a complex entry as its (re, im) pair, as the reader hands them to a gate
-    return tuple(np.ascontiguousarray(m).view(float).ravel().tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

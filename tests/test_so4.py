@@ -30,13 +30,7 @@ from magicbch import _scalar
 from magicbch.magic import SplitPair
 from magicbch._scalar import _bch_entries
 
-
-def planar_rotation(theta):
-    m = np.eye(4)
-    m[0, 0] = m[1, 1] = math.cos(theta)
-    m[0, 1] = math.sin(theta)
-    m[1, 0] = -math.sin(theta)
-    return m
+from _shared import planar_rotation
 
 
 def test_exp_zero():

@@ -36,19 +36,12 @@ from magicbch import _scalar
 from magicbch.algebra import is_antisymmetric, is_special_orthogonal, is_special_unitary
 from magicbch.magic import SplitPair
 
+from _shared import pair_at_angle
+
 
 def sample_ball(rng, radius):
     # cube sample scaled so the norm stays within the radius
     return rng.uniform(-radius / math.sqrt(3.0), radius / math.sqrt(3.0), size=3)
-
-
-def pair_at_angle(rng, theta):
-    # (x, y) whose product su2_exp(x) @ su2_exp(y) has half-angle theta
-    x = rng.normal(size=3)
-    x *= rng.uniform(0.1, 3.0) / np.linalg.norm(x)
-    z = rng.normal(size=3)
-    z *= theta / np.linalg.norm(z)
-    return x, su2_log(su2_exp(-x) @ su2_exp(z))
 
 
 def test_exp_identity():
