@@ -318,10 +318,6 @@ def route_documents(tmp_path):
     corrected = {"mode": "corrected"}
     channel = doc("so4_coeffs", list(coeffs_from_so4(r.result)), coefficients=channel_block, **corrected)
     entries = doc("so4_coeffs", list(bch_so4_entries(f, g)), coefficients=entries_block, **corrected)
-    # on this pair the two so(4) routes differ in the data and in the
-    # anti-self-dual block, so neither route's row holds for the other
-    assert entries["data"] != channel["data"]
-    assert entries["coefficients"]["anti_self_dual"] != channel["coefficients"]["anti_self_dual"]
     docs = {"x": su2_vec_doc(x), "y": su2_vec_doc(y), "f": so4_coeffs_doc(f), "g": so4_coeffs_doc(g)}
     docs.update(a=doc("so4_matrix", a.tolist()), u=unitary(u), o=rotation(o))
     paths = {key: write_doc(tmp_path / f"{key}.json", d) for key, d in docs.items()}
@@ -346,16 +342,40 @@ def route_documents(tmp_path):
     return [([paths.get(arg, arg) for arg in argv], d) for argv, d in rows]
 
 
-def test_each_route_writes_its_document(tmp_path, capsys):
+def test_exact_output_bytes(tmp_path, capsys):
     # json.dumps writes each float as its repr, which reads back to the same
-    # bits, so the text pins every float; the CLI's reader reads each back
+    # bits, so the text pins every float
     for args, expected in route_documents(tmp_path):
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, ""), args
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", args
+
+
+def test_emitted_documents_reparse(tmp_path, capsys):
+    # the CLI's reader reads each document it writes (each half of split)
+    # back to the written floats
+    for args, _ in route_documents(tmp_path):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, ""), args
         doc = read_json(out)
         for part in [doc] if "kind" in doc else [doc["self_dual"], doc["anti_self_dual"]]:
             assert _payload(part, "<stdout>") == (part["kind"], part["data"]), args
+
+
+def test_bch_entries_path_output_bytes(tmp_path, capsys):
+    # on the table's so(4) pair the entries route and the channel route write
+    # different data and anti-self-dual blocks, so the entries row fails if
+    # --entries-path runs the channel path
+    written = {}
+    for args, expected in route_documents(tmp_path):
+        if args[0] == "bch" and expected["kind"] == "so4_coeffs" and "--oracle" not in args:
+            code, out, err = run_cli(capsys, *args)
+            assert (code, err) == (0, ""), args
+            assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", args
+            written["--entries-path" in args] = read_json(out)
+    entries, channel = written[True], written[False]
+    assert entries["data"] != channel["data"]
+    assert entries["coefficients"]["anti_self_dual"] != channel["coefficients"]["anti_self_dual"]
 
 
 def test_route_table_has_a_row_for_every_route(tmp_path):
