@@ -46,7 +46,7 @@ _MODULES = {
         "to_orthogonal_frame",
         "to_tensor_frame",
     ),
-    "oracle": ("bch_trunc3", "mat_exp_taylor", "mat_log_near_identity"),
+    "oracle": ("mat_exp_taylor", "mat_log_near_identity"),
     "so4": ("So4BchResult", "bch_so4", "bch_so4_entries", "so4_exp", "so4_log"),
     "su2": ("BchCoefficients", "BranchMode", "bch_coefficients", "bch_su2", "su2_exp", "su2_log"),
 }

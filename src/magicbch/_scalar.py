@@ -26,6 +26,11 @@ factors it back.  The channel path :func:`_bch_so4` and every log end in the
 one principal log :func:`_quaternion_log`, whose antipodal refusal names the
 so(4) channel.  :func:`_bch_entries` composes on the six entries with none of
 these kernels, and agrees with :func:`_bch_so4` to eps (theta / rho) max(1, |f| |g|).
+
+The kernels read only these names of :mod:`math`: ``sin``, ``cos``, ``atan2``,
+``sqrt``, ``pi`` and ``inf``, plus ``hypot`` in the SU(2) gate and ``copysign``
+and ``dist`` in the factorization.  The tests run them unchanged on power series
+through a stand-in ``math`` with those names, so a new name needs a stand-in too.
 """
 
 import enum

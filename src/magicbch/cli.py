@@ -215,9 +215,10 @@ def _cmd_bch(args) -> dict:
         kind, a, b = "so4_coeffs", _generator(args.a, ka, a), _generator(args.b, kb, b)
     else:
         raise ShapeError(f"bch expects two documents of one kind family, got {ka!r} and {kb!r}")
-    if args.oracle:
-        z = _series_log(kind, _series_exp(kind, a) @ _series_exp(kind, b))
-        return _document(kind, z, mode=args.mode)
+    if args.oracle:  # the principal log of the product, with no branch mode
+        if mode is BranchMode.PAPER_FAITHFUL:
+            raise ShapeError("--oracle takes the principal log of the product and no --mode paper")
+        return _document(kind, _series_log(kind, _series_exp(kind, a) @ _series_exp(kind, b)))
     if kind == "su2_vec":
         co, z = _scalar._compose(a, b, mode)
         return _document(kind, z, coefficients=_coefficients(co), mode=args.mode)

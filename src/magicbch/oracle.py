@@ -3,8 +3,7 @@
 These deliberately share no code path with the closed-form modules: the
 exponential is a scaling-and-squaring Taylor sum, the logarithm is inverse
 scaling with Denman-Beavers square roots followed by the Gregory series
-``2 atanh(s)``, ``s = (X + I)^-1 (X - I)``, and :func:`bch_trunc3` is the
-plain order-3 commutator expansion.  They are slower and only serve as
+``2 atanh(s)``, ``s = (X + I)^-1 (X - I)``.  They are slower and only serve as
 independent ground truth in tests, benchmarks, and the ``--oracle`` flag of
 the command line.  Their budgets are fixed: a series stops at a term under
 1e-16 in Frobenius norm or fails after 64 terms (a log term is an odd power
@@ -130,22 +129,6 @@ def _log_near_identity(m):
             f"logarithm series did not reach tol {_TOL:g} in {_MAX_TERMS} terms"
         )
     return acc * float(2 ** (steps + 1))  # 2 atanh(s), scaled back by the roots
-
-
-def bch_trunc3(a, b) -> np.ndarray:
-    """Order-3 truncation of the composition series.
-
-    ``a + b + [a,b]/2 + ([[a,b],b] + [a,[a,b]])/12``; the remainder is
-    order 4 in the inputs, which makes this a convergence-order probe for
-    the closed forms rather than a ground truth.  A result that overflows a
-    float raises :class:`~magicbch.errors.DomainError`.
-    """
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"arguments must share a shape, got {a.shape} and {b.shape}")
-    # c is the commutator [a, b], bound on first use
-    return _finite(lambda: a + b + 0.5 * (c := a @ b - b @ a) + ((c @ b - b @ c) + (a @ c - c @ a)) / 12.0)
 
 
 def _sqrt_denman_beavers(m):

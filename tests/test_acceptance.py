@@ -21,7 +21,6 @@ from magicbch import (
     bch_so4,
     bch_so4_entries,
     bch_su2,
-    bch_trunc3,
     coeffs_from_so4,
     frobenius_norm,
     hermitian_from_vec,
@@ -38,6 +37,9 @@ from magicbch import (
     to_orthogonal_frame,
     to_tensor_frame,
 )
+
+from _series import so4_bch, su2_bch
+from _twins import ORDER, SERIES, SO4_PAIRS, SU2_PAIRS, line, mismatch
 
 
 @contextlib.contextmanager
@@ -167,18 +169,11 @@ def test_split_merge_and_frame_fidelity():
 
 
 def test_agreement_with_series_is_higher_order():
-    with criterion("[5/8] deviation from the 3rd-order series shrinks with slope >= 3.8"):
-        rng = np.random.default_rng(5005)
-        eps = np.array([0.1, 0.05, 0.025])
-        for _ in range(3):
-            a = so4_from_coeffs(rng.uniform(-1.0, 1.0, 6))
-            b = so4_from_coeffs(rng.uniform(-1.0, 1.0, 6))
-            errs = []
-            for e in eps:
-                r = bch_so4(e * a, e * b, BranchMode.BRANCH_CORRECTED)
-                errs.append(frobenius_norm(r.result - bch_trunc3(e * a, e * b)))
-            slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
-            assert slope >= 3.8
+    with criterion("[5/8] closed forms equal the BCH series exactly, term by term through t^10"):
+        (x, y), (f, g) = SU2_PAIRS[0], SO4_PAIRS[0]
+        mode = BranchMode.BRANCH_CORRECTED
+        assert mismatch(SERIES._compose(line(x), line(y), mode)[1], su2_bch(x, y, ORDER)) is None
+        assert mismatch(SERIES._bch_so4(line(f), line(g), mode)[0], so4_bch(f, g, ORDER)) is None
 
 
 def test_tensor_conjugation_is_orthogonal_and_two_to_one():

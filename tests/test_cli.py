@@ -299,13 +299,12 @@ def route_documents(tmp_path):
     def rotation(m):
         return doc("so4_matrix", m.tolist(), orthogonal=True)
 
-    def su2_series_log(m, **extra):
-        v = vec_from_hermitian(oracle.mat_log_near_identity(m) / 1j)
-        return doc("su2_vec", v.tolist(), **extra)
+    def su2_series_log(m):
+        return doc("su2_vec", vec_from_hermitian(oracle.mat_log_near_identity(m) / 1j).tolist())
 
-    def so4_series_log(m, **extra):
+    def so4_series_log(m):
         ell = oracle.mat_log_near_identity(m)
-        return doc("so4_coeffs", list(coeffs_from_so4(0.5 * (ell - ell.T))), **extra)
+        return doc("so4_coeffs", list(coeffs_from_so4(0.5 * (ell - ell.T))))
 
     def channels(c1, c2):
         return {"self_dual": c1._asdict(), "anti_self_dual": c2._asdict()}
@@ -333,10 +332,10 @@ def route_documents(tmp_path):
         (["log", "o", "--oracle"], so4_series_log(o)),
         (["split", "f"], {key: su2_vec_doc(half) for key, half in split(a)._asdict().items()}),
         (["bch", "x", "y"], doc("su2_vec", bch_su2(x, y).tolist(), coefficients=su2_block, **corrected)),
-        (["bch", "x", "y", "--oracle"], su2_series_log(ex @ ey, **corrected)),
+        (["bch", "x", "y", "--oracle"], su2_series_log(ex @ ey)),
         (["bch", "f", "g"], channel),
         (["bch", "a", "g", "--entries-path"], entries),
-        (["bch", "f", "g", "--oracle"], so4_series_log(ea @ eb, **corrected)),
+        (["bch", "f", "g", "--oracle"], so4_series_log(ea @ eb)),
         (["merge", "x", "y"], doc("so4_matrix", merge(SplitPair(x, y)).tolist())),
     ]
     return [([paths.get(arg, arg) for arg in argv], d) for argv, d in rows]
@@ -778,6 +777,8 @@ MALFORMED = {
     "merge_three_inputs": (["merge", "x", "x", "x"], "one pair document or two"),
     "bch_oracle_entries_su2": (["bch", "x", "x", "--oracle", "--entries-path"], "not allowed"),
     "bch_oracle_entries_so4": (["bch", "f", "f", "--oracle", "--entries-path"], "not allowed"),
+    # the series route takes the principal log, which is no paper-mode composition
+    "bch_oracle_paper_mode": (["bch", "f", "f", "--oracle", "--mode", "paper"], "no --mode paper"),
     # a string is no number, even one that float() would parse
     "numeric_string": (["exp", "strings"], "got the string '0.5'"),
     "numeric_string_in_a_matrix": (["log", "string_matrix"], "got the string '1'"),

@@ -4,7 +4,8 @@ CI installs only numpy, pytest and hypothesis, so a stray import of a
 package that merely happens to be present locally would pass here and fail
 there.  Relative imports within the package are allowed, except that the
 series oracle takes nothing from the closed forms.  The tests may also import
-their own helper modules, the ``tests/_*.py`` files.
+their own helper modules, the ``tests/_*.py`` files, of which the exact series
+reference takes nothing from the package.
 """
 
 import ast
@@ -64,3 +65,13 @@ def test_the_oracle_shares_no_code_with_the_closed_forms():
     taken = list(package_imports(ROOT / "src" / "magicbch" / "oracle.py"))
     assert ("algebra", "frobenius_norm") in taken
     assert [entry for entry in taken if entry not in allowed] == []
+
+
+def test_the_series_reference_shares_no_code_with_the_package():
+    # the exact series that the twin kernels are held to is summed with no code of
+    # the package (the twin builder takes _scalar itself), and none of the three
+    # modules of the exact check imports NumPy
+    assert list(package_imports(ROOT / "tests" / "_series.py")) == []
+    assert list(package_imports(ROOT / "tests" / "_twins.py")) == [("", "_scalar")]
+    for name in ("_series.py", "_twins.py", "test_exact_series.py"):
+        assert "numpy" not in set(imported_packages(ROOT / "tests" / name)), name

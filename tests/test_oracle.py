@@ -10,7 +10,6 @@ from magicbch import (
     ConvergenceError,
     DomainError,
     ShapeError,
-    bch_trunc3,
     frobenius_norm,
     hermitian_from_vec,
     mat_exp_taylor,
@@ -291,45 +290,13 @@ def test_stacked_sqrt_keeps_the_bench_report(monkeypatch, capsys):
     assert json.loads(stacked)["evaluated"] > 0
 
 
-def test_bch_trunc3_b_zero():
-    a = so4_from_coeffs([0.3, -0.1, 0.2, 0.0, 0.5, -0.4])
-    np.testing.assert_array_equal(bch_trunc3(a, np.zeros((4, 4))), a)
-
-
-def test_bch_trunc3_commuting_inputs_add():
-    a = so4_from_coeffs([0.4, 0, 0, 0, 0, 0])
-    b = so4_from_coeffs([0.0, 0, 0, 0, 0, 0.7])
-    np.testing.assert_allclose(bch_trunc3(a, b), a + b, atol=1e-16)
-
-
-def test_bch_trunc3_term_scaling():
-    # the four terms are homogeneous of degree 1, 2, 3, 3; scaling the
-    # inputs must reproduce the polynomial term by term
-    rng = np.random.default_rng(23)
-    a = so4_from_coeffs(rng.uniform(-0.5, 0.5, size=6))
-    b = so4_from_coeffs(rng.uniform(-0.5, 0.5, size=6))
-    c = a @ b - b @ a
-    linear = a + b
-    quadratic = 0.5 * c
-    cubic = ((c @ b - b @ c) + (a @ c - c @ a)) / 12.0
-    for eps in (0.1, 0.05, 0.025):
-        expected = eps * linear + eps**2 * quadratic + eps**3 * cubic
-        np.testing.assert_allclose(bch_trunc3(eps * a, eps * b), expected, atol=1e-15)
-
-
-def test_bch_trunc3_shape_mismatch():
-    with pytest.raises(ShapeError):
-        bch_trunc3(np.zeros((2, 2)), np.zeros((4, 4)))
-
-
 @pytest.mark.parametrize(
     "call",
     [
         lambda: mat_exp_taylor(np.full((4, 4), 2000.0)),
-        lambda: bch_trunc3(np.full((4, 4), 1e110), np.triu(np.full((4, 4), 1e110))),
         lambda: mat_log_near_identity(np.eye(4) + 1e100 * np.triu(np.ones((4, 4)), 1)),
     ],
-    ids=["exp", "trunc3", "log"],
+    ids=["exp", "log"],
 )
 def test_finite_input_whose_arithmetic_overflows_is_a_package_error(call):
     # no non-finite result and no NumPy warning: DomainError, or its

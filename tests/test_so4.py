@@ -11,7 +11,6 @@ from magicbch import (
     So4Coeffs,
     bch_so4,
     bch_so4_entries,
-    bch_trunc3,
     coeffs_from_so4,
     frobenius_norm,
     mat_exp_taylor,
@@ -373,19 +372,6 @@ def test_entries_route_calls_no_channel_path_kernel(monkeypatch, mode):
     with pytest.raises(AssertionError):
         bch_so4(np.zeros((4, 4)), np.zeros((4, 4)), mode)  # the patches take effect
     assert [np.array(bch_so4_entries(f, g, mode)).tobytes() for f, g in pairs] == unpatched
-
-
-def test_order3_consistency_slope():
-    rng = np.random.default_rng(60)
-    a = so4_from_coeffs(rng.uniform(-0.3, 0.3, size=6))
-    b = so4_from_coeffs(rng.uniform(-0.3, 0.3, size=6))
-    eps = np.array([0.1, 0.05, 0.025])
-    errs = [
-        frobenius_norm(bch_so4(e * a, e * b).result - bch_trunc3(e * a, e * b))
-        for e in eps
-    ]
-    slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
-    assert slope >= 3.8
 
 
 def test_split_of_bch_matches_channel_composition():

@@ -12,7 +12,6 @@ from magicbch import (
     bch_so4,
     bch_so4_entries,
     bch_su2,
-    bch_trunc3,
     coeffs_from_so4,
     frobenius_norm,
     hermitian_from_vec,
@@ -281,21 +280,6 @@ def test_cross_product_dictionary():
         assert frobenius_norm(lhs - rhs) < 1e-13 * max(1.0, frobenius_norm(lhs))
 
 
-def test_order3_consistency_slope():
-    rng = np.random.default_rng(39)
-    x = sample_ball(rng, 0.7)
-    y = sample_ball(rng, 0.7)
-    eps = np.array([0.1, 0.05, 0.025])
-    errs = []
-    for e in eps:
-        z_closed = bch_su2(e * x, e * y)
-        z3_mat = bch_trunc3(1j * hermitian_from_vec(e * x), 1j * hermitian_from_vec(e * y))
-        z3 = vec_from_hermitian(z3_mat / 1j)
-        errs.append(float(np.linalg.norm(z_closed - z3)))
-    slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
-    assert slope >= 3.8
-
-
 NEAR_CUT_DISTANCES = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
 
 
@@ -401,7 +385,6 @@ def test_non_finite_entries_rejected(bad):
         calls += [
             lambda: mat_exp_taylor(o),
             lambda: mat_log_near_identity(o),
-            lambda: bch_trunc3(np.eye(4), o),
         ]
     for call in calls:
         with pytest.raises(ShapeError):
@@ -450,7 +433,6 @@ def test_overflowing_norm_is_a_domain_error():
         lambda: merge(SplitPair(np.array([1e308, 0.0, 0.0]), np.array([1e308, 0.0, 0.0]))),
         lambda: mat_exp_taylor(full),
         lambda: mat_log_near_identity(full),
-        lambda: bch_trunc3(full, np.eye(4)),
     ):
         with pytest.raises(DomainError):
             call()
